@@ -15,9 +15,9 @@ prints a per-point report, and ends with one JSON line:
 per-layer ones (README.md explains each). Exit code 0 only when a result
 was printed; a result with failed points still exits 0 and says so.
 
-Extra flags: --pins <file> checks against another pin table (the
-self-test corrupts a copy); --bless rewrites the workload's pinned values
-from this run (default seed only; explain the diff in CHANGES.md).
+--seconds is at most MAX_SECONDS, so that a whole run ends within
+DEADLINE_S. Extra flag: --pins <file> checks against another pin table (the
+self-test corrupts a copy).
 """
 import argparse
 import json
@@ -34,8 +34,10 @@ ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD, "perfbench")
 PINS = os.path.join(HERE, "pins.json")
-SETUP_RUNS = 9      # set-up-only processes per run, plus the measured one
-DEADLINE_S = 170.0  # whole run, build excluded
+SETUP_RUNS = 12     # set-up-only processes per run at least,
+SETUP_MIN_S = 1.0   # and for at least this long; plus the measured one
+DEADLINE_S = 170    # whole run, build excluded
+MAX_SECONDS = 150   # --seconds, leaving the rest of DEADLINE_S for set-up
 
 WORKLOADS = ("p2p_stream", "rdma_pingpong", "bfs_graph500", "hsg_halo")
 
@@ -86,12 +88,18 @@ def program_env():
     return {k: v for k, v in os.environ.items() if not k.startswith("APN_")}
 
 
-def start(argv, deadline):
-    """Spawn the program; return it and its set-up time, i.e. the host
-    seconds from spawn until it reports READY."""
+def start(argv, deadline, cpu=None):
+    """Spawn the program, pinned to `cpu` if given; return it and its
+    set-up time, i.e. the host seconds from spawn until it reports READY."""
+    allowed = os.sched_getaffinity(0)
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})  # the child inherits it
     t0 = time.perf_counter()
-    proc = subprocess.Popen([BINARY] + argv, stdout=subprocess.PIPE,
-                            env=program_env(), text=True)
+    try:
+        proc = subprocess.Popen([BINARY] + argv, stdout=subprocess.PIPE,
+                                env=program_env(), text=True)
+    finally:
+        os.sched_setaffinity(0, allowed)
     line = proc.stdout.readline()
     setup = time.perf_counter() - t0
     if line.strip() != "READY" or time.monotonic() > deadline:
@@ -103,9 +111,17 @@ def start(argv, deadline):
 
 def measure(workload, seed, seconds, trace, deadline):
     argv = inputs(workload, seed)
+    # Set-ups run on each allowed CPU in turn, as the program's passes do:
+    # the CPUs of a shared virtual machine differ in speed, by up to 40% in
+    # set-up time, and which one is fast changes over time.
+    # Short set-ups (a few ms) repeat for SETUP_MIN_S, so that their minimum
+    # rests on as many samples as noise needs.
+    cpus = sorted(os.sched_getaffinity(0))
     setups = []
-    for _ in range(SETUP_RUNS):
-        proc, setup = start(argv + ["--setup-only"], deadline)
+    until = time.monotonic() + SETUP_MIN_S
+    while len(setups) < SETUP_RUNS or time.monotonic() < until:
+        proc, setup = start(argv + ["--setup-only"], deadline,
+                            cpus[len(setups) % len(cpus)])
         if proc.wait() != 0:
             fail("set-up run failed")
         setups.append(setup)
@@ -178,13 +194,14 @@ def check(workload, seed, res, pins):
 def report(workload, seed, res, rows, attempted, failed, errs):
     print("perfbench %s seed=%d passes=%d traced_passes=%d"
           % (workload, seed, res["passes"], res["traced_passes"]))
-    print("%-24s %16s %-8s %10s %8s %9s %9s  %s"
-          % ("point", "model", "unit", "paper", "err", "min_ms", "med_ms",
-             "check"))
+    # model and aux print with all their digits, as pins.json holds them.
+    print("%-24s %24s %-8s %24s %10s %8s %9s %9s  %s"
+          % ("point", "model", "unit", "aux", "paper", "err", "min_ms",
+             "med_ms", "check"))
     for pt, paper, err, why in rows:
         host = pt["host_s"] or [0.0]
-        print("%-24s %16.6g %-8s %10s %8s %9.3f %9.3f  %s"
-              % (pt["name"], pt["value"], pt["unit"],
+        print("%-24s %24.17g %-8s %24.17g %10s %8s %9.3f %9.3f  %s"
+              % (pt["name"], pt["value"], pt["unit"], pt["aux"],
                  "-" if paper is None else "%g" % paper,
                  "-" if err is None else "%.4f" % err, min(host) * 1e3,
                  statistics.median(host) * 1e3,
@@ -197,19 +214,6 @@ def report(workload, seed, res, rows, attempted, failed, errs):
         print("paper_err_median = n/a (no point carries a paper value)")
 
 
-def bless(workload, res, pins_path, pins):
-    wp = pins["workloads"][workload]
-    for pt in res["points"]:
-        entry = wp["points"].setdefault(pt["name"], {})
-        entry["value"] = pt["value"]
-        entry["aux"] = pt["aux"]
-    with open(pins_path, "w") as f:
-        json.dump(pins, f, indent=2)
-        f.write("\n")
-    print("perfbench: blessed %d points of %s" % (len(res["points"]), workload),
-          file=sys.stderr)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -217,24 +221,22 @@ def main():
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
     ap.add_argument("--pins", default=PINS)
-    ap.add_argument("--bless", action="store_true")
     a = ap.parse_args()
-    if a.seconds <= 0:
-        fail("--seconds must be > 0")
+    if not 0 < a.seconds <= MAX_SECONDS:
+        fail("--seconds must be in (0, %d]: a run, set-up included, must end "
+             "within %d s" % (MAX_SECONDS, DEADLINE_S))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     with open(a.pins) as f:
         pins = json.load(f)
-    if a.bless and a.seed != pins["default_seed"]:
-        fail("--bless needs the default seed %d" % pins["default_seed"])
 
     build()
     deadline = time.monotonic() + DEADLINE_S
     res, setups = measure(a.workload, a.seed, a.seconds, a.trace, deadline)
-    if a.bless:
-        bless(a.workload, res, a.pins, pins)
     attempted, failed, errs, rows = check(a.workload, a.seed, res, pins)
     report(a.workload, a.seed, res, rows, attempted, failed, errs)
+    print("set-up: min %.6f s, median %.6f s over %d processes"
+          % (min(setups), statistics.median(setups), len(setups)))
 
     if a.trace:
         values = dict(res["layers"])
@@ -244,11 +246,13 @@ def main():
         declared = spec["per_layer"]
     else:
         values = {
-            # One pass over the points, each at its fastest repetition: on a
-            # shared host interference only ever adds time, so the minimum
-            # is the steadiest estimate (the report prints medians too).
+            # One pass over the points, each at its fastest repetition, and
+            # the fastest of the set-ups: on a shared host interference only
+            # ever adds time, and it comes in episodes longer than all the
+            # set-ups of a run, so the minimum is the steadiest estimate
+            # (the report prints medians too).
             "wall_s": sum(min(p["host_s"]) for p in res["points"]),
-            "setup_s": statistics.median(setups),
+            "setup_s": min(setups),
             "peak_rss_mb": res["peak_rss_kb"] / 1024.0,
         }
         declared = spec["end_to_end"]

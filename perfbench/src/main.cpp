@@ -4,7 +4,7 @@
 // into the benchmark's metrics.
 //
 //   perfbench --workload <name> --seconds <s> [--trace-run]
-//             [--rmat-seed N] [--root-seed N] [--lattice-seed N]
+//             --rmat-seed N --root-seed N --lattice-seed N
 //             [--trace-out <path>] [--setup-only]
 //
 // Protocol on stdout: "READY" once set-up (argument parsing, point list,
@@ -12,12 +12,14 @@
 // --setup-only exits after READY. --trace-run spends the first half of the
 // time on untraced passes and the second half on traced passes, and adds
 // the per-layer numbers (from spans and layer counters) to the result.
+#include <malloc.h>
 #include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <map>
 #include <optional>
@@ -38,7 +40,7 @@ struct Args {
   bool trace = false;
   bool setup_only = false;
   std::string trace_out;
-  Inputs in;
+  Inputs in{};
 };
 
 [[noreturn]] void usage(const std::string& why) {
@@ -56,6 +58,7 @@ std::uint64_t parse_u64(const char* flag, const char* v) {
 
 Args parse(int argc, char** argv) {
   Args a;
+  bool rmat = false, root = false, lattice = false;
   for (int i = 1; i < argc; ++i) {
     const std::string f = argv[i];
     if (f == "--trace-run") {
@@ -78,15 +81,22 @@ Args parse(int argc, char** argv) {
       a.trace_out = v;
     } else if (f == "--rmat-seed") {
       a.in.rmat_seed = parse_u64(argv[i - 1], v);
+      rmat = true;
     } else if (f == "--root-seed") {
       a.in.root_seed = parse_u64(argv[i - 1], v);
+      root = true;
     } else if (f == "--lattice-seed") {
       a.in.lattice_seed = parse_u64(argv[i - 1], v);
+      lattice = true;
     } else {
       usage("unknown flag " + f);
     }
   }
   if (a.workload.empty()) usage("--workload is required");
+  // The inputs come from run.py only, so the program has no input set of
+  // its own.
+  if (!rmat || !root || !lattice)
+    usage("--rmat-seed, --root-seed and --lattice-seed are required");
   return a;
 }
 
@@ -129,6 +139,7 @@ class Driver {
       : args_(a),
         points_(make_points(a.workload, a.in)),
         stats_(points_.size()),
+        analyzers_(points_.size()),
         cpus_(allowed_cpus()) {}
 
   /// One untimed point, so lazy set-up has finished before timing starts.
@@ -167,6 +178,7 @@ class Driver {
   const Args& args_;
   std::vector<Point> points_;
   std::vector<PointStats> stats_;
+  std::vector<std::deque<apn::pcie::BusAnalyzer>> analyzers_;  ///< per point
   std::vector<Pass> passes_;
   std::vector<int> cpus_;
   Tracer tracer_;
@@ -182,6 +194,7 @@ Pass Driver::run_pass(bool traced) {
     PointStats& st = stats_[i];
     tracer_.point = static_cast<int>(i);
     ctx.point_events = 0;
+    ctx.analyzers = &analyzers_[i];
     Outcome o;
     bool ok = true;
     const int root = traced ? tracer_.open("point", false) : -1;
@@ -396,6 +409,12 @@ void Driver::write_trace(const std::string& path) const {
 
 int main(int argc, char** argv) {
   using namespace perfbench;
+  // Pin glibc's mmap threshold at its default, which turns off its dynamic
+  // adjustment. That adjustment follows the sizes of the blocks freed so
+  // far, so whether a large block came from the heap, and with it the peak
+  // resident set, depended on the R-MAT seed (19.7 or 23.6 MB on
+  // bfs_graph500).
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   const Args args = parse(argc, argv);
   apn::hw::select("apenet_2013");
   std::optional<Driver> driver;

@@ -33,25 +33,37 @@ int reps_for(std::uint64_t size, std::uint64_t target_bytes) {
 }
 
 /// Attach a bus analyzer above every card and GPU slot (traced runs only:
-/// the analyzers store one record per chunk).
-void attach_analyzers(apn::cluster::Cluster& c,
-                      std::deque<apn::pcie::BusAnalyzer>& out) {
+/// the analyzers store one record per chunk); returns how many. The
+/// analyzers come from `pool`, cleared: a point builds the same cluster
+/// and records the same chunks every pass, so from its second traced pass
+/// on the record vectors already have their capacity and do not allocate
+/// inside the timed calls.
+std::size_t attach_analyzers(apn::cluster::Cluster& c,
+                             std::deque<apn::pcie::BusAnalyzer>& pool) {
+  std::size_t used = 0;
+  const auto next = [&]() -> apn::pcie::BusAnalyzer& {
+    if (used == pool.size()) pool.emplace_back();
+    apn::pcie::BusAnalyzer& a = pool[used++];
+    a.clear();
+    return a;
+  };
   for (int i = 0; i < c.size(); ++i) {
     apn::cluster::Node& n = c.node(i);
-    if (n.has_apenet())
-      n.fabric().attach_analyzer(n.card_pcie_node(), out.emplace_back());
+    if (n.has_apenet()) n.fabric().attach_analyzer(n.card_pcie_node(), next());
     for (int g = 0; g < n.gpu_count(); ++g)
-      n.fabric().attach_analyzer(n.gpu_pcie_node(g), out.emplace_back());
+      n.fabric().attach_analyzer(n.gpu_pcie_node(g), next());
   }
+  return used;
 }
 
 void collect(apn::cluster::Cluster& c, const apn::sim::Simulator& sim,
-             apn::trace::MetricsRegistry& m,
-             const std::deque<apn::pcie::BusAnalyzer>& analyzers, Ctx& ctx) {
+             apn::trace::MetricsRegistry& m, std::size_t analyzers,
+             Ctx& ctx) {
   Counters& k = ctx.counters;
   ctx.point_events = sim.events_processed();
   k.events += sim.events_processed();
-  for (const auto& a : analyzers) k.chunks += a.events().size();
+  for (std::size_t i = 0; i < analyzers; ++i)
+    k.chunks += (*ctx.analyzers)[i].events().size();
   for (int i = 0; i < c.size(); ++i) {
     apn::cluster::Node& n = c.node(i);
     if (n.has_apenet()) {
@@ -82,14 +94,14 @@ void collect(apn::cluster::Cluster& c, const apn::sim::Simulator& sim,
 template <typename Make, typename Drive>
 Outcome on_cluster(Ctx& ctx, Make make, Drive drive) {
   apn::trace::MetricsScope metrics;
-  std::deque<apn::pcie::BusAnalyzer> analyzers;  // outlives the cluster
   apn::sim::Simulator sim;
   ClusterPtr c;
   {
     Scope s(ctx.tracer, "cluster.assemble");
     c = make(sim);
   }
-  if (ctx.tracer.on) attach_analyzers(*c, analyzers);
+  const std::size_t analyzers =
+      ctx.tracer.on ? attach_analyzers(*c, *ctx.analyzers) : 0;
   Outcome out = drive(*c);
   collect(*c, sim, metrics.registry(), analyzers, ctx);
   return out;

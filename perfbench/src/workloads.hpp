@@ -6,20 +6,22 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "pcie/fabric.hpp"
 #include "probe.hpp"
 
 namespace perfbench {
 
 /// Inputs the driver derives from the workload seed (run.py); the program
-/// sees only these.
+/// sees only these, and has no defaults for them.
 struct Inputs {
-  std::uint64_t rmat_seed = 1;     ///< BFS graph
-  std::uint64_t root_seed = 7;     ///< BFS search key
-  std::uint64_t lattice_seed = 42; ///< HSG initial spins
+  std::uint64_t rmat_seed;     ///< BFS graph
+  std::uint64_t root_seed;     ///< BFS search key
+  std::uint64_t lattice_seed;  ///< HSG initial spins
 };
 
 /// Simulated counters read from the layers after each point, summed over
@@ -48,6 +50,9 @@ struct Ctx {
   Tracer& tracer;
   Counters counters;
   std::uint64_t point_events = 0;  ///< events of the point just run
+  /// The running point's bus analyzers, kept from one traced pass to the
+  /// next (set by the driver; used only while tracing).
+  std::deque<apn::pcie::BusAnalyzer>* analyzers = nullptr;
 };
 
 /// What one point checks: its simulated result plus the validity checks
