@@ -205,18 +205,15 @@ class Runner {
     init_check_flags(argc, argv);
   }
 
-  /// Parse --check / --owner-check / --coro-check / --state-hash-out=<path>
-  /// (shared with
-  /// bus_analyzer). Any flag arms the race detector for every Simulator
-  /// built after this call (cluster::Cluster installs a check::Session
-  /// from it); --owner-check additionally arms the partition-ownership
-  /// oracle (see docs/CORRECTNESS.md "The ownership model").
+  /// Parse --check / --coro-check / --state-hash-out=<path> (shared with
+  /// bus_analyzer). --check and --state-hash-out= arm the race detector
+  /// for every Simulator built after this call (cluster::Cluster installs
+  /// a check::Session from it); --coro-check arms the frame-lifetime
+  /// oracle and its exit report.
   static void init_check_flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--check") == 0) {
         check::Session::force_enable(true);
-      } else if (std::strcmp(argv[i], "--owner-check") == 0) {
-        check::Session::force_owner_check(true);
       } else if (std::strcmp(argv[i], "--coro-check") == 0) {
         check::coro::force_enable(true);
         check::coro::install_exit_report();

@@ -26,7 +26,6 @@ std::uint64_t fnv1a(const char* s) {
 }
 
 bool g_forced = false;
-bool g_owner_forced = false;
 
 }  // namespace
 
@@ -52,20 +51,6 @@ std::string Finding::message() const {
   return buf;
 }
 
-std::string OwnerFinding::message() const {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "cross-owner event #%" PRIu64 " at t=%" PRId64
-                ": touched '%s' (%s#%d) and '%s' (%s#%d) without a channel "
-                "handoff in between",
-                seq, static_cast<std::int64_t>(time), cell_first.c_str(),
-                owner::domain_name(owner_first.domain), owner_first.instance,
-                cell_second.c_str(),
-                owner::domain_name(owner_second.domain),
-                owner_second.instance);
-  return buf;
-}
-
 namespace detail {
 Context*& current_ref() {
   thread_local Context* ctx = nullptr;
@@ -85,7 +70,6 @@ void Context::on_event_begin(Time now, std::uint64_t seq,
   cur_seq_ = seq;
   in_event_ = true;
   event_wrote_ = false;
-  ev_has_owner_ = false;
 }
 
 void Context::on_event_end() {
@@ -139,25 +123,6 @@ void Context::conflict(const CellState& cs, std::uint64_t other_seq,
   findings_.push_back(std::move(f));
 }
 
-void Context::owner_conflict(const char* name, owner::Tag tag) {
-  OwnerFinding f;
-  f.time = cur_tick_;
-  f.seq = cur_seq_;
-  f.cell_first = ev_owner_cell_;
-  f.cell_second = name != nullptr ? name : "?";
-  f.owner_first = ev_owner_;
-  f.owner_second = tag;
-  if (mode_ == Mode::kAbort) {
-    std::fprintf(stderr, "[apn::check] %s\n", f.message().c_str());
-    std::fprintf(stderr,
-                 "[apn::check] one event may only touch one partition's "
-                 "state; route the interaction through a sim::Channel or "
-                 "mark the member APN_SHARED with a justification\n");
-    std::abort();
-  }
-  owner_findings_.push_back(std::move(f));
-}
-
 void Context::mix_write(const CellState& cs, Access kind,
                         std::uint64_t vhash) {
   hash_ = mix(hash_, cs.name_hash ^ cs.ordinal);
@@ -166,20 +131,11 @@ void Context::mix_write(const CellState& cs, Access kind,
 }
 
 void Context::record(const void* cell, const char* name, Access kind,
-                     std::uint64_t vhash, owner::Tag tag) {
+                     std::uint64_t vhash) {
   // Accesses outside event dispatch (setup/teardown, post-run statistics
   // reads) have no same-tick peers to race with.
   if (!in_event_) return;
   ++accesses_;
-  if (owner_check_ && tag.partitioned()) {
-    if (!ev_has_owner_) {
-      ev_has_owner_ = true;
-      ev_owner_ = tag;
-      ev_owner_cell_ = name;
-    } else if (tag.instance != ev_owner_.instance) {
-      owner_conflict(name, tag);
-    }
-  }
   CellState& cs = cell_state(cell, name);
   if (cs.tick != cur_tick_) {
     cs.tick = cur_tick_;
@@ -312,7 +268,6 @@ Session::Session(sim::Simulator& sim, Context::Mode mode)
   detail::current_ref() = &ctx_;
   if (HashSink::global().enabled())
     ctx_.set_hash_line_fn(&hash_to_global_sink, nullptr);
-  if (owner_check_enabled()) ctx_.set_owner_check(true);
 }
 
 Session::~Session() {
@@ -333,16 +288,8 @@ void Session::force_enable(bool on) {
   coro::mirror_check_forced(on);
 }
 
-bool Session::owner_check_enabled() {
-  if (g_owner_forced) return true;
-  const char* e = std::getenv("APN_OWNER_CHECK");
-  return e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0;
-}
-
-void Session::force_owner_check(bool on) { g_owner_forced = on; }
-
 std::unique_ptr<Session> Session::from_env(sim::Simulator& sim) {
-  if (!env_enabled() && !owner_check_enabled()) return nullptr;
+  if (current() != nullptr || !env_enabled()) return nullptr;
   return std::make_unique<Session>(sim, Context::Mode::kAbort);
 }
 

@@ -33,14 +33,6 @@
 // divergent event*, turning "the bandwidth differs in the 4th digit" into
 // "event 1234 at t=56789 wrote something different".
 //
-// Owner check: every access additionally carries an `owner::Tag` (the
-// partition-ownership stamp from src/common/owner.hpp). In `--owner-check`
-// mode (APN_OWNER_CHECK=1) the Context reports any event whose access set
-// spans two partition instances — i.e. two different torus nodes' state
-// touched in one event without a Channel delivery in between. This is the
-// runtime oracle that the static `partition-ownership` classification in
-// apn-lint is complete; see docs/CORRECTNESS.md "The ownership model".
-//
 // Enablement: APN_CHECK=1 in the environment (or `--check` on a bench)
 // makes cluster::Cluster install a Session; a detected race prints full
 // provenance and aborts. Tests use Mode::kRecord and inspect findings().
@@ -57,7 +49,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/owner.hpp"
 #include "sim/simulator.hpp"
 
 namespace apn::check {
@@ -74,20 +65,6 @@ struct Finding {
   std::uint64_t seq_second = 0;  ///< later event (no ancestry to first)
   Access kind_first = Access::kRead;
   Access kind_second = Access::kRead;
-
-  std::string message() const;
-};
-
-/// One detected cross-partition event: two accesses in the same event whose
-/// owner tags name different partition instances, with no Channel delivery
-/// between them.
-struct OwnerFinding {
-  Time time = 0;
-  std::uint64_t seq = 0;            ///< the offending event
-  std::string cell_first;           ///< first partition-owned cell touched
-  std::string cell_second;          ///< the cell that crossed partitions
-  owner::Tag owner_first;
-  owner::Tag owner_second;
 
   std::string message() const;
 };
@@ -126,30 +103,16 @@ class Context final : public sim::EventHook {
 
   /// Record one access to `cell` (identity pointer, stable within a run)
   /// named `name`. Called via APN_CHECK_ACCESS / StateCell, only when this
-  /// context is current. `tag` is the access's partition-ownership stamp
-  /// (unowned when the site has no APN_OWNER class / construction scope).
+  /// context is current.
   void record(const void* cell, const char* name, Access kind,
-              std::uint64_t vhash, owner::Tag tag = {});
+              std::uint64_t vhash);
 
   // ---- sim::EventHook ----------------------------------------------------
   void on_event_begin(Time now, std::uint64_t seq,
                       std::uint64_t parent) override;
   void on_event_end() override;
-  void on_channel_delivery() override { owner_handoff(); }
-
-  /// Enable the --owner-check oracle: flag any event whose access set
-  /// spans two partition instances (see OwnerFinding).
-  void set_owner_check(bool on) { owner_check_ = on; }
-  bool owner_check() const { return owner_check_; }
-
-  /// A sanctioned partition crossing (a Channel delivered): forget the
-  /// owners seen so far in the current event.
-  void owner_handoff() { ev_has_owner_ = false; }
 
   const std::vector<Finding>& findings() const { return findings_; }
-  const std::vector<OwnerFinding>& owner_findings() const {
-    return owner_findings_;
-  }
   std::uint64_t rolling_hash() const { return hash_; }
   std::uint64_t cells_seen() const { return next_ordinal_; }
   std::uint64_t accesses_recorded() const { return accesses_; }
@@ -179,7 +142,6 @@ class Context final : public sim::EventHook {
   bool ancestor_of_current(std::uint64_t a) const;
   void conflict(const CellState& cs, std::uint64_t other_seq,
                 Access other_kind, Access my_kind);
-  void owner_conflict(const char* name, owner::Tag tag);
   void mix_write(const CellState& cs, Access kind, std::uint64_t vhash);
 
   Mode mode_;
@@ -196,14 +158,6 @@ class Context final : public sim::EventHook {
   bool in_event_ = false;
   bool event_wrote_ = false;
   std::unordered_map<std::uint64_t, std::uint64_t> tick_parents_;
-
-  // Current-event owner-check state: the first partition-owned cell the
-  // event touched, reset at event begin and at owner_handoff().
-  bool owner_check_ = false;
-  bool ev_has_owner_ = false;
-  owner::Tag ev_owner_{};
-  const char* ev_owner_cell_ = "";
-  std::vector<OwnerFinding> owner_findings_;
 
   std::uint64_t hash_ = 0x9e3779b97f4a7c15ull;
   std::uint64_t accesses_ = 0;
@@ -269,13 +223,8 @@ class Session {
   static bool env_enabled();
   static void force_enable(bool on);
 
-  /// True when APN_OWNER_CHECK is set (nonempty, not "0") or
-  /// force_owner_check(true) was called (the bench `--owner-check` flag).
-  /// Implies a Session is installed; the Session arms the owner oracle.
-  static bool owner_check_enabled();
-  static void force_owner_check(bool on);
-
-  /// Installed session in abort mode when enabled, nullptr otherwise.
+  /// Installed session in abort mode when enabled and the thread has no
+  /// current context yet, nullptr otherwise (an outer Session wins).
   static std::unique_ptr<Session> from_env(sim::Simulator& sim);
 
  private:
@@ -292,12 +241,7 @@ class Session {
 template <typename T>
 class StateCell {
  public:
-  /// Captures the construction-scope owner tag (owner::ScopedOwner), so a
-  /// cell built while cluster::Node `i` assembles itself is stamped with
-  /// that node's partition instance.
   explicit StateCell(const char* name, T v = T{}) : name_(name), v_(v) {}
-
-  const owner::Tag& owner_tag() const { return tag_; }
 
   const T& get() const {
     touch(Access::kRead);
@@ -334,11 +278,10 @@ class StateCell {
  private:
   void touch(Access a) const {
     if (Context* c = current())
-      c->record(this, name_, a, value_hash(v_), tag_);
+      c->record(this, name_, a, value_hash(v_));
   }
 
   const char* name_;
-  owner::Tag tag_ = owner::current();
   T v_;
 };
 
@@ -346,14 +289,11 @@ class StateCell {
 
 /// Record an access to a member that is not a StateCell (containers,
 /// structs, in-place state): `APN_CHECK_ACCESS(rx_msgs_, kAccum)`. The
-/// member's spelling becomes the cell name; its address its identity. The
-/// unqualified `apn_owner_tag()` call resolves to the enclosing APN_OWNER
-/// class's tag (or the global unowned fallback in src/common/owner.hpp),
-/// stamping the access for the --owner-check oracle.
+/// member's spelling becomes the cell name; its address its identity.
 #define APN_CHECK_ACCESS(obj, rw)                                           \
   do {                                                                      \
     if (::apn::check::Context* apn_chk_c = ::apn::check::current())         \
       apn_chk_c->record(static_cast<const void*>(&(obj)), #obj,             \
                         ::apn::check::Access::rw,                           \
-                        ::apn::check::value_hash(obj), apn_owner_tag());    \
+                        ::apn::check::value_hash(obj));                     \
   } while (0)

@@ -7,11 +7,10 @@
 // provenance: the creation site (via the promise-constructor
 // std::source_location trick — the default argument is evaluated inside
 // the coroutine itself, so it names the coroutine function, lambdas
-// included), the spawner's owner::Tag, and the simulated birth tick.
-// The end-of-run report then names every still-suspended frame, so a
-// leaked or stuck process — the failure mode conservative-synchronization
-// shards hit first — surfaces with file:line provenance instead of as a
-// hang or a silent use-after-free.
+// included) and the simulated birth tick. The end-of-run report then
+// names every still-suspended frame, so a leaked or stuck process
+// surfaces with file:line provenance instead of as a hang or a silent
+// use-after-free.
 //
 // Under APN_CHECK=1 (or --check) freed frames are additionally poisoned
 // with kPoisonByte before the memory is released, so a resumed-after-free
@@ -46,8 +45,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/owner.hpp"
-
 namespace apn::check::coro {
 
 /// Fill pattern written over freed frames under APN_CHECK=1. 0xC9 reads
@@ -63,7 +60,6 @@ struct FrameInfo {
   const char* file = nullptr;      ///< creation site (static storage)
   const char* function = nullptr;  ///< coroutine function name
   unsigned line = 0;
-  owner::Tag owner{};              ///< owner::current() at spawn
   long long birth_tick = -1;       ///< simulated time at spawn; -1 = pre-sim
 };
 
@@ -74,14 +70,13 @@ struct Registry {
   std::unordered_map<const void*, FrameInfo> live;
   // Checker-internal bookkeeping, not simulated state: the oracle observes
   // frame allocation from outside the event loop and must not recurse into
-  // the race/ownership instrumentation it backs.
-  // apn-lint: allow(partition-ownership)
+  // the race instrumentation it backs.
   std::uint64_t next_seq = 0;
-  // apn-lint: allow(check-coverage, partition-ownership)
+  // apn-lint: allow(check-coverage)
   std::atomic<std::uint64_t> created{0};
-  // apn-lint: allow(check-coverage, partition-ownership)
+  // apn-lint: allow(check-coverage)
   std::atomic<std::uint64_t> destroyed{0};
-  // apn-lint: allow(check-coverage, partition-ownership)
+  // apn-lint: allow(check-coverage)
   std::atomic<std::uint64_t> poisoned{0};
 };
 
@@ -176,23 +171,16 @@ inline void report(std::FILE* out) {
   std::fprintf(out, "[apn::coro-check] %zu live coroutine frame(s):\n",
                frames.size());
   for (const FrameInfo& f : frames) {
-    char owner_buf[64];
-    if (f.owner.partitioned())
-      std::snprintf(owner_buf, sizeof owner_buf, "%s#%d",
-                    owner::domain_name(f.owner.domain), f.owner.instance);
-    else
-      std::snprintf(owner_buf, sizeof owner_buf, "%s",
-                    owner::domain_name(f.owner.domain));
     char tick_buf[32];
     if (f.birth_tick < 0)
       std::snprintf(tick_buf, sizeof tick_buf, "pre-sim");
     else
       std::snprintf(tick_buf, sizeof tick_buf, "t=%lld", f.birth_tick);
-    std::fprintf(out, "  frame #%llu: %s:%u '%s' (%zu bytes, owner %s, born %s)\n",
+    std::fprintf(out, "  frame #%llu: %s:%u '%s' (%zu bytes, born %s)\n",
                  static_cast<unsigned long long>(f.seq),
                  f.file != nullptr ? f.file : "?", f.line,
                  f.function != nullptr ? f.function : "?", f.bytes,
-                 owner_buf, tick_buf);
+                 tick_buf);
   }
 }
 
@@ -262,7 +250,6 @@ inline void* frame_allocated(std::size_t bytes) {
   FrameInfo fi;
   fi.frame = p;
   fi.bytes = bytes;
-  fi.owner = owner::current();
   fi.birth_tick = detail::g_tick;
   {
     std::lock_guard<std::mutex> lk(r.mu);

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/owner.hpp"
 #include "hw/profile.hpp"
 #include "trace/trace.hpp"
 
@@ -30,12 +29,6 @@ Node::Node(sim::Simulator& sim, int index, core::TorusCoord coord,
            const NodeConfig& cfg, const core::ApenetParams& apn_params,
            const ib::HcaParams& ib_params)
     : index_(index) {
-  // Construction scopes stamp every StateCell / APN_OWNER tag built below
-  // with this node's partition instance (see src/common/owner.hpp): the
-  // PCIe tree and its devices belong to the node's pcie_island, the
-  // APEnet+ card-side model to its torus_node.
-  owner::ScopedOwner island(owner::Domain::pcie_island, index);
-
   fabric_ = std::make_unique<pcie::Fabric>(
       sim, 4096, "node" + std::to_string(index) + ".pcie");
   int root = fabric_->add_root("rc" + std::to_string(index));
@@ -64,7 +57,6 @@ Node::Node(sim::Simulator& sim, int index, core::TorusCoord coord,
   cuda_ = std::make_unique<cuda::Runtime>(sim, gpu_ptrs, cfg.cuda);
 
   if (cfg.has_apenet) {
-    owner::ScopedOwner node_scope(owner::Domain::torus_node, index);
     card_ = std::make_unique<core::ApenetCard>(sim, *fabric_, apn_params,
                                                coord, base);
     card_node_ = fabric_->attach(*card_, plx_, cfg.apenet_slot);

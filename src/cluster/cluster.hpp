@@ -42,9 +42,6 @@ struct NodeConfig {
 /// One cluster node: a PCIe tree with host DRAM at the root, a PLX switch
 /// below it carrying the GPUs and the NIC(s).
 class Node {
-  // Assembly container: built once, only ever read at sim time.
-  APN_OWNER(global_readonly)
-
  public:
   Node(sim::Simulator& sim, int index, core::TorusCoord coord,
        const NodeConfig& cfg, const core::ApenetParams& apn_params,
@@ -88,9 +85,6 @@ class Node {
 /// A full machine: nodes + APEnet+ torus wiring + (optionally) the IB
 /// switch with one minimpi rank per node.
 class Cluster {
-  // Assembly container: built once, only ever read at sim time.
-  APN_OWNER(global_readonly)
-
  public:
   Cluster(sim::Simulator& sim, core::TorusShape shape, NodeConfig cfg,
           core::ApenetParams apn_params = {}, ib::HcaParams ib_params = {},

@@ -73,8 +73,6 @@ struct TxDescriptor {
 };
 
 class ApenetCard : public pcie::Device {
-  APN_OWNER(torus_node)
-
  public:
   /// MMIO region size claimed on the fabric.
   static constexpr std::uint64_t kMmioSize = 2ull << 20;

@@ -26,7 +26,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/owner.hpp"
 #include "core/packet.hpp"
 #include "core/params.hpp"
 #include "gpu/gpu.hpp"
@@ -49,8 +48,6 @@ struct GpuTxJob {
 };
 
 class GpuP2pTx {
-  APN_OWNER(torus_node)
-
  public:
   GpuP2pTx(ApenetCard& card, const ApenetParams& params);
 
@@ -79,8 +76,6 @@ class GpuP2pTx {
 
   // Current job state (engine processes one job at a time).
   struct Active {
-    APN_OWNER(torus_node)
-
     explicit Active(sim::Simulator& sim, GpuTxJob j)
         : job(std::move(j)),
           arrived_pool(sim, 0),

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/owner.hpp"
 #include "core/card.hpp"
 #include "core/torus.hpp"
 #include "sim/channel.hpp"
@@ -13,10 +12,6 @@
 namespace apn::core {
 
 class ApenetNetwork {
-  // Topology container: cards registered and channels created during
-  // assembly, frozen once wire() returns — readable from any partition.
-  APN_OWNER(global_readonly)
-
  public:
   ApenetNetwork(sim::Simulator& sim, TorusShape shape)
       : sim_(&sim), shape_(shape) {}

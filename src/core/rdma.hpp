@@ -38,8 +38,6 @@ struct RdmaParams {
 enum class MemType { kAuto, kHost, kGpu, kGpuBar1 };
 
 class RdmaDevice {
-  APN_OWNER(torus_node)
-
  public:
   RdmaDevice(ApenetCard& card, pcie::HostMemory& hostmem,
              cuda::Runtime* cuda_runtime, std::uint32_t pid = 0,

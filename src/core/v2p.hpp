@@ -15,15 +15,9 @@
 #include <memory>
 #include <optional>
 
-#include "common/owner.hpp"
-
 namespace apn::core {
 
 class PageTable {
-  // The firmware's translation tables live on one card (HOST_V2P and the
-  // per-GPU GPU_V2P instances are ApenetCard members).
-  APN_OWNER(torus_node)
-
  public:
   static constexpr int kLevels = 4;
   static constexpr int kBitsPerLevel = 9;

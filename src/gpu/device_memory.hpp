@@ -15,13 +15,9 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/owner.hpp"
-
 namespace apn::gpu {
 
 class DeviceMemory {
-  APN_OWNER(pcie_island)
-
  public:
   static constexpr std::uint64_t kPageBytes = 64 * 1024;
 
@@ -89,8 +85,6 @@ class DeviceMemory {
 /// First-fit free-list allocator over a device-memory offset space.
 /// Allocations are aligned to 256 B (CUDA's minimum alignment).
 class DeviceAllocator {
-  APN_OWNER(pcie_island)
-
  public:
   explicit DeviceAllocator(std::uint64_t size) { free_[0] = size; }
 

@@ -60,8 +60,6 @@ struct GpuMmio {
 };
 
 class Gpu : public pcie::Device {
-  APN_OWNER(pcie_island)
-
  public:
   /// `name` labels this GPU on the PCIe topology and its trace tracks
   /// (cluster assembly passes "gpu<i>").

@@ -51,8 +51,6 @@ struct IbRecvEvent {
 class IbSwitch;
 
 class Hca : public pcie::Device {
-  APN_OWNER(pcie_island)
-
  public:
   Hca(sim::Simulator& sim, pcie::Fabric& fabric, pcie::HostMemory& hostmem,
       HcaParams params, int rank);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/fn.hpp"
-#include "common/owner.hpp"
 #include "common/units.hpp"
 #include "pcie/link.hpp"
 #include "sim/channel.hpp"
@@ -101,8 +100,6 @@ inline const char* bus_kind_name(BusEvent::Kind k) {
 /// bound to a trace track it doubles as a producer into the trace sink, so
 /// the analyzer's view and the trace timeline stay byte-for-byte consistent.
 class BusAnalyzer {
-  APN_OWNER(pcie_island)
-
  public:
   void record(BusEvent ev) {
     events_.push_back(ev);
@@ -124,8 +121,6 @@ class BusAnalyzer {
 };
 
 class Fabric {
-  APN_OWNER(pcie_island)
-
  public:
   /// `name` labels this fabric's trace tracks (one PCIe tree per cluster
   /// node, so cluster assembly passes "node<i>.pcie").

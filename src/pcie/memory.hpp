@@ -25,8 +25,6 @@ struct HostMemoryParams {
 };
 
 class HostMemory : public Device {
-  APN_OWNER(pcie_island)
-
  public:
   HostMemory(sim::Simulator& sim, HostMemoryParams params = {})
       : sim_(&sim), params_(params), read_port_(sim) {

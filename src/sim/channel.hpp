@@ -64,7 +64,7 @@ class Channel {
     if (!has_serialized) {
       line_.post(serialization_time(bytes),
                  [this, delivered = std::move(delivered)]() mutable {
-                   sim_->after(params_.latency, deliver(std::move(delivered)));
+                   sim_->after(params_.latency, std::move(delivered));
                  });
       return;
     }
@@ -76,7 +76,7 @@ class Channel {
                  } else {
                    serialized();
                  }
-                 sim_->after(params_.latency, deliver(std::move(delivered)));
+                 sim_->after(params_.latency, std::move(delivered));
                });
   }
 
@@ -91,9 +91,7 @@ class Channel {
         ch.line_.post_resume(ch.serialization_time(n), h,
                              ch.params_.latency);
       }
-      void await_resume() const noexcept {
-        if (EventHook* h = ch.sim_->event_hook()) h->on_channel_delivery();
-      }
+      void await_resume() const noexcept {}
     };
     return Awaiter{*this, bytes};
   }
@@ -104,16 +102,6 @@ class Channel {
   std::size_t queue_length() const { return line_.queue_length(); }
 
  private:
-  /// Wrap a delivery callback so the event-hook's channel-delivery
-  /// notification (the ownership handoff point) precedes the payload.
-  template <typename D>
-  auto deliver(D delivered) {
-    return [this, delivered = std::move(delivered)]() mutable {
-      if (EventHook* h = sim_->event_hook()) h->on_channel_delivery();
-      delivered();
-    };
-  }
-
   Simulator* sim_;
   ChannelParams params_;
   Resource line_;

@@ -69,10 +69,6 @@ class EventHook {
   /// Called after the payload returned (including via exception unwinding
   /// being absent: payloads that throw terminate the run).
   virtual void on_event_end() = 0;
-  /// Called by sim::Channel at the start of a delivery: the sanctioned
-  /// point where model state crosses a partition boundary (the ownership
-  /// oracle in src/check resets its per-event owner set here).
-  virtual void on_channel_delivery() {}
 };
 
 class Simulator {

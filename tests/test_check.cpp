@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "check/check.hpp"
-#include "common/owner.hpp"
+#include "cluster/cluster.hpp"
+#include "cluster/harness.hpp"
+#include "hw/profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -194,124 +197,27 @@ TEST(Check, StateHashDiffPinpointsInjectedDivergence) {
     EXPECT_NE(base.hashes[i], diverged.hashes[i]);
 }
 
-// ---- --owner-check: the runtime partition-ownership oracle -------------
-
-TEST(Check, OwnerCheckSameInstanceIsClean) {
-  Simulator sim;
-  Session session(sim, Context::Mode::kRecord);
-  session.context().set_owner_check(true);
-
-  // Everything below is built while "node 0" assembles itself: torus_node
-  // and pcie_island state share the instance (they land on the same
-  // shard), so one event may touch both freely.
-  apn::owner::ScopedOwner scope(apn::owner::Domain::torus_node, 0);
-  StateCell<int> card{"node0.card.head"};
-  StateCell<int> card2{"node0.card.tail"};
-  apn::owner::ScopedOwner pcie(apn::owner::Domain::pcie_island, 0);
-  StateCell<int> fabric{"node0.fabric.inflight"};
-
-  sim.at(us(10), [&] {
-    card = 1;
-    card2 = 2;
-    fabric = 3;
-  });
-  sim.run();
-
-  EXPECT_TRUE(session.context().owner_findings().empty());
-  EXPECT_TRUE(session.context().findings().empty());
-}
-
-TEST(Check, OwnerCheckCrossInstanceFlaggedWithProvenance) {
-  Simulator sim;
-  Session session(sim, Context::Mode::kRecord);
-  session.context().set_owner_check(true);
-
-  auto make = [](const char* name, int node) {
-    apn::owner::ScopedOwner scope(apn::owner::Domain::torus_node, node);
-    return StateCell<int>{name};
-  };
-  StateCell<int> a = make("node0.card.head", 0);
-  StateCell<int> b = make("node1.card.head", 1);
-
-  // One event reaches into two different nodes' card state with no
-  // channel delivery in between: exactly the pattern that breaks under
-  // sharded execution.
-  sim.at(us(10), [&] {
-    a = 1;
-    b = 2;
-  });
-  sim.run();
-
-  const auto& of = session.context().owner_findings();
-  ASSERT_EQ(of.size(), 1u);
-  EXPECT_EQ(of[0].time, us(10));
-  EXPECT_EQ(of[0].cell_first, "node0.card.head");
-  EXPECT_EQ(of[0].cell_second, "node1.card.head");
-  EXPECT_EQ(of[0].owner_first.instance, 0);
-  EXPECT_EQ(of[0].owner_second.instance, 1);
-  // The provenance message names both cells and both partition stamps.
-  std::string msg = of[0].message();
-  EXPECT_NE(msg.find("node0.card.head"), std::string::npos);
-  EXPECT_NE(msg.find("node1.card.head"), std::string::npos);
-  EXPECT_NE(msg.find("torus_node#0"), std::string::npos);
-  EXPECT_NE(msg.find("torus_node#1"), std::string::npos);
-}
-
-TEST(Check, OwnerCheckChannelHandoffSanctionsTheCrossing) {
-  Simulator sim;
-  Session session(sim, Context::Mode::kRecord);
-  session.context().set_owner_check(true);
-
-  auto make = [](const char* name, int node) {
-    apn::owner::ScopedOwner scope(apn::owner::Domain::torus_node, node);
-    return StateCell<int>{name};
-  };
-  StateCell<int> a = make("node0.card.head", 0);
-  StateCell<int> b = make("node1.card.head", 1);
-
-  // The same cross-node touch, but with the channel-delivery handoff in
-  // between (sim::Channel calls this hook when a message lands): the
-  // crossing is sanctioned and the oracle stays quiet.
-  sim.at(us(10), [&] {
-    a = 1;
-    session.context().owner_handoff();
-    b = 2;
-  });
-  sim.run();
-
-  EXPECT_TRUE(session.context().owner_findings().empty());
-}
-
-TEST(Check, OwnerCheckDisabledAndUnownedCellsStayQuiet) {
-  Simulator sim;
-  Session session(sim, Context::Mode::kRecord);
-  // Oracle off: cross-instance touches record nothing.
-  auto make = [](const char* name, int node) {
-    apn::owner::ScopedOwner scope(apn::owner::Domain::torus_node, node);
-    return StateCell<int>{name};
-  };
-  StateCell<int> a = make("node0.cell", 0);
-  StateCell<int> b = make("node1.cell", 1);
-  sim.at(us(10), [&] {
-    a = 1;
-    b = 2;
-  });
-  sim.run();
-  EXPECT_TRUE(session.context().owner_findings().empty());
-
-  // Oracle on, but unowned cells (no construction scope) never
-  // participate: tests and free-standing state don't trip it.
-  Simulator sim2;
-  Session session2(sim2, Context::Mode::kRecord);
-  session2.context().set_owner_check(true);
-  StateCell<int> x{"test.x"};
-  StateCell<int> y{"test.y"};
-  sim2.at(us(10), [&] {
-    x = 1;
-    y = 2;
-  });
-  sim2.run();
-  EXPECT_TRUE(session2.context().owner_findings().empty());
+TEST(Check, OuterSessionIsNotShadowedByClusterUnderEnv) {
+  // Under APN_CHECK=1 a Cluster installs its own Session, but only when
+  // the thread has no context yet: a test's record-mode Session must keep
+  // seeing the model's accesses instead of an inner abort-mode one.
+  const char* prev = std::getenv("APN_CHECK");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("APN_CHECK", "1", 1);
+  {
+    Simulator sim;
+    Session session(sim, Context::Mode::kRecord);
+    auto c = apn::cluster::Cluster::make_cluster_i(sim, 2, apn::hw::params(),
+                                                   false);
+    apn::cluster::twonode_bandwidth(*c, 4096, 1, {});
+    EXPECT_EQ(apn::check::current(), &session.context());
+    EXPECT_GT(session.context().accesses_recorded(), 0u);
+    EXPECT_TRUE(session.context().findings().empty());
+  }
+  if (prev != nullptr)
+    setenv("APN_CHECK", saved.c_str(), 1);
+  else
+    unsetenv("APN_CHECK");
 }
 
 TEST(Check, NoSessionMeansNoRecordingAndNoCrash) {

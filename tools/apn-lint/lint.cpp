@@ -874,69 +874,6 @@ void build_locals(FileIR& ir) {
   }
 }
 
-/// Harvest APN_OWNER/APN_SHARED annotation macros into the IR and blank
-/// their spans out of the stripped text, so the scope walker and member
-/// extractor see plain declarations (the member extractor treats any
-/// paren-containing chunk as a member function and would otherwise swallow
-/// the declaration following a no-semicolon macro line). Runs after
-/// strip_into (comments are already gone, so only real macro uses remain)
-/// and before build_stmt_index/build_scopes.
-void harvest_annotations(FileIR& ir) {
-  std::string& t = ir.text;
-  auto each = [&](const char* macro, auto&& handle) {
-    const std::size_t mlen = std::string(macro).size();
-    std::size_t pos = 0;
-    while ((pos = t.find(macro, pos)) != npos) {
-      const std::size_t at = pos;
-      pos += mlen;
-      // Token boundaries (APN_OWNER must not match APN_OWNER_CHECK).
-      if (at > 0 && ident_char(t[at - 1])) continue;
-      if (at + mlen < t.size() && ident_char(t[at + mlen])) continue;
-      // Skip the macro's own #define (common/owner.hpp).
-      std::size_t ls = at;
-      while (ls > 0 && t[ls - 1] != '\n') --ls;
-      if (t.substr(ls, at - ls).find("#define") != npos) continue;
-      std::size_t open = next_nonspace(t, at + mlen);
-      if (open == npos || t[open] != '(') continue;
-      std::size_t close = match_fwd(t, open, '(', ')');
-      if (close == npos) continue;
-      handle(at, open, close);
-      for (std::size_t i = at; i <= close; ++i)
-        if (t[i] != '\n') t[i] = ' ';
-    }
-  };
-  each("APN_OWNER", [&](std::size_t at, std::size_t open, std::size_t close) {
-    OwnerDecl d;
-    d.off = at;
-    d.domain = trim(t.substr(open + 1, close - open - 1));
-    d.line = ir.line_of(at);
-    ir.owner_decls.push_back(std::move(d));
-  });
-  each("APN_SHARED", [&](std::size_t at, std::size_t open, std::size_t close) {
-    SharedDecl d;
-    d.off = at;
-    d.line = ir.line_of(at);
-    // The justification is a string literal: blanked from the stripped
-    // text, so read it from the raw bytes (same offsets by construction).
-    std::string reason = ir.raw.size() == t.size()
-                             ? ir.raw.substr(open + 1, close - open - 1)
-                             : std::string();
-    const std::size_t q1 = reason.find('"');
-    const std::size_t q2 = reason.rfind('"');
-    if (q1 != npos && q2 != npos && q2 > q1)
-      reason = reason.substr(q1 + 1, q2 - q1 - 1);
-    d.empty_reason = trim(reason).empty();
-    // The member it exempts: the declaration the macro prefixes.
-    std::size_t semi = t.find(';', close + 1);
-    if (semi != npos) {
-      Decl m;
-      if (parse_decl_chunk(t.substr(close + 1, semi - close - 1), 0, m))
-        d.member = m.name;
-    }
-    ir.shared_decls.push_back(std::move(d));
-  });
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -964,7 +901,6 @@ FileIR parse(const std::string& path, const std::string& source) {
   ir.path = path;
   ir.raw = source;
   strip_into(source, ir);
-  harvest_annotations(ir);
   build_stmt_index(ir);
   build_scopes(ir);
   build_calls(ir);
@@ -1551,160 +1487,6 @@ void rule_check_coverage(const FileIR& ir, const ProjectContext& ctx,
   }
 }
 
-// ---- rule: partition-ownership ---------------------------------------------
-
-/// Owned class named in a declaration's type text, or "" when none.
-std::string owned_type_of(const std::string& type_text,
-                          const ProjectContext& ctx) {
-  for (const Ident& id : identifiers(type_text))
-    if (ctx.owner_domains.count(id.text) != 0) return id.text;
-  return "";
-}
-
-/// Enclosing class of a function: the `Class::` qualifier on an
-/// out-of-line definition, else the innermost class body containing it.
-std::string enclosing_class(const FileIR& ir, const FunctionIR& f) {
-  std::string dt = trim(f.decl_text);
-  if (ends_with(dt, "::")) {
-    dt.erase(dt.size() - 2);
-    std::vector<Ident> dq = identifiers(dt);
-    if (!dq.empty()) return dq.back().text;
-  }
-  std::string owner;
-  for (const ClassIR& cls : ir.classes)
-    if (cls.body_begin < f.body_begin && f.body_end <= cls.body_end &&
-        !cls.name.empty())
-      owner = cls.name;  // innermost wins: classes appear in open order
-  return owner;
-}
-
-void rule_partition_ownership(const FileIR& ir, const std::vector<Ident>& ids,
-                              const ProjectContext& ctx,
-                              std::vector<Finding>& out) {
-  const std::string& t = ir.text;
-
-  // (c) APN_SHARED demands a written justification.
-  for (const SharedDecl& sd : ir.shared_decls) {
-    if (!sd.empty_reason) continue;
-    const std::string who =
-        sd.member.empty() ? std::string("a member") : "'" + sd.member + "'";
-    add(out, ir, sd.off, "partition-ownership",
-        "APN_SHARED on " + who +
-            " has an empty reason string; the escape hatch requires a "
-            "written justification");
-  }
-
-  // (a) race-checked classes in src/ headers must declare an owner: every
-  // state-like or instrumented member of an un-annotated participating
-  // class is one finding (ratcheted via the ownership baseline).
-  const bool header = (ends_with(ir.path, ".hpp") || ends_with(ir.path, ".h") ||
-                       ends_with(ir.path, ".hh")) &&
-                      path_contains(ir.path, "src/");
-  if (header) {
-    for (const ClassIR& cls : ir.classes) {
-      if (cls.name.empty()) continue;
-      if (ctx.owner_domains.count(cls.name) != 0) continue;
-      auto instrumented = [&](const Decl& m) {
-        return m.type_text.find("StateCell") != npos ||
-               ctx.instrumented.count(m.name) != 0 ||
-               ctx.instrumented_scoped.count(cls.name + "::" + m.name) != 0;
-      };
-      bool participates = ctx.instrumented_classes.count(cls.name) != 0;
-      for (const Decl& m : cls.members) {
-        if (instrumented(m)) {
-          participates = true;
-          break;
-        }
-      }
-      if (!participates) continue;
-      for (const Decl& m : cls.members) {
-        if (!instrumented(m) && !state_like_member(m)) continue;
-        if (ctx.shared_members.count(cls.name + "::" + m.name) != 0) continue;
-        add_at_line(out, ir, m.line, "partition-ownership",
-                    "member '" + cls.name + "::" + m.name +
-                        "' is mutable sim state but class '" + cls.name +
-                        "' declares no owner partition; add "
-                        "APN_OWNER(torus_node|pcie_island|global_readonly) "
-                        "to the class body (common/owner.hpp)");
-      }
-    }
-  }
-
-  // (b) cross-domain reach: a method of an owned class touching a data
-  // member of a class owned by a *different* partition domain, without the
-  // sanctioned sim::Channel crossing in the same statement.
-  for (const FunctionIR& f : ir.functions) {
-    const std::string enc = enclosing_class(ir, f);
-    if (enc.empty()) continue;
-    auto de = ctx.owner_domains.find(enc);
-    if (de == ctx.owner_domains.end()) continue;
-    const std::string& dom_enc = de->second;
-    if (dom_enc == "global_readonly") continue;  // assembly wires everything
-    // Variables naming an owned class: parameters/locals plus the enclosing
-    // class's own data members (resolved cross-file via class_fields).
-    std::map<std::string, std::string> var_type;
-    for (const Decl& d : f.locals) {
-      std::string ty = owned_type_of(d.type_text, ctx);
-      if (!ty.empty()) var_type[d.name] = ty;
-    }
-    auto fe = ctx.class_fields.find(enc);
-    if (fe != ctx.class_fields.end()) {
-      for (const auto& [mname, mtype] : fe->second) {
-        std::string ty = owned_type_of(mtype, ctx);
-        if (!ty.empty()) var_type[mname] = ty;
-      }
-    }
-    if (var_type.empty()) continue;
-    for (const Ident& id : ids) {
-      if (id.off <= f.body_begin) continue;
-      if (id.off >= f.body_end) break;
-      auto vt = var_type.find(id.text);
-      if (vt == var_type.end()) continue;
-      if (member_access_before(t, id.off)) continue;  // other.var.field
-      std::size_t after = next_nonspace(t, id.off + id.text.size());
-      if (after == npos) continue;
-      std::size_t m0;
-      if (t[after] == '.') {
-        m0 = next_nonspace(t, after + 1);
-      } else if (t[after] == '-' && after + 1 < t.size() &&
-                 t[after + 1] == '>') {
-        m0 = next_nonspace(t, after + 2);
-      } else {
-        continue;
-      }
-      if (m0 == npos || !ident_char(t[m0])) continue;
-      std::size_t m1 = m0;
-      while (m1 < t.size() && ident_char(t[m1])) ++m1;
-      const std::string member = t.substr(m0, m1 - m0);
-      const std::string& target = vt->second;
-      const std::string& dom_target = ctx.owner_domains.at(target);
-      if (dom_target == dom_enc || dom_target == "global_readonly") continue;
-      // Only *data member* reach counts; a method call is the target
-      // class's own API mediating the access.
-      std::size_t nx = next_nonspace(t, m1);
-      if (nx != npos && t[nx] == '(') continue;
-      auto ft = ctx.class_fields.find(target);
-      if (ft == ctx.class_fields.end() || ft->second.count(member) == 0)
-        continue;
-      if (ctx.shared_members.count(target + "::" + member) != 0) continue;
-      // A send/recv/transfer in the statement is the sanctioned crossing.
-      std::size_t ss = stmt_start_of(ir, id.off);
-      std::size_t se = t.find(';', id.off);
-      const std::string stmt = t.substr(ss, (se == npos ? t.size() : se) - ss);
-      if (contains_token(stmt, "send") || contains_token(stmt, "recv") ||
-          contains_token(stmt, "transfer"))
-        continue;
-      add(out, ir, id.off, "partition-ownership",
-          "'" + enc + "::" +
-              (f.name.empty() ? std::string("<lambda>") : f.name) + "' (" +
-              dom_enc + ") reaches '" + target + "::" + member + "' (" +
-              dom_target +
-              ") directly; cross-partition state must move through a "
-              "sim::Channel or the member must be APN_SHARED");
-    }
-  }
-}
-
 // ---- rule: hot-path-alloc --------------------------------------------------
 
 void rule_hot_path_alloc(const FileIR& ir, const std::vector<Ident>& ids,
@@ -1922,29 +1704,6 @@ void scan_declarations(const FileIR& ir, ProjectContext& ctx) {
     }
     if (any && !cls.name.empty()) ctx.instrumented_classes.insert(cls.name);
   }
-  // Ownership graph: APN_OWNER/APN_SHARED annotations attributed to the
-  // innermost enclosing class, plus the per-class member catalogue the
-  // ownership rule uses to resolve `obj->field` across translation units.
-  for (const OwnerDecl& od : ir.owner_decls) {
-    std::string owner;
-    for (const ClassIR& cls : ir.classes)
-      if (cls.body_begin < od.off && od.off < cls.body_end && !cls.name.empty())
-        owner = cls.name;  // innermost wins: classes appear in open order
-    if (!owner.empty()) ctx.owner_domains[owner] = od.domain;
-  }
-  for (const SharedDecl& sd : ir.shared_decls) {
-    if (sd.member.empty()) continue;
-    std::string owner;
-    for (const ClassIR& cls : ir.classes)
-      if (cls.body_begin < sd.off && sd.off < cls.body_end && !cls.name.empty())
-        owner = cls.name;
-    if (!owner.empty()) ctx.shared_members.insert(owner + "::" + sd.member);
-  }
-  for (const ClassIR& cls : ir.classes) {
-    if (cls.name.empty()) continue;
-    auto& fields = ctx.class_fields[cls.name];
-    for (const Decl& m : cls.members) fields[m.name] = m.type_text;
-  }
 }
 
 std::vector<Finding> lint_ir(const FileIR& ir, const ProjectContext& ctx) {
@@ -1973,9 +1732,6 @@ std::vector<Finding> lint_ir(const FileIR& ir, const ProjectContext& ctx) {
   }
   if (!path_contains(ir.path, "common/units")) rule_unit_mix(ir, ids, out);
   rule_check_coverage(ir, ctx, out);
-  if (path_contains(ir.path, "src/")) {
-    rule_partition_ownership(ir, ids, ctx, out);
-  }
   rule_hot_path_alloc(ir, ids, out);
   // Model code only; the profile-definition headers (where the named
   // parameter structs and their presets live) are the one legal home for
@@ -2204,10 +1960,9 @@ const std::vector<RuleInfo>& rules() {
        "real race would go unreported, making the detector's clean bill of "
        "health misleading. Instrument the member, or carry an allow comment "
        "explaining why it cannot race. Findings ratchet through the "
-       "coverage baseline so instrumentation only grows.",
+       "lint baseline so instrumentation only grows.",
        "src/core/example.hpp",
        "class Dev {\n"
-       "  APN_OWNER(torus_node)\n"
        "  check::StateCell<int> credits_;\n"
        "  std::uint64_t tail_ = 0;\n"
        "};\n"},
@@ -2236,24 +1991,6 @@ const std::vector<RuleInfo>& rules() {
        "live.",
        "src/core/example.cpp",
        "Time guard() { return units::ns(400); }\n"},
-      {"partition-ownership",
-       "Partition-ownership violation: un-annotated sim state, a direct "
-       "cross-domain member reach without a Channel handoff, or an "
-       "APN_SHARED with no justification",
-       "The sharding-readiness analysis (ROADMAP item 1). Every class "
-       "holding race-checked simulation state must declare its partition "
-       "with APN_OWNER(domain); a method of one domain's class may not "
-       "directly touch a data member of a class owned by a different "
-       "domain — cross-partition interaction must go through a "
-       "sim::Channel (a send/recv/transfer in the same statement is the "
-       "sanctioned escape) or the member must be APN_SHARED with a "
-       "non-empty justification. Un-annotated classes ratchet through the "
-       "ownership baseline so coverage only grows.",
-       "src/core/example.hpp",
-       "class Dev {\n"
-       "  void bump() { APN_CHECK_ACCESS(tail_, w); }\n"
-       "  std::uint64_t tail_ = 0;\n"
-       "};\n"},
       {"coro-ref-param",
        "Reference parameter of a coroutine read after a suspension point",
        "Between a co_await and its resume, the coroutine's caller has "

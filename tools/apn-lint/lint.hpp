@@ -84,8 +84,7 @@
 //                       least one StateCell member or APN_CHECK_ACCESS-
 //                       instrumented member) declares a mutable state-like
 //                       member (integral/container) that is never
-//                       instrumented anywhere in the project. Coverage is
-//                       ratcheted via a separate coverage baseline file.
+//                       instrumented anywhere in the project.
 //  * hot-path-alloc   — heap allocation (non-placement new, malloc family,
 //                       make_unique/make_shared) inside a function marked
 //                       APN_HOT (common/hot.hpp). The event engine's hot
@@ -101,37 +100,18 @@
 //                       them per hardware generation and docs/HARDWARE.md
 //                       can document them. Those three headers are exempt —
 //                       they are where the named defaults live.
-//  * partition-ownership — the sharding-readiness analysis backing ROADMAP
-//                       item 1 (see common/owner.hpp and
-//                       docs/CORRECTNESS.md "The ownership model"). Phase 1
-//                       builds a cross-file ownership graph from the
-//                       APN_OWNER(domain) class annotations; phase 2 flags
-//                       (a) state-like members of race-checked classes in
-//                       src/ headers whose class carries no APN_OWNER
-//                       (ratcheted via the ownership baseline file, like
-//                       check-coverage), (b) a method of an APN_OWNER class
-//                       directly reaching a data member of a class owned by
-//                       a *different* domain — cross-partition interactions
-//                       must go through a sim::Channel (a send/recv/transfer
-//                       in the same statement is the sanctioned escape) or
-//                       the member must be APN_SHARED, and (c) an
-//                       APN_SHARED whose justification string is empty.
 //
 // Suppression: a comment `// apn-lint: allow(<rule>[, <rule>...])` (rules
 // separated by commas and/or spaces) on the offending line, the line
 // directly above it, or — for findings inside a multi-line statement — the
-// first line of that statement or the line above it. The baseline file
-// (tools/apn-lint/baseline.txt, `path|rule|count` lines) grandfathers
-// pre-existing findings and ratchets: counts may only decrease.
-// check-coverage findings ratchet through their own baseline file so the
-// instrumentation coverage of the model classes can only grow;
-// partition-ownership findings likewise ratchet through
-// tools/apn-lint/ownership-baseline.txt so annotation coverage only grows.
-// The three coroutine suspension-safety rules (coro-ref-param,
-// coro-local-escape, coro-stale-time) ratchet through
-// tools/apn-lint/suspension-baseline.txt and skip tests/ paths — test code
-// parks frames and threads pointers on purpose, and the runtime frame
-// oracle (src/check/coro_check.hpp, --coro-check) covers it dynamically.
+// first line of that statement or the line above it. The one baseline file
+// (tools/apn-lint/baseline.txt, `path|rule|count` lines, read through
+// --baseline=) grandfathers pre-existing findings of every rule and
+// ratchets: counts may only decrease. The three coroutine suspension-safety
+// rules (coro-ref-param, coro-local-escape, coro-stale-time) skip tests/
+// paths — test code parks frames and threads pointers on purpose, and the
+// runtime frame oracle (src/check/coro_check.hpp, --coro-check) covers it
+// dynamically.
 #pragma once
 
 #include <cstddef>
@@ -202,36 +182,16 @@ struct ClassIR {
   std::vector<Decl> members;   ///< data members (functions excluded)
 };
 
-/// An APN_OWNER(domain) annotation site. The macro text is blanked out of
-/// `FileIR::text` before scope analysis (so the member extractor never sees
-/// it); the harvested facts live here instead.
-struct OwnerDecl {
-  std::size_t off = 0;  ///< offset of the APN_OWNER token
-  std::string domain;   ///< "torus_node" / "pcie_island" / "global_readonly"
-  int line = 0;
-};
-
-/// An APN_SHARED(reason) escape-hatch site (prefixes a member declaration).
-struct SharedDecl {
-  std::size_t off = 0;      ///< offset of the APN_SHARED token
-  std::string member;       ///< name of the member it exempts ("" if unclear)
-  bool empty_reason = false;  ///< justification string is empty/whitespace
-  int line = 0;
-};
-
 /// Per-file parse result. `text` is the comment/string-stripped source
 /// (stripped bytes become spaces, so offsets and lines match the original);
 /// `raw` is the untouched original (string contents, multibyte characters)
-/// for the few places that need it: SARIF UTF-16 columns and APN_SHARED
-/// reason strings.
+/// for SARIF UTF-16 columns.
 struct FileIR {
   std::string path;
   std::string text;
   std::string raw;
   std::vector<FunctionIR> functions;
   std::vector<ClassIR> classes;
-  std::vector<OwnerDecl> owner_decls;
-  std::vector<SharedDecl> shared_decls;
 
   int line_of(std::size_t off) const;
   /// First line of the statement containing `off` (for suppressions that
@@ -272,15 +232,6 @@ struct ProjectContext {
   std::set<std::string> instrumented_scoped;
   /// Classes (by name) known to participate in race detection.
   std::set<std::string> instrumented_classes;
-  /// Ownership graph: class name -> declared APN_OWNER domain.
-  std::map<std::string, std::string> owner_domains;
-  /// "Class::member" entries exempted from the single-owner rule via
-  /// APN_SHARED.
-  std::set<std::string> shared_members;
-  /// Data members of every named class: class -> member name -> declared
-  /// type text. Lets the ownership rule resolve `obj->field` accesses and
-  /// member-variable types across translation units.
-  std::map<std::string, std::map<std::string, std::string>> class_fields;
   /// Named functions whose return type is a coroutine (sim::Coro). Their
   /// call sites spawn detached frames, so coro-local-escape treats an
   /// address-of-local argument as an escape.

@@ -1,10 +1,8 @@
 // apn-lint CLI. See lint.hpp for the rule catalogue.
 //
 // Usage:
-//   apn-lint [--baseline=FILE] [--coverage-baseline=FILE]
-//            [--ownership-baseline=FILE] [--suspension-baseline=FILE]
-//            [--update-baseline] [--sarif=FILE] [--jobs=N]
-//            [--explain=RULE] <path>...
+//   apn-lint [--baseline=FILE] [--update-baseline] [--sarif=FILE]
+//            [--jobs=N] [--explain=RULE] <path>...
 //
 // Paths may be files or directories (directories are walked recursively for
 // C/C++ sources). The whole tree is parsed first (phase 1: declaration
@@ -13,26 +11,25 @@
 // hardware concurrency); findings are committed in path order, so the
 // output is byte-identical for every job count.
 //
-// check-coverage findings ratchet through --coverage-baseline,
-// partition-ownership findings through --ownership-baseline and the
-// coroutine suspension-safety rules (coro-ref-param, coro-local-escape,
-// coro-stale-time) through --suspension-baseline; every other rule
-// ratchets through --baseline. --update-baseline rewrites whichever of the
-// named files from the current findings. --sarif writes a SARIF 2.1.0 log
-// of the post-baseline findings (written even when clean, so CI can upload
-// unconditionally). --explain=RULE prints the rule's documentation
+// Findings of every rule ratchet through the one --baseline file
+// (`path|rule|count` lines); --update-baseline rewrites it from the
+// current findings. --jobs takes a non-negative integer (0 = hardware
+// concurrency); anything else is a usage error. --sarif writes a SARIF
+// 2.1.0 log of the post-baseline findings (written even when clean, so CI
+// can upload unconditionally). --explain=RULE prints the rule's documentation
 // paragraph plus a minimal firing example and its diagnostic, then exits.
 //
 // Exit codes: 0 clean (stale baseline entries only warn), 1 findings not
 // covered by a baseline, 2 usage or I/O error.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lint.hpp"
@@ -75,11 +72,15 @@ bool write_text(const std::string& path, const std::string& body) {
   return true;
 }
 
-bool is_coverage(const Finding& f) { return f.rule == "check-coverage"; }
-bool is_ownership(const Finding& f) { return f.rule == "partition-ownership"; }
-bool is_suspension(const Finding& f) {
-  return f.rule == "coro-ref-param" || f.rule == "coro-local-escape" ||
-         f.rule == "coro-stale-time";
+/// Parse the whole of `v` as a non-negative decimal int; false on an empty
+/// value, trailing characters, a negative value or overflow.
+bool parse_jobs(const std::string& v, int& out) {
+  const char* end = v.data() + v.size();
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 0) return false;
+  out = n;
+  return true;
 }
 
 /// --explain=RULE: print the registered doc paragraph, the firing example
@@ -114,9 +115,6 @@ int explain_rule(const std::string& id) {
 
 int main(int argc, char** argv) {
   std::string baseline_path;
-  std::string coverage_path;
-  std::string ownership_path;
-  std::string suspension_path;
   std::string sarif_path;
   bool update_baseline = false;
   int jobs = 0;  // 0 = hardware concurrency
@@ -125,20 +123,12 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = arg.substr(std::string("--baseline=").size());
-    } else if (arg.rfind("--coverage-baseline=", 0) == 0) {
-      coverage_path = arg.substr(std::string("--coverage-baseline=").size());
-    } else if (arg.rfind("--ownership-baseline=", 0) == 0) {
-      ownership_path = arg.substr(std::string("--ownership-baseline=").size());
-    } else if (arg.rfind("--suspension-baseline=", 0) == 0) {
-      suspension_path =
-          arg.substr(std::string("--suspension-baseline=").size());
     } else if (arg.rfind("--explain=", 0) == 0) {
       return explain_rule(arg.substr(std::string("--explain=").size()));
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(std::string("--sarif=").size());
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + std::string("--jobs=").size());
-      if (jobs < 0) {
+      if (!parse_jobs(arg.substr(std::string("--jobs=").size()), jobs)) {
         std::fprintf(stderr, "apn-lint: bad --jobs value '%s'\n", arg.c_str());
         return 2;
       }
@@ -153,18 +143,12 @@ int main(int argc, char** argv) {
   }
   if (roots.empty()) {
     std::fprintf(stderr,
-                 "usage: apn-lint [--baseline=FILE] [--coverage-baseline=FILE] "
-                 "[--ownership-baseline=FILE] [--suspension-baseline=FILE] "
-                 "[--update-baseline] [--sarif=FILE] [--jobs=N] "
-                 "[--explain=RULE] <path>...\n");
+                 "usage: apn-lint [--baseline=FILE] [--update-baseline] "
+                 "[--sarif=FILE] [--jobs=N] [--explain=RULE] <path>...\n");
     return 2;
   }
-  if (update_baseline && baseline_path.empty() && coverage_path.empty() &&
-      ownership_path.empty() && suspension_path.empty()) {
-    std::fprintf(stderr,
-                 "apn-lint: --update-baseline needs --baseline= and/or "
-                 "--coverage-baseline= and/or --ownership-baseline= and/or "
-                 "--suspension-baseline=\n");
+  if (update_baseline && baseline_path.empty()) {
+    std::fprintf(stderr, "apn-lint: --update-baseline needs --baseline=\n");
     return 2;
   }
 
@@ -186,73 +170,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Finding> general, coverage, ownership, suspension;
-  for (const Finding& f : findings) {
-    if (is_coverage(f)) coverage.push_back(f);
-    else if (is_ownership(f)) ownership.push_back(f);
-    else if (is_suspension(f)) suspension.push_back(f);
-    else general.push_back(f);
-  }
-
   if (update_baseline) {
-    struct Target {
-      const char* what;
-      const std::string* path;
-      const std::vector<Finding>* set;
-    };
-    const Target targets[] = {
-        {"baseline", &baseline_path, &general},
-        {"coverage baseline", &coverage_path, &coverage},
-        {"ownership baseline", &ownership_path, &ownership},
-        {"suspension baseline", &suspension_path, &suspension},
-    };
-    for (const Target& tgt : targets) {
-      if (tgt.path->empty()) continue;
-      if (!write_text(*tgt.path, apn::lint::format_baseline(*tgt.set))) {
-        std::fprintf(stderr, "apn-lint: cannot write %s\n", tgt.path->c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "apn-lint: %s updated (%zu findings) -> %s\n",
-                   tgt.what, tgt.set->size(), tgt.path->c_str());
+    if (!write_text(baseline_path, apn::lint::format_baseline(findings))) {
+      std::fprintf(stderr, "apn-lint: cannot write %s\n",
+                   baseline_path.c_str());
+      return 2;
     }
+    std::fprintf(stderr, "apn-lint: baseline updated (%zu findings) -> %s\n",
+                 findings.size(), baseline_path.c_str());
     return 0;
   }
 
-  apn::lint::Baseline baseline, cov_baseline, own_baseline, susp_baseline;
+  apn::lint::Baseline baseline;
   if (!baseline_path.empty() && !load_baseline(baseline_path, baseline)) {
     std::fprintf(stderr, "apn-lint: cannot read baseline %s\n",
                  baseline_path.c_str());
     return 2;
   }
-  if (!coverage_path.empty() && !load_baseline(coverage_path, cov_baseline)) {
-    std::fprintf(stderr, "apn-lint: cannot read coverage baseline %s\n",
-                 coverage_path.c_str());
-    return 2;
-  }
-  if (!ownership_path.empty() && !load_baseline(ownership_path, own_baseline)) {
-    std::fprintf(stderr, "apn-lint: cannot read ownership baseline %s\n",
-                 ownership_path.c_str());
-    return 2;
-  }
-  if (!suspension_path.empty() &&
-      !load_baseline(suspension_path, susp_baseline)) {
-    std::fprintf(stderr, "apn-lint: cannot read suspension baseline %s\n",
-                 suspension_path.c_str());
-    return 2;
-  }
 
   std::vector<std::string> stale;
   std::vector<Finding> fresh =
-      apn::lint::apply_baseline(general, baseline, &stale);
-  std::vector<Finding> fresh_cov =
-      apn::lint::apply_baseline(coverage, cov_baseline, &stale);
-  std::vector<Finding> fresh_own =
-      apn::lint::apply_baseline(ownership, own_baseline, &stale);
-  std::vector<Finding> fresh_susp =
-      apn::lint::apply_baseline(suspension, susp_baseline, &stale);
-  fresh.insert(fresh.end(), fresh_cov.begin(), fresh_cov.end());
-  fresh.insert(fresh.end(), fresh_own.begin(), fresh_own.end());
-  fresh.insert(fresh.end(), fresh_susp.begin(), fresh_susp.end());
+      apn::lint::apply_baseline(findings, baseline, &stale);
   std::sort(fresh.begin(), fresh.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.path, a.line, a.rule, a.col) <
