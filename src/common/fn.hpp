@@ -88,6 +88,14 @@ class UniqueFn<R(Args...)> {
     return invoke_(storage_, std::forward<Args>(args)...);
   }
 
+  /// True if a callable of type F is stored in the small buffer rather
+  /// than boxed on the heap. Hot paths static_assert this on their
+  /// closures so a capture that outgrows the buffer fails to compile.
+  template <class F>
+  static constexpr bool stores_inline() {
+    return fits_inline<std::decay_t<F>>();
+  }
+
  private:
   static constexpr std::size_t kSboBytes = 48;
 

@@ -1,6 +1,5 @@
 #include "pcie/fabric.hpp"
 
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -9,10 +8,18 @@
 
 namespace apn::pcie {
 
+Fabric::Fabric(sim::Simulator& sim, std::uint32_t chunk_bytes,
+               std::string name)
+    : sim_(&sim), chunk_bytes_(chunk_bytes), name_(std::move(name)) {}
+
+// Out of line: Xfer is complete only in this file.
+Fabric::~Fabric() = default;
+
 int Fabric::add_root(const std::string& name) {
   if (root_ >= 0) throw std::logic_error("fabric already has a root");
-  nodes_.push_back(Node{name, -1, -1, 0, nullptr});
+  nodes_.push_back(Node{name, -1, nullptr});
   root_ = static_cast<int>(nodes_.size()) - 1;
+  routes_.push_back({std::vector<Hop>{}});
   return root_;
 }
 
@@ -21,8 +28,6 @@ int Fabric::new_node(const std::string& name, int parent, LinkParams link) {
     throw std::out_of_range("invalid parent node");
   Node node;
   node.name = name;
-  node.parent = parent;
-  node.depth = nodes_[parent].depth + 1;
 
   Edge edge;
   edge.up_node = parent;
@@ -41,7 +46,29 @@ int Fabric::new_node(const std::string& name, int parent, LinkParams link) {
   edges_.push_back(std::move(edge));
   node.parent_edge = static_cast<int>(edges_.size()) - 1;
   nodes_.push_back(std::move(node));
-  return static_cast<int>(nodes_.size()) - 1;
+  const int id = static_cast<int>(nodes_.size()) - 1;
+
+  // Extend the route table. The new node is a leaf, so it reaches every
+  // other node by climbing to its parent first, and is reached through it.
+  const auto p = static_cast<std::size_t>(parent);
+  const Hop up{nodes_[id].parent_edge, false};
+  const Hop down{up.edge, true};
+  std::vector<std::vector<Hop>> row(nodes_.size());  // row[id]: id -> id
+  for (std::size_t other = 0; other + 1 < nodes_.size(); ++other) {
+    const std::vector<Hop>& from_parent = routes_[p][other];
+    row[other].reserve(from_parent.size() + 1);
+    row[other].push_back(up);
+    row[other].insert(row[other].end(), from_parent.begin(),
+                      from_parent.end());
+    const std::vector<Hop>& to_parent = routes_[other][p];
+    std::vector<Hop> to_new;
+    to_new.reserve(to_parent.size() + 1);
+    to_new.assign(to_parent.begin(), to_parent.end());
+    to_new.push_back(down);
+    routes_[other].push_back(std::move(to_new));
+  }
+  routes_.push_back(std::move(row));
+  return id;
 }
 
 int Fabric::add_switch(int parent, LinkParams link, const std::string& name) {
@@ -78,43 +105,34 @@ Device* Fabric::route(std::uint64_t addr) const {
   return default_target_;
 }
 
-std::vector<Fabric::Hop> Fabric::path(int from, int to) const {
-  std::vector<Hop> up_part;    // edges climbed from `from`
-  std::vector<Hop> down_part;  // edges descended to `to` (collected reversed)
-  int a = from, b = to;
-  while (a != b) {
-    if (nodes_[a].depth >= nodes_[b].depth) {
-      up_part.push_back(Hop{nodes_[a].parent_edge, false});
-      a = nodes_[a].parent;
-    } else {
-      down_part.push_back(Hop{nodes_[b].parent_edge, true});
-      b = nodes_[b].parent;
-    }
-  }
-  for (auto it = down_part.rbegin(); it != down_part.rend(); ++it)
-    up_part.push_back(*it);
-  return up_part;
-}
-
 Time Fabric::path_latency(const Device& a, const Device& b) const {
   Time total = 0;
-  for (const Hop& h : path(a.pcie_node(), b.pcie_node()))
+  for (const Hop& h : route_between(a.pcie_node(), b.pcie_node()))
     total += edges_[h.edge].link.hop_latency;
   return total;
 }
 
-/// Shared state of one chunked transfer. One allocation per *transfer*
-/// (not per chunk): the path, kind, and completion all live here, so the
-/// per-hop forwarding callback only captures {this, xfer, offset, chunk,
-/// hop_idx, t_send} — small enough for the event engine's inline storage.
+/// State of one chunked transfer, in a slot pooled by the fabric. The
+/// route, kind and completion all live here, so the per-hop callback
+/// captures only {this, xfer, offset, chunk, hop, t_send}.
+///
+/// A read uses one slot for its whole life: the request carries the
+/// target, length, response route and completion, and the same slot then
+/// becomes the completion transfer that streams the data back.
 struct Fabric::Xfer {
-  std::vector<Hop> hops;
-  BusEvent::Kind kind;
-  std::uint64_t addr;
-  std::uint64_t total;
-  Payload payload;
+  std::span<const Hop> hops;
+  BusEvent::Kind kind = BusEvent::Kind::kWrite;
+  std::uint64_t addr = 0;
+  std::uint64_t total = 0;
   std::uint64_t delivered_bytes = 0;
-  UniqueFn<void(Payload)> done;
+  Payload payload;
+  UniqueFn<void()> on_written;  // kWrite
+  // kReadReq / kCompletion
+  Device* target = nullptr;
+  std::uint32_t len = 0;
+  std::span<const Hop> rsp_hops;
+  UniqueFn<void(Payload)> on_read;
+  Xfer* next_free = nullptr;
 };
 
 namespace {
@@ -129,103 +147,149 @@ Payload slice(const Payload& p, std::uint64_t offset, std::uint32_t len) {
 }
 }  // namespace
 
-void Fabric::send_chunks(std::vector<Hop> hops, BusEvent::Kind kind,
-                         std::uint64_t addr, Payload payload,
-                         UniqueFn<void(Payload)> on_delivered) {
-  auto xfer = std::make_shared<Xfer>();
-  xfer->hops = std::move(hops);
-  xfer->kind = kind;
-  xfer->addr = addr;
-  xfer->total = payload.bytes;
-  xfer->payload = std::move(payload);
-  xfer->done = std::move(on_delivered);
+Fabric::Xfer* Fabric::acquire_xfer() {
+  // kAccum: slots are interchangeable, so which of two same-tick
+  // transfers gets which slot cannot change a simulated outcome.
+  APN_CHECK_ACCESS(free_xfers_, kAccum);
+  if (free_xfers_ == nullptr) {
+    // A whole slab at a time: a few long-lived blocks instead of many
+    // small ones left between the run's other allocations.
+    APN_CHECK_ACCESS(xfer_slabs_, kAccum);
+    Xfer* slab =
+        xfer_slabs_.emplace_back(std::make_unique<Xfer[]>(kXferSlab)).get();
+    for (std::size_t i = kXferSlab; i-- > 0;) {
+      slab[i].next_free = free_xfers_;
+      free_xfers_ = &slab[i];
+    }
+  }
+  Xfer* x = free_xfers_;
+  free_xfers_ = x->next_free;
+  return x;
+}
 
-  const std::uint64_t total = xfer->total;
+void Fabric::release_xfer(Xfer* x) {
+  APN_CHECK_ACCESS(free_xfers_, kAccum);
+  x->payload = Payload{};
+  x->next_free = free_xfers_;
+  free_xfers_ = x;
+}
+
+void Fabric::send_chunks(Xfer* x) {
+  x->delivered_bytes = 0;
+  const std::uint64_t total = x->total;
   std::uint64_t offset = 0;
   // Zero-length transactions (read requests) still send one header chunk.
+  // `x` may be released by the last forward_chunk (zero-hop route), so the
+  // loop reads only locals.
   do {
     const std::uint32_t chunk = static_cast<std::uint32_t>(
         total - offset < chunk_bytes_ ? total - offset : chunk_bytes_);
-    forward_chunk(xfer, offset, chunk, 0);
+    forward_chunk(x, offset, chunk, 0);
     offset += chunk;
   } while (offset < total);
 }
 
-void Fabric::forward_chunk(const std::shared_ptr<Xfer>& xfer,
-                           std::uint64_t offset, std::uint32_t chunk,
-                           std::size_t hop_idx) {
-  if (hop_idx == xfer->hops.size()) {
+void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
+                           std::uint32_t hop) {
+  if (hop == x->hops.size()) {
     // Chunk fully arrived at the target end. Chunks of one transfer are
     // serialized by the hop channels, but the accumulate-and-test below is
     // the canonical shape the race detector watches: flag it if two chunk
     // deliveries ever land in the same tick without ordering.
-    xfer->delivered_bytes += chunk;
-    APN_CHECK_ACCESS(xfer->delivered_bytes, kWrite);
-    const bool last =
-        (xfer->total == 0) || (xfer->delivered_bytes >= xfer->total);
-    if (xfer->kind == BusEvent::Kind::kWrite) {
-      Device* target = route(xfer->addr + offset);
+    x->delivered_bytes += chunk;
+    APN_CHECK_ACCESS(x->delivered_bytes, kWrite);
+    if (x->kind == BusEvent::Kind::kWrite) {
+      Device* target = route(x->addr + offset);
       if (target != nullptr)
-        target->handle_write(xfer->addr + offset,
-                             slice(xfer->payload, offset, chunk));
+        target->handle_write(x->addr + offset,
+                             slice(x->payload, offset, chunk));
     }
-    if (last && xfer->done) xfer->done(std::move(xfer->payload));
+    if (x->total == 0 || x->delivered_bytes >= x->total) finish(x);
     return;
   }
-  const Hop& h = xfer->hops[hop_idx];
+  const Hop& h = x->hops[hop];
   Edge& e = edges_[static_cast<std::size_t>(h.edge)];
   sim::Channel& ch = h.downstream ? *e.down : *e.up;
   const Time t_send = sim_->now();
-  ch.send(e.link.wire_bytes(Bytes(chunk)),
-          [this, xfer, offset, chunk, hop_idx, t_send] {
-            const Hop& h = xfer->hops[hop_idx];
-            Edge& e = edges_[static_cast<std::size_t>(h.edge)];
-            if (e.analyzer != nullptr)
-              e.analyzer->record(BusEvent{sim_->now(), xfer->kind,
-                                          xfer->addr + offset, chunk,
-                                          h.downstream});
-            if (e.trace)
-              e.trace.span("pcie", bus_kind_name(xfer->kind), t_send,
-                           sim_->now(),
-                           {{"addr", xfer->addr + offset},
-                            {"bytes", chunk},
-                            {"down", h.downstream}});
-            forward_chunk(xfer, offset, chunk, hop_idx + 1);
-          });
+  auto arrived = [this, x, offset, chunk, hop, t_send] {
+    const Hop& h = x->hops[hop];
+    Edge& e = edges_[static_cast<std::size_t>(h.edge)];
+    if (e.analyzer != nullptr)
+      e.analyzer->record(BusEvent{sim_->now(), x->kind, x->addr + offset,
+                                  chunk, h.downstream});
+    if (e.trace)
+      e.trace.span("pcie", bus_kind_name(x->kind), t_send, sim_->now(),
+                   {{"addr", x->addr + offset},
+                    {"bytes", chunk},
+                    {"down", h.downstream}});
+    forward_chunk(x, offset, chunk, hop + 1);
+  };
+  static_assert(sizeof(arrived) <= sim::Channel::kInlineDeliveredBytes &&
+                    UniqueFn<void()>::stores_inline<decltype(arrived)>(),
+                "the per-hop callback must not heap-allocate");
+  ch.send(e.link.wire_bytes(Bytes(chunk)), std::move(arrived));
+}
+
+void Fabric::finish(Xfer* x) {
+  switch (x->kind) {
+    case BusEvent::Kind::kWrite: {
+      // The slot is free before the completion runs, so the completion
+      // may start a new transfer in it.
+      UniqueFn<void()> done = std::move(x->on_written);
+      release_xfer(x);
+      if (done) done();
+      return;
+    }
+    case BusEvent::Kind::kReadReq:
+      // The target's reply streams back in this slot, which stays taken
+      // until then (or until the fabric is destroyed, if none comes).
+      x->target->handle_read(x->addr, x->len, [this, x](Payload data) {
+        x->kind = BusEvent::Kind::kCompletion;
+        x->hops = x->rsp_hops;
+        x->total = data.bytes;
+        x->payload = std::move(data);
+        send_chunks(x);
+      });
+      return;
+    case BusEvent::Kind::kCompletion: {
+      UniqueFn<void(Payload)> done = std::move(x->on_read);
+      Payload data = std::move(x->payload);
+      release_xfer(x);
+      if (done) done(std::move(data));
+      return;
+    }
+  }
 }
 
 void Fabric::post_write(const Device& src, std::uint64_t addr, Payload payload,
                         UniqueFn<void()> on_delivered) {
   Device* target = route(addr);
   if (target == nullptr) throw std::runtime_error("unroutable write address");
-  auto hops = path(src.pcie_node(), target->pcie_node());
-  send_chunks(std::move(hops), BusEvent::Kind::kWrite, addr,
-              std::move(payload),
-              [cb = std::move(on_delivered)](Payload) mutable {
-                if (cb) cb();
-              });
+  Xfer* x = acquire_xfer();
+  x->hops = route_between(src.pcie_node(), target->pcie_node());
+  x->kind = BusEvent::Kind::kWrite;
+  x->addr = addr;
+  x->total = payload.bytes;
+  x->payload = std::move(payload);
+  x->on_written = std::move(on_delivered);
+  send_chunks(x);
 }
 
 void Fabric::read(const Device& src, std::uint64_t addr, std::uint32_t len,
                   UniqueFn<void(Payload)> on_complete) {
   Device* target = route(addr);
   if (target == nullptr) throw std::runtime_error("unroutable read address");
-  auto req_hops = path(src.pcie_node(), target->pcie_node());
-  auto rsp_hops = path(target->pcie_node(), src.pcie_node());
-
   // Read request: a header-only TLP travelling to the target.
-  send_chunks(
-      std::move(req_hops), BusEvent::Kind::kReadReq, addr, Payload::timing(0),
-      [this, target, addr, len, rsp_hops = std::move(rsp_hops),
-       on_complete = std::move(on_complete)](Payload) mutable {
-        target->handle_read(
-            addr, len,
-            [this, addr, rsp_hops = std::move(rsp_hops),
-             on_complete = std::move(on_complete)](Payload data) mutable {
-              send_chunks(std::move(rsp_hops), BusEvent::Kind::kCompletion,
-                          addr, std::move(data), std::move(on_complete));
-            });
-      });
+  Xfer* x = acquire_xfer();
+  x->hops = route_between(src.pcie_node(), target->pcie_node());
+  x->kind = BusEvent::Kind::kReadReq;
+  x->addr = addr;
+  x->total = 0;
+  x->target = target;
+  x->len = len;
+  x->rsp_hops = route_between(target->pcie_node(), src.pcie_node());
+  x->on_read = std::move(on_complete);
+  send_chunks(x);
 }
 
 }  // namespace apn::pcie

@@ -8,6 +8,11 @@
 // of one transfer pipeline across hops and independent transfers contend
 // for shared links naturally.
 //
+// The chunk path allocates nothing in steady state: every (src, dst) hop
+// list is computed once while the tree is built, transfer state lives in
+// pooled slots, and the per-hop callback fits the inline buffers of
+// UniqueFn and the event engine.
+//
 // Functional semantics: MemWr carries payload bytes that are handed to the
 // target device's handle_write(); MemRd invokes handle_read() on the target,
 // which replies with data that streams back to the requester. Timing-only
@@ -18,6 +23,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,10 +131,10 @@ class Fabric {
   /// `name` labels this fabric's trace tracks (one PCIe tree per cluster
   /// node, so cluster assembly passes "node<i>.pcie").
   explicit Fabric(sim::Simulator& sim, std::uint32_t chunk_bytes = 4096,
-                  std::string name = "pcie")
-      : sim_(&sim), chunk_bytes_(chunk_bytes), name_(std::move(name)) {}
+                  std::string name = "pcie");
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
+  ~Fabric();
 
   sim::Simulator& simulator() { return *sim_; }
   /// Trace-track group label of this fabric (e.g. "node0.pcie").
@@ -177,12 +183,18 @@ class Fabric {
 
   std::uint32_t chunk_bytes() const { return chunk_bytes_; }
 
+  /// Transfer slots allocated so far, a slab of kXferSlab at a time. A
+  /// finished transfer returns its slot for reuse, so this grows only
+  /// when more transfers are in flight at once than ever before.
+  std::size_t transfer_slots() const {
+    return xfer_slabs_.size() * kXferSlab;
+  }
+  static constexpr std::size_t kXferSlab = 32;
+
  private:
   struct Node {
     std::string name;
-    int parent = -1;       // node id
-    int parent_edge = -1;  // edge id
-    int depth = 0;
+    int parent_edge = -1;   // edge id; -1 for the root
     Device* dev = nullptr;  // endpoints only
   };
   struct Edge {
@@ -204,18 +216,26 @@ class Fabric {
     bool downstream;  // direction of travel on this edge
   };
 
-  /// Shared state of one chunked transfer (defined in fabric.cpp).
+  /// State of one chunked transfer (defined in fabric.cpp).
   struct Xfer;
+  using XferSlab = std::unique_ptr<Xfer[]>;
 
   int new_node(const std::string& name, int parent, LinkParams link);
-  std::vector<Hop> path(int from_node, int to_node) const;
-  void send_chunks(std::vector<Hop> hops, BusEvent::Kind kind,
-                   std::uint64_t addr, Payload payload,
-                   UniqueFn<void(Payload)> on_delivered);
-  /// Forward one chunk across hop `hop_idx` of its transfer's path; on the
+  /// Precomputed hop list from one node to another.
+  std::span<const Hop> route_between(int from_node, int to_node) const {
+    return routes_[static_cast<std::size_t>(from_node)]
+                  [static_cast<std::size_t>(to_node)];
+  }
+  Xfer* acquire_xfer();
+  void release_xfer(Xfer* x);
+  /// Chunk the transfer `x` describes and send the chunks on their way.
+  void send_chunks(Xfer* x);
+  /// Forward one chunk across hop `hop` of its transfer's route; on the
   /// final hop, deliver to the target device and finish the transfer.
-  void forward_chunk(const std::shared_ptr<Xfer>& xfer, std::uint64_t offset,
-                     std::uint32_t chunk, std::size_t hop_idx);
+  void forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
+                     std::uint32_t hop);
+  /// The last chunk of `x` arrived at its target.
+  void finish(Xfer* x);
 
   sim::Simulator* sim_;
   // apn-lint: allow(check-coverage) — set at construction, never mutated
@@ -229,6 +249,15 @@ class Fabric {
   Device* default_target_ = nullptr;
   // apn-lint: allow(check-coverage) — topology is frozen before the sim runs
   int root_ = -1;
+  /// routes_[from][to]: hop list between two nodes, extended as nodes are
+  /// added. The inner vectors' buffers never move, so in-flight transfers
+  /// may keep spans into them.
+  // apn-lint: allow(check-coverage) — topology is frozen before the sim runs
+  std::vector<std::vector<std::vector<Hop>>> routes_;
+  /// Slabs holding every transfer slot ever allocated; free slots are
+  /// chained through free_xfers_.
+  std::vector<XferSlab> xfer_slabs_;
+  Xfer* free_xfers_ = nullptr;
 };
 
 }  // namespace apn::pcie

@@ -14,6 +14,7 @@
 // and constructs no callable at all.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -38,6 +39,11 @@ class Channel {
 
   const ChannelParams& params() const { return params_; }
 
+  /// A `delivered` callable of at most this size makes a send without a
+  /// `serialized` hook allocation-free: the job wrapper adds one pointer
+  /// and still fits UniqueFn's small buffer.
+  static constexpr std::size_t kInlineDeliveredBytes = 40;
+
   /// Serialization time for a send of `bytes` (excludes latency/queueing).
   Time serialization_time(Bytes bytes) const {
     return params_.per_send_overhead +
@@ -53,8 +59,8 @@ class Channel {
     // S may be a UniqueFn-like type passed empty when the caller has no
     // serialized hook; plain lambdas are always truthy-equivalent and
     // called unconditionally. The no-hook wrapper captures only
-    // {this, delivered} so a small `delivered` stays within the event
-    // node's inline payload on the Resource job.
+    // {this, delivered}, so a `delivered` of up to kInlineDeliveredBytes
+    // stays inline in the Resource job and then in the latency event.
     const bool has_serialized = [&] {
       if constexpr (requires { static_cast<bool>(serialized); })
         return static_cast<bool>(serialized);
@@ -62,10 +68,13 @@ class Channel {
         return true;
     }();
     if (!has_serialized) {
-      line_.post(serialization_time(bytes),
-                 [this, delivered = std::move(delivered)]() mutable {
-                   sim_->after(params_.latency, std::move(delivered));
-                 });
+      auto forward = [this, delivered = std::move(delivered)]() mutable {
+        sim_->after(params_.latency, std::move(delivered));
+      };
+      static_assert(sizeof(D) > kInlineDeliveredBytes ||
+                        UniqueFn<void()>::stores_inline<decltype(forward)>(),
+                    "a small `delivered` must keep the Resource job inline");
+      line_.post(serialization_time(bytes), std::move(forward));
       return;
     }
     line_.post(serialization_time(bytes),

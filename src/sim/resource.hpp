@@ -14,12 +14,16 @@
 //    equivalent of posting a callback that calls after(extra, resume).
 // The distinction matters for determinism: an inline resume runs before
 // the server starts its next job; a scheduled one runs as its own event.
+//
+// Queued jobs live in a grow-only power-of-two ring, so once the queue has
+// reached its peak length, posting and serving allocate nothing.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/fn.hpp"
 #include "sim/simulator.hpp"
@@ -39,20 +43,18 @@ class Resource {
     // destroying them here cannot double-free (see docs/CORRECTNESS.md,
     // "Coroutine lifetime discipline").
     if (inflight_h_) inflight_h_.destroy();
-    for (Job& job : queue_)
-      if (job.h) job.h.destroy();
+    for (std::size_t i = 0; i < count_; ++i)
+      if (std::coroutine_handle<> h = ring_[slot(i)].h) h.destroy();
   }
 
   /// Enqueue a job taking `duration`; `done` fires when the job completes.
   void post(Time duration, UniqueFn<void()> done = {}) {
-    queue_.push_back(Job{duration, std::move(done), {}, kInlineResume});
-    if (!busy_) start_next();
+    enqueue(duration, std::move(done), {}, kInlineResume);
   }
 
   /// Typed fast path: resume `h` inside the job's completion event.
   void post(Time duration, std::coroutine_handle<> h) {
-    queue_.push_back(Job{duration, {}, h, kInlineResume});
-    if (!busy_) start_next();
+    enqueue(duration, {}, h, kInlineResume);
   }
 
   /// Typed fast path: when the job completes, schedule `h` to resume
@@ -61,8 +63,7 @@ class Resource {
   /// when extra_delay is zero.
   void post_resume(Time duration, std::coroutine_handle<> h,
                    Time extra_delay) {
-    queue_.push_back(Job{duration, {}, h, extra_delay});
-    if (!busy_) start_next();
+    enqueue(duration, {}, h, extra_delay);
   }
 
   /// Awaitable form: suspends until the job has been serviced.
@@ -78,7 +79,7 @@ class Resource {
   }
 
   bool busy() const { return busy_; }
-  std::size_t queue_length() const { return queue_.size(); }
+  std::size_t queue_length() const { return count_; }
   Time busy_time() const { return busy_time_; }
   std::uint64_t jobs_completed() const { return jobs_completed_; }
 
@@ -97,19 +98,51 @@ class Resource {
 
  private:
   static constexpr Time kInlineResume = -1;
+  static constexpr std::size_t kMinRing = 8;
 
   struct Job {
-    Time duration;
+    Time duration = 0;
     UniqueFn<void()> done;       // callback completion (may be empty)
     std::coroutine_handle<> h;   // typed completion (may be null)
-    Time resume_extra_delay;     // kInlineResume = resume inside completion
+    // kInlineResume = resume inside the completion event.
+    Time resume_extra_delay = kInlineResume;
   };
 
+  /// Ring index of the i-th queued job (0 = front).
+  std::size_t slot(std::size_t i) const {
+    return (head_ + i) & (ring_.size() - 1);
+  }
+
+  void enqueue(Time duration, UniqueFn<void()> done,
+               std::coroutine_handle<> h, Time extra_delay) {
+    if (count_ == ring_.size()) grow();
+    Job& job = ring_[slot(count_)];
+    job.duration = duration;
+    job.done = std::move(done);
+    job.h = h;
+    job.resume_extra_delay = extra_delay;
+    ++count_;
+    if (!busy_) start_next();
+  }
+
+  /// Double the ring (first use: kMinRing slots), unwrapping the queued
+  /// jobs to the front in FIFO order.
+  void grow() {
+    std::vector<Job> bigger(ring_.empty() ? kMinRing : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i)
+      bigger[i] = std::move(ring_[slot(i)]);
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+
   void start_next() {
-    if (queue_.empty()) return;
+    if (count_ == 0) return;
     busy_ = true;
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+    // The front slot is vacated by moving its callback out; nothing can
+    // enqueue between here and the schedule below.
+    Job& job = ring_[head_];
+    head_ = slot(1);
+    --count_;
     busy_time_ += job.duration;
     if (job.h) {
       const auto h = job.h;
@@ -122,7 +155,7 @@ class Resource {
           h.resume();
         else
           sim_->resume_after(extra, h);
-        if (!queue_.empty()) {
+        if (count_ != 0) {
           start_next();
         } else {
           busy_ = false;
@@ -133,7 +166,7 @@ class Resource {
     sim_->after(job.duration, [this, done = std::move(job.done)]() mutable {
       ++jobs_completed_;
       if (done) done();
-      if (!queue_.empty()) {
+      if (count_ != 0) {
         start_next();
       } else {
         busy_ = false;
@@ -150,7 +183,11 @@ class Resource {
   bool busy_ = false;
   Time busy_time_ = 0;
   std::uint64_t jobs_completed_ = 0;
-  std::deque<Job> queue_;
+  /// FIFO of queued jobs: count_ of them from ring_[head_], wrapping.
+  /// Empty until the first post; the size is zero or a power of two.
+  std::vector<Job> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace apn::sim

@@ -1,0 +1,183 @@
+// Allocation gate for the simulator's hot paths. Once a path has warmed
+// up (transfer slots, Resource rings and event slabs at their working
+// size), repeating it must not allocate: in particular, a transfer's
+// allocation count must not grow with its chunk count.
+//
+// This binary replaces the global allocation functions with counting ones,
+// so it is a test executable of its own.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
+
+#include "pcie/fabric.hpp"
+#include "sim/channel.hpp"
+#include "sim/resource.hpp"
+#include "sim/simulator.hpp"
+
+namespace {
+
+// Single-threaded test binary: a plain counter is enough.
+std::uint64_t g_allocs = 0;
+
+void* count_alloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* count_alloc(std::size_t n, std::align_val_t al) {
+  ++g_allocs;
+  const auto a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) / a * a))
+    return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return count_alloc(n); }
+void* operator new[](std::size_t n) { return count_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return count_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return count_alloc(n, al);
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace apn {
+namespace {
+
+using units::ns;
+
+template <typename F>
+std::uint64_t allocs_during(F&& body) {
+  const std::uint64_t before = g_allocs;
+  body();
+  return g_allocs - before;
+}
+
+/// Accepts writes; answers reads with timing-only data after 500 ns,
+/// through a closure small enough for the event node's inline storage.
+class Sink : public pcie::Device {
+ public:
+  explicit Sink(sim::Simulator& sim) : sim_(&sim) {}
+  void handle_write(std::uint64_t, pcie::Payload) override {}
+  void handle_read(std::uint64_t, std::uint32_t len,
+                   UniqueFn<void(pcie::Payload)> reply) override {
+    sim_->after(ns(500), [reply = std::move(reply), len]() mutable {
+      reply(pcie::Payload::timing(len));
+    });
+  }
+
+ private:
+  sim::Simulator* sim_;
+};
+
+/// A card at the root complex and a device behind a switch:
+/// src -> root -> switch -> dst.
+struct AllocFixture : ::testing::Test {
+  static constexpr std::uint64_t kDstBase = 0x4000000;
+
+  sim::Simulator sim;
+  pcie::Fabric fabric{sim};
+  Sink src{sim}, dst{sim};
+  int completions = 0;
+
+  void SetUp() override {
+    const int root = fabric.add_root();
+    const int sw = fabric.add_switch(root, pcie::gen2_x16(), "plx");
+    fabric.attach(src, root, pcie::gen2_x8());
+    fabric.attach(dst, sw, pcie::gen2_x8());
+    fabric.claim_range(dst, kDstBase, 1 << 24);
+  }
+
+  std::uint64_t write(std::uint64_t bytes) {
+    return allocs_during([&] {
+      fabric.post_write(src, kDstBase, pcie::Payload::timing(bytes),
+                        [this] { ++completions; });
+      sim.run();
+    });
+  }
+
+  std::uint64_t read(std::uint32_t bytes) {
+    return allocs_during([&] {
+      fabric.read(src, kDstBase, bytes,
+                  [this](pcie::Payload) { ++completions; });
+      sim.run();
+    });
+  }
+};
+
+TEST_F(AllocFixture, WriteAllocationsDoNotGrowWithChunkCount) {
+  write(1 << 20);  // warm-up at the largest size: rings reach full depth
+  const std::uint64_t small = write(4 << 10);    // 1 chunk
+  const std::uint64_t medium = write(64 << 10);  // 16 chunks
+  const std::uint64_t large = write(1 << 20);    // 256 chunks
+  EXPECT_EQ(small, medium);
+  EXPECT_EQ(medium, large);
+  EXPECT_EQ(large, 0u);
+  EXPECT_EQ(completions, 4);
+}
+
+TEST_F(AllocFixture, ReadAllocationsDoNotGrowWithChunkCount) {
+  read(64 << 10);  // warm-up
+  const std::uint64_t small = read(4 << 10);
+  const std::uint64_t medium = read(64 << 10);
+  EXPECT_EQ(small, medium);
+  EXPECT_EQ(medium, 0u);
+  EXPECT_EQ(completions, 3);
+}
+
+TEST(SteadyStateAllocs, ResourcePostAllocatesNothing) {
+  sim::Simulator sim;
+  sim::Resource res(sim);
+  int done = 0;
+  auto burst = [&] {
+    for (int i = 0; i < 32; ++i) res.post(ns(10), [&done] { ++done; });
+    sim.run();
+  };
+  burst();  // warm-up: ring and event slabs reach their working size
+  EXPECT_EQ(allocs_during(burst), 0u);
+  EXPECT_EQ(done, 64);
+}
+
+TEST(SteadyStateAllocs, ChannelSendAllocatesNothing) {
+  sim::Simulator sim;
+  sim::Channel ch(sim, sim::ChannelParams{units::GBps(4), ns(5), ns(200)});
+  int delivered = 0;
+  auto burst = [&] {
+    for (int i = 0; i < 32; ++i)
+      ch.send(Bytes(4096), [&delivered] { ++delivered; });
+    sim.run();
+  };
+  burst();
+  EXPECT_EQ(allocs_during(burst), 0u);
+  EXPECT_EQ(delivered, 64);
+}
+
+}  // namespace
+}  // namespace apn

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "pcie/fabric.hpp"
 #include "pcie/memory.hpp"
@@ -142,6 +147,170 @@ TEST_F(FabricFixture, BusAnalyzerRecordsChunks) {
   EXPECT_EQ(bus.events()[0].kind, BusEvent::Kind::kWrite);
   EXPECT_TRUE(bus.events()[0].downstream);
   EXPECT_LT(bus.events()[0].time, bus.events()[1].time);
+}
+
+TEST_F(FabricFixture, CompletionReusesTheFreedTransferSlot) {
+  // Each completion starts the next transfer on the same fabric. The
+  // finished transfer's slot is free by then, so a chain three slabs long
+  // runs in the first slab.
+  constexpr int kChain = 3 * static_cast<int>(Fabric::kXferSlab);
+  int writes_done = 0;
+  std::vector<std::uint8_t> got;
+  std::function<void()> next = [&] {
+    if (++writes_done == kChain) {
+      fabric.read(a, 0x2000000, 300,
+                  [&](Payload p) { got = std::move(p.data); });
+      return;
+    }
+    const bool from_a = writes_done % 2 == 0;
+    fabric.post_write(from_a ? a : b,
+                      from_a ? 0x2000000 : 0x1000000,
+                      Payload::timing(5000), [&] { next(); });
+  };
+  fabric.post_write(a, 0x2000000, Payload::timing(10000), [&] { next(); });
+  sim.run();
+  EXPECT_EQ(writes_done, kChain);
+  EXPECT_EQ(got.size(), 300u);
+  EXPECT_EQ(fabric.transfer_slots(), Fabric::kXferSlab);
+}
+
+TEST_F(FabricFixture, ConcurrentTransfersTakeOneSlotEach) {
+  const std::size_t n = Fabric::kXferSlab + 8;
+  std::size_t done = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    fabric.post_write(a, 0x2000000, Payload::timing(8192), [&] { ++done; });
+  fabric.read(b, 0x1000000, 64, [&](Payload) { ++done; });
+  sim.run();
+  EXPECT_EQ(done, n);
+  EXPECT_EQ(fabric.transfer_slots(), 2 * Fabric::kXferSlab);
+  // Later transfers reuse the pooled slots.
+  for (std::size_t i = 0; i < n; ++i)
+    fabric.post_write(b, 0x1000000, Payload::timing(100), [&] { ++done; });
+  sim.run();
+  EXPECT_EQ(done, 2 * n);
+  EXPECT_EQ(fabric.transfer_slots(), 2 * Fabric::kXferSlab);
+}
+
+TEST_F(FabricFixture, InterleavedReadsAndWritesRecordPinnedBusTrace) {
+  BusAnalyzer bus_a, bus_b;
+  fabric.attach_analyzer(a.pcie_node(), bus_a);
+  fabric.attach_analyzer(b.pcie_node(), bus_b);
+  std::vector<std::uint64_t> read_sizes;
+  fabric.post_write(a, 0x2000100, Payload::timing(9000));
+  fabric.read(a, 0x2000000, 6000,
+              [&](Payload p) { read_sizes.push_back(p.bytes); });
+  fabric.read(b, 0x1000000, 0,  // zero-length read: header-only both ways
+              [&](Payload p) { read_sizes.push_back(p.bytes); });
+  fabric.post_write(b, 0x1000040, Payload::timing(4096));
+  sim.after(units::ns(1500), [&] {
+    fabric.read(a, 0x2000800, 100,
+                [&](Payload p) { read_sizes.push_back(p.bytes); });
+  });
+  sim.run();
+  EXPECT_EQ(read_sizes, (std::vector<std::uint64_t>{0, 6000, 100}));
+
+  using K = BusEvent::Kind;
+  struct Rec {
+    Time time;
+    K kind;
+    std::uint64_t addr;
+    std::uint32_t bytes;
+    bool down;
+  };
+  auto check = [](const BusAnalyzer& bus, const std::vector<Rec>& want) {
+    ASSERT_EQ(bus.events().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const BusEvent& ev = bus.events()[i];
+      SCOPED_TRACE("record " + std::to_string(i));
+      EXPECT_EQ(ev.time, want[i].time);
+      EXPECT_EQ(ev.kind, want[i].kind);
+      EXPECT_EQ(ev.addr, want[i].addr);
+      EXPECT_EQ(ev.bytes, want[i].bytes);
+      EXPECT_EQ(ev.downstream, want[i].down);
+    }
+  };
+  // Pinned timings, kinds and order of every chunk on both device links;
+  // a's uplink carries what a sends upstream and what arrives for it.
+  check(bus_a, {
+      {414000, K::kReadReq, 0x1000000, 0, true},
+      {1336000, K::kWrite, 0x2000100, 4096, false},
+      {2472000, K::kWrite, 0x2001100, 4096, false},
+      {2679000, K::kWrite, 0x1000040, 4096, true},
+      {2702000, K::kWrite, 0x2002100, 808, false},
+      {2709000, K::kReadReq, 0x2000000, 0, false},
+      {2716000, K::kCompletion, 0x1000000, 0, false},
+      {2723000, K::kReadReq, 0x2000800, 0, false},
+      {7717000, K::kCompletion, 0x2000000, 4096, true},
+      {8249000, K::kCompletion, 0x2001000, 1904, true},
+      {8281000, K::kCompletion, 0x2000800, 100, true},
+  });
+  // b's uplink.
+  check(bus_b, {
+      {207000, K::kReadReq, 0x1000000, 0, false},
+      {1343000, K::kWrite, 0x1000040, 4096, false},
+      {2672000, K::kWrite, 0x2000100, 4096, true},
+      {3808000, K::kWrite, 0x2001100, 4096, true},
+      {4038000, K::kWrite, 0x2002100, 808, true},
+      {4045000, K::kReadReq, 0x2000000, 0, true},
+      {4052000, K::kCompletion, 0x1000000, 0, true},
+      {4059000, K::kReadReq, 0x2000800, 0, true},
+      {6381000, K::kCompletion, 0x2000000, 4096, false},
+      {6913000, K::kCompletion, 0x2001000, 1904, false},
+      {6945000, K::kCompletion, 0x2000800, 100, false},
+  });
+}
+
+/// Counts destructions of the capture it travels in (moves hand it on).
+struct Tally {
+  int* destroyed;
+  explicit Tally(int* d) : destroyed(d) {}
+  Tally(Tally&& o) noexcept : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  ~Tally() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+/// Tears a fabric down with write chunks on the wire and read replies
+/// still pending inside the target, in either order relative to the
+/// simulator. Every completion is destroyed once and none runs.
+void teardown_in_flight(bool fabric_first) {
+  int ran = 0, destroyed = 0;
+  {
+    auto engine = std::make_unique<sim::Simulator>();
+    auto fabric = std::make_unique<Fabric>(*engine);
+    ScratchDevice a(*engine), b(*engine);
+    const int sw = fabric->add_switch(fabric->add_root(), gen2_x16(), "plx");
+    fabric->attach(a, sw, gen2_x8());
+    fabric->attach(b, sw, gen2_x8());
+    fabric->claim_range(a, 0x1000000, 0x100000);
+    fabric->claim_range(b, 0x2000000, 0x100000);
+
+    fabric->post_write(a, 0x2000000,
+                       Payload::of(std::vector<std::uint8_t>(50000, 7)),
+                       [t = Tally(&destroyed), &ran] { ++ran; });
+    fabric->read(a, 0x2000000, 20000,
+                 [t = Tally(&destroyed), &ran](Payload) { ++ran; });
+    fabric->read(b, 0x1000000, 100,
+                 [t = Tally(&destroyed), &ran](Payload) { ++ran; });
+    engine->run_until(us(1));
+    EXPECT_FALSE(engine->empty());
+    if (fabric_first) {
+      fabric.reset();
+      EXPECT_EQ(destroyed, 3);
+      engine.reset();
+    } else {
+      engine.reset();
+      fabric.reset();
+    }
+  }
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(FabricTeardown, ChunksInFlightFabricFirst) { teardown_in_flight(true); }
+
+TEST(FabricTeardown, ChunksInFlightSimulatorFirst) {
+  teardown_in_flight(false);
 }
 
 TEST(HostMemoryFabric, DefaultTargetReceivesUnclaimedWrites) {
