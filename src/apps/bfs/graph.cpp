@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 namespace apn::apps::bfs {
 
 EdgeList rmat(int scale, int edge_factor, std::uint64_t seed) {
+  if (scale < 1 || scale > 31)
+    throw std::invalid_argument("rmat: scale " + std::to_string(scale) +
+                                " outside [1, 31]");
+  if (edge_factor < 1)
+    throw std::invalid_argument("rmat: edge_factor " +
+                                std::to_string(edge_factor) + " < 1");
   const std::uint64_t n = 1ull << scale;
   const std::uint64_t m = n * static_cast<std::uint64_t>(edge_factor);
   Rng rng(seed);
@@ -20,26 +27,38 @@ EdgeList rmat(int scale, int edge_factor, std::uint64_t seed) {
     std::swap(perm[i], perm[j]);
   }
 
+  // Each bit draws r = y * 2^-53 with y = x >> 11 < 2^53 (Rng::next_double)
+  // and picks quadrant A, B, C or D by comparing r against the cumulative
+  // probabilities kA, kA+kB, kA+kB+kC. Scaling by 2^-53 is exact, so
+  // r < t <=> y < t * 2^53; every threshold lies in [0.5, 1), so t * 2^53
+  // is an integer and the comparisons can run on y itself. The quadrant
+  // index in binary is (u bit, v bit): u = y >= t2, and v is set for B and
+  // D, i.e. when y clears an odd number of the three thresholds. This is
+  // the same stream and the same edges as the double compare, bit for bit,
+  // with no data-dependent branch.
   constexpr double kA = 0.57, kB = 0.19, kC = 0.19;
+  constexpr double kScale = 0x1.0p53;
+  constexpr double kT1 = kA * kScale, kT2 = (kA + kB) * kScale,
+                   kT3 = (kA + kB + kC) * kScale;
+  constexpr auto exact = [](double t) {
+    return static_cast<double>(static_cast<std::uint64_t>(t)) == t;
+  };
+  static_assert(exact(kT1) && exact(kT2) && exact(kT3),
+                "R-MAT thresholds must be exact integers at 2^53");
+  constexpr std::uint64_t t1 = static_cast<std::uint64_t>(kT1);
+  constexpr std::uint64_t t2 = static_cast<std::uint64_t>(kT2);
+  constexpr std::uint64_t t3 = static_cast<std::uint64_t>(kT3);
+
   EdgeList el;
   el.n_vertices = n;
   el.edges.reserve(m);
   for (std::uint64_t e = 0; e < m; ++e) {
     std::uint64_t u = 0, v = 0;
     for (int bit = 0; bit < scale; ++bit) {
-      double r = rng.next_double();
-      u <<= 1;
-      v <<= 1;
-      if (r < kA) {
-        // top-left: nothing set
-      } else if (r < kA + kB) {
-        v |= 1;
-      } else if (r < kA + kB + kC) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      const std::uint64_t y = rng.next_u64() >> 11;
+      const std::uint64_t ge1 = y >= t1, ge2 = y >= t2, ge3 = y >= t3;
+      u = (u << 1) | ge2;
+      v = (v << 1) | (ge1 ^ ge2 ^ ge3);
     }
     el.edges.emplace_back(perm[u], perm[v]);
   }
@@ -91,21 +110,27 @@ bool validate_parents(const Csr& g, Vertex root,
   };
   const std::uint64_t n = g.num_vertices();
   if (parents.size() != n) return fail("parent array size mismatch");
+  if (root >= n) return fail("root out of range");
   if (parents[root] != static_cast<std::int64_t>(root))
     return fail("root is not its own parent");
 
-  // Derive levels by chasing parents with a path-length bound.
+  // Derive levels by chasing parents with a path-length bound. Every
+  // vertex that gets a level has had its parent range-checked here, so the
+  // edge loop below may index by parent freely.
   std::vector<std::int64_t> level(n, kUnreached);
   level[root] = 0;
+  std::vector<Vertex> chain;
   for (std::uint64_t v = 0; v < n; ++v) {
     if (parents[v] == kUnreached || level[v] != kUnreached) continue;
     // Walk up to the root or a vertex with a known level.
-    std::vector<Vertex> chain;
+    chain.clear();
     Vertex cur = static_cast<Vertex>(v);
     while (level[cur] == kUnreached) {
       chain.push_back(cur);
       std::int64_t p = parents[cur];
       if (p == kUnreached) return fail("reached vertex with unreached parent");
+      if (p < 0 || static_cast<std::uint64_t>(p) >= n)
+        return fail("parent out of range");
       if (chain.size() > n) return fail("parent cycle detected");
       cur = static_cast<Vertex>(p);
     }
@@ -114,18 +139,18 @@ bool validate_parents(const Csr& g, Vertex root,
       level[*it] = ++base;
   }
 
-  // Every tree edge must exist, and BFS levels differ by exactly 1.
+  // Every tree edge must exist, and BFS levels differ by exactly 1. The
+  // Csr holds both directions of every edge, so scanning the endpoint with
+  // the shorter adjacency list is exact, and avoids walking a hub's list
+  // once per child.
   for (std::uint64_t v = 0; v < n; ++v) {
     if (parents[v] == kUnreached || v == root) continue;
     Vertex p = static_cast<Vertex>(parents[v]);
-    bool found = false;
-    for (Vertex w : g.neighbors(p)) {
-      if (w == v) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return fail("parent edge not present in graph");
+    Vertex from = p, to = static_cast<Vertex>(v);
+    if (g.degree(to) < g.degree(from)) std::swap(from, to);
+    auto adj = g.neighbors(from);
+    if (std::find(adj.begin(), adj.end(), to) == adj.end())
+      return fail("parent edge not present in graph");
     if (level[v] != level[p] + 1) return fail("level inconsistency");
   }
 
@@ -151,6 +176,8 @@ std::uint64_t traversed_edges(const Csr& g,
 }
 
 Vertex pick_root(const Csr& g, std::uint64_t seed) {
+  if (g.num_directed_edges() == 0)
+    throw std::invalid_argument("pick_root: graph has no edges");
   Rng rng(seed);
   for (;;) {
     Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));

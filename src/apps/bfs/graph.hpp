@@ -23,7 +23,8 @@ struct EdgeList {
 
 /// Kronecker/RMAT generator with the graph500 parameters
 /// (A,B,C,D) = (0.57, 0.19, 0.19, 0.05); 2^scale vertices,
-/// edge_factor * 2^scale edges, with vertex-label shuffling.
+/// edge_factor * 2^scale edges, with vertex-label shuffling. Throws
+/// std::invalid_argument unless 1 <= scale <= 31 and edge_factor >= 1.
 EdgeList rmat(int scale, int edge_factor, std::uint64_t seed);
 
 /// Compressed sparse rows over the *undirected* version of an edge list
@@ -58,7 +59,8 @@ std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root);
 
 /// graph500-style validation of a parent tree against the graph:
 /// root is its own parent; every reached vertex's parent edge exists and
-/// levels are consistent (level[v] == level[parent[v]] + 1).
+/// levels are consistent (level[v] == level[parent[v]] + 1). A root or
+/// parent entry outside [0, n) (other than kUnreached) fails validation.
 bool validate_parents(const Csr& g, Vertex root,
                       std::span<const std::int64_t> parents,
                       std::string* error = nullptr);
@@ -69,6 +71,7 @@ std::uint64_t traversed_edges(const Csr& g,
                               std::span<const std::int64_t> levels);
 
 /// A root with nonzero degree (graph500 picks search keys this way).
+/// Throws std::invalid_argument if the graph has no edges.
 Vertex pick_root(const Csr& g, std::uint64_t seed);
 
 }  // namespace apn::apps::bfs

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/bfs/bfs.hpp"
 
 namespace apn::apps::bfs {
@@ -36,6 +38,52 @@ TEST(Rmat, SkewedDegreeDistribution) {
     max_deg = std::max(max_deg, g.degree(v));
   // Power-law-ish: the hottest vertex is far above the mean degree (32).
   EXPECT_GT(max_deg, 200u);
+}
+
+// FNV-1a 64 over the edge list, each (u, v) hashed as two little-endian
+// uint32s, byte by byte.
+std::uint64_t edge_digest(const EdgeList& el) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&](std::uint32_t x) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (auto [u, v] : el.edges) {
+    mix(u);
+    mix(v);
+  }
+  return h;
+}
+
+TEST(Rmat, GoldenDigest) {
+  // Pins the generator's exact output: any change to the Rng stream, the
+  // quadrant choice, the permutation or the edge order moves these.
+  EXPECT_EQ(edge_digest(rmat(15, 16, 1)), 0x7eb60deacaef42a0ull);
+  EXPECT_EQ(edge_digest(rmat(12, 16, 7)), 0x6822831eff18d99eull);
+  EXPECT_EQ(edge_digest(rmat(1, 4, 3)), 0x7f2c7e45f3148ea4ull);
+}
+
+TEST(Rmat, RejectsScaleOutsideRange) {
+  EXPECT_THROW(rmat(0, 16, 1), std::invalid_argument);
+  EXPECT_THROW(rmat(-1, 16, 1), std::invalid_argument);
+  EXPECT_THROW(rmat(32, 16, 1), std::invalid_argument);
+}
+
+TEST(Rmat, RejectsEdgeFactorBelowOne) {
+  EXPECT_THROW(rmat(4, 0, 1), std::invalid_argument);
+  EXPECT_THROW(rmat(4, -3, 1), std::invalid_argument);
+}
+
+TEST(PickRoot, ThrowsOnGraphWithoutEdges) {
+  // What a scale-0 R-MAT graph would be: only self-loops, which the Csr
+  // drops, so no vertex has a neighbour to search from.
+  EdgeList el;
+  el.n_vertices = 2;
+  el.edges = {{0, 0}, {1, 1}, {0, 0}};
+  Csr g(el);
+  EXPECT_THROW(pick_root(g, 1), std::invalid_argument);
 }
 
 TEST(Csr, UndirectedAndSymmetric) {
@@ -107,6 +155,55 @@ TEST(ValidateParents, RejectsBrokenTrees) {
   // Unreached vertex that the reference reaches.
   std::vector<std::int64_t> bad3 = {0, 0, 1, kUnreached};
   EXPECT_FALSE(validate_parents(g, 0, bad3));
+  // Out-of-range entries are rejected before anything indexes by them.
+  std::string err;
+  std::vector<std::int64_t> above = {0, 0, 1, 4 + 3};
+  EXPECT_FALSE(validate_parents(g, 0, above, &err));
+  EXPECT_EQ(err, "parent out of range");
+  std::vector<std::int64_t> negative = {0, 0, -2, 2};
+  EXPECT_FALSE(validate_parents(g, 0, negative, &err));
+  EXPECT_EQ(err, "parent out of range");
+  EXPECT_FALSE(validate_parents(g, 4, parents, &err));
+  EXPECT_EQ(err, "root out of range");
+}
+
+// A star with hub 0 and leaves 1..5, plus vertex 6 hanging off leaf 1:
+// degrees are 5 (hub), 2 (leaf 1) and 1 (everything else), so tree edges
+// are checked from either end depending on which list is shorter.
+Csr star_plus_one() {
+  EdgeList el;
+  el.n_vertices = 7;
+  el.edges = {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 6}};
+  return Csr(el);
+}
+
+TEST(ValidateParents, StarAcceptsTreesCheckedFromEitherEnd) {
+  Csr g = star_plus_one();
+  // Leaves point at the hub: each edge is checked from the leaf.
+  std::vector<std::int64_t> from_hub = {0, 0, 0, 0, 0, 0, 1};
+  std::string err;
+  EXPECT_TRUE(validate_parents(g, 0, from_hub, &err)) << err;
+  // Rooted at leaf 1, the hub's own parent edge is checked from leaf 1.
+  std::vector<std::int64_t> from_leaf = {1, 1, 0, 0, 0, 0, 1};
+  EXPECT_TRUE(validate_parents(g, 1, from_leaf, &err)) << err;
+}
+
+TEST(ValidateParents, StarRejectsHubWithNonAdjacentLowDegreeParent) {
+  Csr g = star_plus_one();
+  // Rooted at 6, the hub claims 6 as parent; 6's one neighbour is 1.
+  std::vector<std::int64_t> parents = {6, 6, 0, 0, 0, 0, 6};
+  std::string err;
+  EXPECT_FALSE(validate_parents(g, 6, parents, &err));
+  EXPECT_EQ(err, "parent edge not present in graph");
+}
+
+TEST(ValidateParents, StarRejectsLowDegreeChildClaimingHub) {
+  Csr g = star_plus_one();
+  // 6 claims the hub as parent, but hangs off leaf 1.
+  std::vector<std::int64_t> parents = {0, 0, 0, 0, 0, 0, 0};
+  std::string err;
+  EXPECT_FALSE(validate_parents(g, 0, parents, &err));
+  EXPECT_EQ(err, "parent edge not present in graph");
 }
 
 TEST(TraversedEdges, CountsComponentEdgesOnce) {
