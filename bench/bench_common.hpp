@@ -191,16 +191,7 @@ class JsonSink {
 /// work phase are flushed in declaration order.
 class Runner {
  public:
-  Runner(int argc, char** argv)
-      : inner_(exp::RunnerOptions::from_args(argc, argv)) {
-    if (!inner_.options().hw_profile.empty()) {
-      try {
-        hw::select(inner_.options().hw_profile);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    }
+  Runner(int argc, char** argv) : inner_(parse_options(argc, argv)) {
     JsonSink::global().init(argc, argv);
     init_check_flags(argc, argv);
   }
@@ -260,6 +251,19 @@ class Runner {
   int jobs() const { return inner_.jobs(); }
 
  private:
+  /// Parse the runner flags and select --hw-profile; a malformed --jobs /
+  /// APN_JOBS or an unknown profile is a usage error (exit 2).
+  static exp::RunnerOptions parse_options(int argc, char** argv) {
+    try {
+      exp::RunnerOptions opt = exp::RunnerOptions::from_args(argc, argv);
+      if (!opt.hw_profile.empty()) hw::select(opt.hw_profile);
+      return opt;
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::exit(2);
+    }
+  }
+
   void add_point(std::string name, exp::ParallelRunner::Work work) {
     std::string point = name;
     inner_.add(std::move(name),

@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "trace/metrics.hpp"
@@ -42,13 +46,26 @@ std::string trace_point_path(std::size_t seq) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
+/// Parse the whole of `v` as a non-negative decimal job count; throws
+/// std::invalid_argument naming `source` on an empty value, trailing
+/// characters, a sign or overflow.
+int parse_jobs(std::string_view v, const char* source) {
+  const char* end = v.data() + v.size();
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 0)
+    throw std::invalid_argument(std::string("bad ") + source + " value '" +
+                                std::string(v) +
+                                "' (expected a non-negative integer)");
+  return n;
+}
+
 }  // namespace
 
 RunnerOptions RunnerOptions::from_args(int argc, char** argv) {
   RunnerOptions opt;
   if (const char* env = std::getenv("APN_JOBS")) {
-    int n = std::atoi(env);
-    if (n > 0) opt.jobs = n;
+    if (*env != '\0') opt.jobs = parse_jobs(env, "APN_JOBS");
   }
   if (const char* env = std::getenv("APN_HW_PROFILE")) {
     if (*env != '\0') opt.hw_profile = env;
@@ -56,8 +73,7 @@ RunnerOptions RunnerOptions::from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--jobs=", 7) == 0) {
-      int n = std::atoi(a + 7);
-      opt.jobs = n > 0 ? n : 0;
+      opt.jobs = parse_jobs(a + 7, "--jobs");
     } else if (std::strncmp(a, "--filter=", 9) == 0) {
       opt.filter = a + 9;
     } else if (std::strcmp(a, "--list") == 0) {

@@ -52,8 +52,9 @@ struct RunnerOptions {
   /// Parse `--jobs=N`, `--filter=<substr>`, `--list`, and
   /// `--hw-profile=<name>` from argv (unknown arguments are ignored —
   /// other flags such as `--json=` belong to their own parsers) and the
-  /// APN_JOBS / APN_HW_PROFILE environment variables (flags win).
-  /// Invalid jobs values fall back to auto.
+  /// APN_JOBS / APN_HW_PROFILE environment variables (flags win). A job
+  /// count must be a non-negative integer (0 = auto; an empty APN_JOBS
+  /// counts as unset); anything else throws std::invalid_argument.
   static RunnerOptions from_args(int argc, char** argv);
 };
 

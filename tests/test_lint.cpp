@@ -1,11 +1,8 @@
 // Tests for apn-lint (tools/apn-lint): every rule, the suppression
-// syntax, and the ratcheting baseline machinery. Sources are fed as
-// strings via lint_source, with the path choosing the directory-scoped
-// behavior.
+// syntax, the project driver and SARIF output. Sources are fed as strings
+// via lint_source, with the path choosing the directory-scoped behavior.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <ostream>
 #include <set>
 #include <string>
@@ -15,7 +12,6 @@
 
 namespace {
 
-using apn::lint::Baseline;
 using apn::lint::Finding;
 using apn::lint::lint_source;
 
@@ -536,34 +532,30 @@ TEST_P(LintFixtures, NegativeIsClean) {
                   << hit.rule << "] " << hit.detail;
 }
 
+// One positive/negative fixture pair per registered rule.
+const FixtureCase kFixtureCases[] = {
+    {"wall-clock", "wall_clock", "src/core/fixture.cpp"},
+    {"raw-rand", "raw_rand", "src/core/fixture.cpp"},
+    {"std-function", "std_function", "src/sim/fixture.hpp"},
+    {"ptr-key-iter", "ptr_key_iter", "src/core/fixture.cpp"},
+    {"detached-coro", "detached_coro", "src/core/fixture.cpp"},
+    // src/sim paths below keep calibration-literal (core/pcie/gpu-scoped)
+    // from cross-firing on these fixtures' units::us(1) calls.
+    {"dropped-awaitable", "dropped_awaitable", "src/sim/fixture.cpp"},
+    {"unit-mix", "unit_mix", "src/sim/fixture.cpp"},
+    {"check-coverage", "check_coverage", "src/core/fixture.hpp"},
+    {"hot-path-alloc", "hot_path_alloc", "src/sim/fixture.cpp"},
+    {"calibration-literal", "calibration_literal", "src/core/fixture.cpp"},
+    // src/cluster paths: in scope for the suspension-safety rules (which
+    // skip only tests/) but outside the std-function and calibration-literal
+    // directory scopes.
+    {"coro-ref-param", "coro_ref_param", "src/cluster/fixture.cpp"},
+    {"coro-local-escape", "coro_local_escape", "src/cluster/fixture.cpp"},
+    {"coro-stale-time", "coro_stale_time", "src/cluster/fixture.cpp"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllRules, LintFixtures,
-    ::testing::Values(
-        FixtureCase{"wall-clock", "wall_clock", "src/core/fixture.cpp"},
-        FixtureCase{"raw-rand", "raw_rand", "src/core/fixture.cpp"},
-        FixtureCase{"std-function", "std_function", "src/sim/fixture.hpp"},
-        FixtureCase{"ptr-key-iter", "ptr_key_iter", "src/core/fixture.cpp"},
-        FixtureCase{"detached-coro", "detached_coro", "src/core/fixture.cpp"},
-        // src/sim paths below keep calibration-literal (core/pcie/gpu-
-        // scoped) from cross-firing on these fixtures' units::us(1) calls.
-        FixtureCase{"dropped-awaitable", "dropped_awaitable",
-                    "src/sim/fixture.cpp"},
-        FixtureCase{"unit-mix", "unit_mix", "src/sim/fixture.cpp"},
-        FixtureCase{"check-coverage", "check_coverage",
-                    "src/core/fixture.hpp"},
-        FixtureCase{"hot-path-alloc", "hot_path_alloc",
-                    "src/sim/fixture.cpp"},
-        FixtureCase{"calibration-literal", "calibration_literal",
-                    "src/core/fixture.cpp"},
-        // src/cluster paths: in scope for the suspension-safety rules
-        // (which skip only tests/) but outside the std-function and
-        // calibration-literal directory scopes.
-        FixtureCase{"coro-ref-param", "coro_ref_param",
-                    "src/cluster/fixture.cpp"},
-        FixtureCase{"coro-local-escape", "coro_local_escape",
-                    "src/cluster/fixture.cpp"},
-        FixtureCase{"coro-stale-time", "coro_stale_time",
-                    "src/cluster/fixture.cpp"}),
+    AllRules, LintFixtures, ::testing::ValuesIn(kFixtureCases),
     [](const ::testing::TestParamInfo<FixtureCase>& info) {
       std::string name;
       bool up = true;  // CamelCase the stem for readable test names
@@ -580,57 +572,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- rule registry ---------------------------------------------------------
 
-TEST(LintRules, EveryRuleHasDocAndFiringExample) {
-  // The --explain contract: every registered rule carries a documentation
-  // paragraph and a minimal example that actually fires that rule.
-  const std::vector<apn::lint::RuleInfo>& rs = apn::lint::rules();
-  ASSERT_FALSE(rs.empty());
-  std::set<std::string> ids;
-  for (const apn::lint::RuleInfo& r : rs) {
-    SCOPED_TRACE(r.id);
-    EXPECT_TRUE(ids.insert(r.id).second) << "duplicate rule id";
-    EXPECT_GE(std::string(r.summary).size(), 10u);
-    EXPECT_GE(std::string(r.doc).size(), 80u) << "doc is not a paragraph";
-    ASSERT_NE(r.example_path, nullptr);
-    ASSERT_NE(r.example, nullptr);
-    bool fired = false;
-    for (const Finding& hit : lint_source(r.example_path, r.example))
-      fired |= hit.rule == r.id;
-    EXPECT_TRUE(fired) << "registered example does not fire its own rule";
-  }
+TEST(LintRules, EveryRuleHasFixturePair) {
+  // A rule registered without a positive/negative fixture pair (or a
+  // fixture case naming an unregistered rule) fails here.
+  std::set<std::string> fixture_rules;
+  for (const FixtureCase& c : kFixtureCases)
+    EXPECT_TRUE(fixture_rules.insert(c.rule).second)
+        << "duplicate fixture case for " << c.rule;
+  std::set<std::string> registered;
+  for (const apn::lint::RuleInfo& r : apn::lint::rules())
+    EXPECT_TRUE(registered.insert(r.id).second) << "duplicate rule " << r.id;
+  EXPECT_EQ(fixture_rules, registered);
 }
 
-// ---- parallel project driver -----------------------------------------------
-
-TEST(LintRunProject, JobCountDoesNotChangeOutput) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const auto& e : fs::directory_iterator(APN_LINT_FIXTURE_DIR)) {
-    if (e.path().extension() == ".fixture")
-      files.push_back(e.path().generic_string());
-  }
-  ASSERT_FALSE(files.empty());
-  std::sort(files.begin(), files.end());
-  std::vector<Finding> one, four;
-  std::string bad;
-  ASSERT_TRUE(apn::lint::run_project(files, 1, one, &bad)) << bad;
-  ASSERT_TRUE(apn::lint::run_project(files, 4, four, &bad)) << bad;
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].path, four[i].path);
-    EXPECT_EQ(one[i].line, four[i].line);
-    EXPECT_EQ(one[i].col, four[i].col);
-    EXPECT_EQ(one[i].rule, four[i].rule);
-    EXPECT_EQ(one[i].detail, four[i].detail);
-  }
-  // Byte-identical all the way to the serialized report.
-  EXPECT_EQ(apn::lint::format_sarif(one), apn::lint::format_sarif(four));
-}
+// ---- project driver --------------------------------------------------------
 
 TEST(LintRunProject, MissingFileReportsPath) {
   std::vector<Finding> out;
   std::string bad;
-  EXPECT_FALSE(apn::lint::run_project({"/nonexistent/x.cpp"}, 2, out, &bad));
+  EXPECT_FALSE(apn::lint::run_project({"/nonexistent/x.cpp"}, out, &bad));
   EXPECT_EQ(bad, "/nonexistent/x.cpp");
 }
 
@@ -683,50 +643,6 @@ TEST(LintSarif, LineOnlyFindingsOmitColumns) {
   const std::string s = apn::lint::format_sarif(fs);
   EXPECT_NE(s.find("\"startLine\": 4"), std::string::npos);
   EXPECT_EQ(s.find("startColumn"), std::string::npos);
-}
-
-// ---- baseline --------------------------------------------------------------
-
-TEST(LintBaseline, ParseIgnoresCommentsAndBlanks) {
-  Baseline b = apn::lint::parse_baseline(
-      "# header\n\nsrc/a.cpp|wall-clock|2\nsrc/b.cpp|raw-rand|1\n");
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ((b[{"src/a.cpp", "wall-clock"}]), 2);
-}
-
-TEST(LintBaseline, CoversUpToCountAndFlagsExcess) {
-  std::vector<Finding> fs = {
-      {"src/a.cpp", 1, 0, 0, "wall-clock", ""},
-      {"src/a.cpp", 5, 0, 0, "wall-clock", ""},
-      {"src/a.cpp", 9, 0, 0, "wall-clock", ""},
-  };
-  Baseline b = apn::lint::parse_baseline("src/a.cpp|wall-clock|2\n");
-  std::vector<std::string> stale;
-  auto fresh = apn::lint::apply_baseline(fs, b, &stale);
-  ASSERT_EQ(fresh.size(), 1u);  // third hit exceeds the grandfathered 2
-  EXPECT_EQ(fresh[0].line, 9);
-  EXPECT_TRUE(stale.empty());
-}
-
-TEST(LintBaseline, RatchetReportsStaleEntries) {
-  std::vector<Finding> fs;  // the tree got clean
-  Baseline b = apn::lint::parse_baseline("src/a.cpp|wall-clock|2\n");
-  std::vector<std::string> stale;
-  auto fresh = apn::lint::apply_baseline(fs, b, &stale);
-  EXPECT_TRUE(fresh.empty());
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_NE(stale[0].find("src/a.cpp|wall-clock"), std::string::npos);
-}
-
-TEST(LintBaseline, FormatRoundTrips) {
-  std::vector<Finding> fs = {
-      {"src/a.cpp", 1, 0, 0, "wall-clock", ""},
-      {"src/a.cpp", 5, 0, 0, "wall-clock", ""},
-      {"src/b.cpp", 2, 0, 0, "raw-rand", ""},
-  };
-  Baseline b = apn::lint::parse_baseline(apn::lint::format_baseline(fs));
-  EXPECT_EQ((b[{"src/a.cpp", "wall-clock"}]), 2);
-  EXPECT_EQ((b[{"src/b.cpp", "raw-rand"}]), 1);
 }
 
 }  // namespace

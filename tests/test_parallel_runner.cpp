@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,38 @@ TEST(RunnerOptions, ParsesFlagsAndEnv) {
     const char* argv[] = {"prog", "--jobs=5"};
     auto o = exp::RunnerOptions::from_args(2, const_cast<char**>(argv));
     EXPECT_EQ(o.jobs, 5);
+  }
+  unsetenv("APN_JOBS");
+}
+
+TEST(RunnerOptions, RejectsMalformedJobs) {
+  unsetenv("APN_JOBS");
+  const char* bad[] = {"", "abc", "4x", "-1", "+2", "99999999999"};
+  for (const char* v : bad) {
+    SCOPED_TRACE(std::string("value '") + v + "'");
+    const std::string flag = std::string("--jobs=") + v;
+    const char* argv[] = {"prog", flag.c_str()};
+    EXPECT_THROW(exp::RunnerOptions::from_args(2, const_cast<char**>(argv)),
+                 std::invalid_argument);
+    if (*v == '\0') continue;  // an empty APN_JOBS counts as unset
+    setenv("APN_JOBS", v, 1);
+    const char* none[] = {"prog"};
+    EXPECT_THROW(exp::RunnerOptions::from_args(1, const_cast<char**>(none)),
+                 std::invalid_argument);
+    unsetenv("APN_JOBS");
+  }
+  // Zero still means auto, from the flag and from the environment, and an
+  // empty APN_JOBS is ignored.
+  {
+    const char* argv[] = {"prog", "--jobs=0"};
+    EXPECT_EQ(exp::RunnerOptions::from_args(2, const_cast<char**>(argv)).jobs,
+              0);
+  }
+  for (const char* v : {"0", ""}) {
+    setenv("APN_JOBS", v, 1);
+    const char* argv[] = {"prog"};
+    EXPECT_EQ(exp::RunnerOptions::from_args(1, const_cast<char**>(argv)).jobs,
+              0);
   }
   unsetenv("APN_JOBS");
 }

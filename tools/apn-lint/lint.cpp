@@ -1,12 +1,8 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
-#include <thread>
 #include <tuple>
 
 namespace apn::lint {
@@ -1769,73 +1765,6 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool lint_file(const std::string& path, std::vector<Finding>& out) {
-  std::string src;
-  if (!read_file(path, src)) return false;
-  std::vector<Finding> found = lint_source(path, src);
-  out.insert(out.end(), found.begin(), found.end());
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------------
-
-Baseline parse_baseline(const std::string& text) {
-  Baseline out;
-  std::stringstream ss(text);
-  std::string line;
-  while (std::getline(ss, line)) {
-    std::size_t hash = line.find('#');
-    if (hash != npos) line.erase(hash);
-    std::size_t a = line.find('|');
-    if (a == npos) continue;
-    std::size_t b = line.find('|', a + 1);
-    if (b == npos) continue;
-    std::string path = line.substr(0, a);
-    std::string rule = line.substr(a + 1, b - a - 1);
-    int count = std::atoi(line.c_str() + b + 1);
-    if (!path.empty() && !rule.empty() && count > 0)
-      out[{path, rule}] += count;
-  }
-  return out;
-}
-
-std::string format_baseline(const std::vector<Finding>& findings) {
-  Baseline counts;
-  for (const Finding& f : findings) counts[{f.path, f.rule}] += 1;
-  std::string out =
-      "# apn-lint baseline: grandfathered findings (path|rule|count).\n"
-      "# Counts may only decrease; regenerate with --update-baseline.\n";
-  for (const auto& [key, count] : counts) {
-    out += key.first + "|" + key.second + "|" + std::to_string(count) + "\n";
-  }
-  return out;
-}
-
-std::vector<Finding> apply_baseline(const std::vector<Finding>& findings,
-                                    const Baseline& baseline,
-                                    std::vector<std::string>* stale) {
-  Baseline budget = baseline;
-  std::vector<Finding> fresh;
-  for (const Finding& f : findings) {
-    auto it = budget.find({f.path, f.rule});
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-    } else {
-      fresh.push_back(f);
-    }
-  }
-  if (stale != nullptr) {
-    for (const auto& [key, left] : budget) {
-      if (left > 0)
-        stale->push_back(key.first + "|" + key.second + " (" +
-                         std::to_string(left) + " stale)");
-    }
-  }
-  return fresh;
-}
-
 // ---------------------------------------------------------------------------
 // SARIF output
 // ---------------------------------------------------------------------------
@@ -1874,182 +1803,33 @@ std::string json_escape(const std::string& s) {
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {"wall-clock",
-       "Host wall-clock read; simulation time must come from sim::Simulator",
-       "The simulator is a discrete-event machine: every timestamp must come "
-       "from sim::Simulator's virtual clock so runs are bit-identical across "
-       "hosts and reruns. Reading std::chrono system/steady/high_resolution "
-       "clocks or the C time APIs (time, clock, gettimeofday, clock_gettime) "
-       "injects host time into the model, which breaks reproduction and "
-       "poisons golden comparisons. Host timing is legal only in the "
-       "rng-exempt measurement code under src/common.",
-       "src/core/example.cpp",
-       "Time stamp() { return std::chrono::steady_clock::now(); }\n"},
+       "Host wall-clock read; simulation time must come from sim::Simulator"},
       {"raw-rand",
-       "Platform entropy; all randomness must flow through apn::Rng",
-       "All randomness must flow through apn::Rng (common/rng.hpp), which is "
-       "seedable and bit-stable across platforms. rand()/srand()/random(), "
-       "drand48, std::random_device and the std engines (mt19937, ...) pull "
-       "platform entropy or platform-dependent sequences, so two runs with "
-       "the same seed diverge. The rng module itself is exempt — it is where "
-       "the one sanctioned implementation lives.",
-       "src/core/example.cpp", "int pick() { return rand() % 8; }\n"},
-      {"std-function",
-       "std::function in a hot path; use apn::UniqueFn",
-       "std::function boxes copyable callables behind a potential heap "
-       "allocation and an indirect call; in the event engine's hot layers "
-       "(src/sim, src/core, src/pcie) that cost lands on every event. "
-       "apn::UniqueFn is the repo's move-only callable with inline storage "
-       "sized for the engine's continuations — same expressiveness where it "
-       "matters, no boxing. Cold layers (apps, ib, tools) may still use "
-       "std::function.",
-       "src/sim/example.hpp", "std::function<void()> cb;\n"},
+       "Platform entropy; all randomness must flow through apn::Rng"},
+      {"std-function", "std::function in a hot path; use apn::UniqueFn"},
       {"ptr-key-iter",
-       "Iteration over a pointer-keyed container is ASLR-dependent",
-       "Iterating a map or set keyed by pointers visits elements in address "
-       "order, and addresses change run to run under ASLR. If the iteration "
-       "feeds any model decision (scheduling order, tie-breaks, stats "
-       "layout), the simulation stops being reproducible. Keyed *lookup* is "
-       "fine — only iteration (range-for, begin()) is flagged. Iterate a "
-       "stable index (ordinals, insertion order) instead.",
-       "src/core/example.cpp",
-       "std::map<Node*, int> weights;\n"
-       "int sum() { int s = 0; for (auto& [n, w] : weights) s += w; "
-       "return s; }\n"},
+       "Iteration over a pointer-keyed container is ASLR-dependent"},
       {"detached-coro",
        "Capturing lambda returning a coroutine: captures dangle after the "
-       "call",
-       "A lambda that returns sim::Coro starts a coroutine whose frame "
-       "outlives the lambda object: the temporary closure dies at the end of "
-       "the spawning statement, while the frame keeps resuming. Every "
-       "capture lives in the dead closure, so the first use after a "
-       "suspension is a use-after-free. The repo idiom is an empty capture "
-       "list with all state passed as parameters — parameters are copied "
-       "into the coroutine frame and live exactly as long as it does.",
-       "src/core/example.cpp",
-       "void kick() { [this]() -> sim::Coro { co_return; }(); }\n"},
+       "call"},
       {"dropped-awaitable",
-       "Awaitable discarded without co_await; the wait never happens",
-       "Calling an awaiter factory (sim::delay, Gate::wait, "
-       "Semaphore/CreditPool::acquire, Resource::use, Channel::transfer, "
-       "Queue::pop, or any function returning a *Awaiter/*Awaitable) as a "
-       "bare statement destroys the awaiter before it ever suspends: the "
-       "wait silently never happens and the coroutine runs ahead of the "
-       "model. Either co_await the call or bind the awaiter and co_await it "
-       "later. Bare calls of Coro-returning functions are not flagged — "
-       "sim::Coro is fire-and-forget by design.",
-       "src/sim/example.cpp",
-       "sim::Coro run(Gate* g) {\n  g->wait();\n  co_return;\n}\n"},
+       "Awaitable discarded without co_await; the wait never happens"},
       {"unit-mix",
-       "Additive arithmetic mixing Time with byte counts or bare literals",
-       "apn::Time is picoseconds. Adding or subtracting a byte count "
-       "(apn::Bytes, *_bytes locals) or a bare unscaled integer literal "
-       "produces a number that type-checks but is dimensionally wrong — the "
-       "classic source of on-by-one-unit calibration bugs. All constants "
-       "must enter time arithmetic through the units:: helpers "
-       "(units::ns(250), units::us(8)) so the scale is visible at the use "
-       "site. src/common/units.hpp, which defines the conversions, is "
-       "exempt.",
-       "src/sim/example.cpp",
-       "Time deadline(Time start) { return start + 512; }\n"},
+       "Additive arithmetic mixing Time with byte counts or bare literals"},
       {"check-coverage",
-       "Mutable state member of a race-checked class is not instrumented",
-       "A class that participates in same-tick race detection (it has a "
-       "StateCell member or an APN_CHECK_ACCESS-instrumented member) is "
-       "expected to instrument *all* of its mutable simulation state: an "
-       "uninstrumented integral or container member is a blind spot where a "
-       "real race would go unreported, making the detector's clean bill of "
-       "health misleading. Instrument the member, or carry an allow comment "
-       "explaining why it cannot race. Findings ratchet through the "
-       "lint baseline so instrumentation only grows.",
-       "src/core/example.hpp",
-       "class Dev {\n"
-       "  check::StateCell<int> credits_;\n"
-       "  std::uint64_t tail_ = 0;\n"
-       "};\n"},
-      {"hot-path-alloc",
-       "Heap allocation inside an APN_HOT function",
-       "Functions marked APN_HOT (common/hot.hpp) are on the event engine's "
-       "per-event path, which is allocation-free by contract: event nodes "
-       "come from pools, continuations use inline storage. A non-placement "
-       "new, malloc-family call or make_unique/make_shared inside one "
-       "introduces rate-dependent jitter and allocator-dependent layout. "
-       "Move the allocation to setup/cold code, or carry an explicit allow "
-       "comment for a genuinely cold fallback branch.",
-       "src/sim/example.hpp",
-       "APN_HOT void push() { int* p = new int(0); use(p); }\n"},
+       "Mutable state member of a race-checked class is not instrumented"},
+      {"hot-path-alloc", "Heap allocation inside an APN_HOT function"},
       {"calibration-literal",
        "Unnamed numeric calibration literal in model code; hoist it into "
-       "the hardware-profile parameter structs",
-       "Model code (src/core, src/pcie, src/gpu) may not bury raw numbers "
-       "in units helpers or Rate constructors — units::ns(400) inside a "
-       "function body is a calibration constant with no name, no "
-       "per-generation versioning and no documentation. Such constants "
-       "belong in the hardware-profile parameter structs (core/params.hpp, "
-       "gpu/arch.hpp, pcie/link.hpp), where src/hw/profile.cpp versions "
-       "them per hardware generation and docs/HARDWARE.md documents them. "
-       "Those three headers are exempt: they are where the named defaults "
-       "live.",
-       "src/core/example.cpp",
-       "Time guard() { return units::ns(400); }\n"},
+       "the hardware-profile parameter structs"},
       {"coro-ref-param",
-       "Reference parameter of a coroutine read after a suspension point",
-       "Between a co_await and its resume, the coroutine's caller has "
-       "returned: a parameter taken by reference points into a frame that "
-       "may no longer exist, so any read after the first suspension point "
-       "is a potential use-after-free. Only state owned by the coroutine "
-       "frame itself survives a suspension — take the parameter by value "
-       "(it is copied into the frame), or as a pointer, the repo's "
-       "sanctioned spelling for 'the caller guarantees this outlives the "
-       "frame'. Uses within the first suspension's own statement are not "
-       "flagged (the caller is still alive at the moment of suspend), and "
-       "tests/ are exempt — the runtime frame oracle (--coro-check) covers "
-       "them dynamically.",
-       "src/cluster/example.cpp",
-       "sim::Coro pump(sim::Gate& gate, sim::Queue<int>& out) {\n"
-       "  co_await gate.wait();\n"
-       "  out.push(1);\n"
-       "  co_return;\n"
-       "}\n"},
+       "Reference parameter of a coroutine read after a suspension point"},
       {"coro-local-escape",
        "Address of a coroutine frame local escapes into a stored callable, "
-       "message, or spawned coroutine",
-       "A coroutine frame dies the moment its body completes or its owner "
-       "reclaims it, and between suspensions it can advance past a local's "
-       "scope. Passing &local to a scheduling or messaging sink "
-       "(Simulator::at/after, Channel::send, Resource::post, "
-       "schedule_resume/resume_*), capturing locals by reference in a "
-       "lambda handed to such a sink, or passing &local to another spawned "
-       "coroutine stores a pointer that outlives what it points at. Copy "
-       "the value into the callback/message, or hand over owner-managed "
-       "storage (shared_ptr, a member of a live object). Non-coroutine "
-       "functions are not flagged: an ordinary stack frame outlives the "
-       "statements it schedules from, because it only returns after "
-       "sim.run() style loops complete or the scheduled work is fetched.",
-       "src/cluster/example.cpp",
-       "sim::Coro sender(sim::Simulator* sim) {\n"
-       "  int pending = 0;\n"
-       "  sim->after(10, [&] { pending += 1; });\n"
-       "  co_await sim::delay(*sim, 100);\n"
-       "}\n"},
+       "message, or spawned coroutine"},
       {"coro-stale-time",
        "Cached now()/StateCell read from before a co_await reused after "
-       "resume",
-       "co_await means simulated time passes: any value cached from "
-       "Simulator::now() or from a StateCell read (get/sample/peek) before "
-       "the suspension describes a world that no longer exists after the "
-       "resume. Reusing the cached copy as 'the current time' or 'the "
-       "current cell state' silently computes with stale data. Re-read "
-       "after resuming. Statements that visibly re-read the source are "
-       "exempt — `Time dt = sim.now() - start;` is elapsed-time math over "
-       "an intentionally old timestamp, and a statement that re-touches "
-       "the same cell is treated as aware of the refresh.",
-       "src/cluster/example.cpp",
-       "sim::Coro worker(sim::Simulator* sim, sim::Gate* gate) {\n"
-       "  Time start = sim->now();\n"
-       "  co_await gate->wait();\n"
-       "  record(start);\n"
-       "  co_return;\n"
-       "}\n"},
+       "resume"},
   };
   return kRules;
 }
@@ -2108,54 +1888,29 @@ std::string format_sarif(const std::vector<Finding>& findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel project driver
+// Project driver
 // ---------------------------------------------------------------------------
 
-bool run_project(const std::vector<std::string>& files, int jobs,
+bool run_project(const std::vector<std::string>& files,
                  std::vector<Finding>& out, std::string* bad_path) {
-  const std::size_t n = files.size();
-  std::vector<std::string> sources(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!read_file(files[i], sources[i])) {
-      if (bad_path != nullptr) *bad_path = files[i];
+  // Phase 1: parse every file and harvest its declarations in file order.
+  std::vector<FileIR> irs;
+  irs.reserve(files.size());
+  ProjectContext ctx;
+  for (const std::string& path : files) {
+    std::string source;
+    if (!read_file(path, source)) {
+      if (bad_path != nullptr) *bad_path = path;
       return false;
     }
+    irs.push_back(parse(path, source));
+    scan_declarations(irs.back(), ctx);
   }
-  unsigned want = jobs > 0 ? static_cast<unsigned>(jobs)
-                           : std::thread::hardware_concurrency();
-  if (want == 0) want = 1;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(want, n == 0 ? 1 : n));
-
-  auto for_each_file = [&](auto&& body) {
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    std::atomic<std::size_t> cursor{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i; (i = cursor.fetch_add(1)) < n;) body(i);
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  };
-
-  // Phase 1: parse in parallel; harvest declarations serially in file order
-  // so the ProjectContext fill is trivially reproducible.
-  std::vector<FileIR> irs(n);
-  for_each_file([&](std::size_t i) { irs[i] = parse(files[i], sources[i]); });
-  ProjectContext ctx;
-  for (const FileIR& ir : irs) scan_declarations(ir, ctx);
-
-  // Phase 2: rules in parallel into per-file slots, committed in file
-  // order — the output is byte-identical for every --jobs value.
-  std::vector<std::vector<Finding>> per(n);
-  for_each_file([&](std::size_t i) { per[i] = lint_ir(irs[i], ctx); });
-  for (std::size_t i = 0; i < n; ++i)
-    out.insert(out.end(), per[i].begin(), per[i].end());
+  // Phase 2: rules over each file against the whole-project context.
+  for (const FileIR& ir : irs) {
+    std::vector<Finding> found = lint_ir(ir, ctx);
+    out.insert(out.end(), found.begin(), found.end());
+  }
   return true;
 }
 

@@ -104,18 +104,14 @@
 // Suppression: a comment `// apn-lint: allow(<rule>[, <rule>...])` (rules
 // separated by commas and/or spaces) on the offending line, the line
 // directly above it, or — for findings inside a multi-line statement — the
-// first line of that statement or the line above it. The one baseline file
-// (tools/apn-lint/baseline.txt, `path|rule|count` lines, read through
-// --baseline=) grandfathers pre-existing findings of every rule and
-// ratchets: counts may only decrease. The three coroutine suspension-safety
-// rules (coro-ref-param, coro-local-escape, coro-stale-time) skip tests/
-// paths — test code parks frames and threads pointers on purpose, and the
-// runtime frame oracle (src/check/coro_check.hpp, --coro-check) covers it
-// dynamically.
+// first line of that statement or the line above it. The three coroutine
+// suspension-safety rules (coro-ref-param, coro-local-escape,
+// coro-stale-time) skip tests/ paths — test code parks frames and threads
+// pointers on purpose, and the runtime frame oracle
+// (src/check/coro_check.hpp, --coro-check) covers it dynamically.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -254,59 +250,24 @@ std::vector<Finding> lint_ir(const FileIR& ir, const ProjectContext& ctx);
 std::vector<Finding> lint_source(const std::string& path,
                                  const std::string& source);
 
-/// Lint a file on disk (single-file context). Returns false (and leaves
-/// `out` untouched) if the file cannot be read.
-bool lint_file(const std::string& path, std::vector<Finding>& out);
-
 /// Full two-phase project run over `files` (already expanded and sorted by
-/// the caller) with `jobs` worker threads (<= 0 picks the hardware
-/// concurrency). Parsing and rule execution parallelize per file; the
-/// declaration harvest runs serially in file order and findings are
-/// concatenated in file order, so the output is byte-identical for every
-/// job count. Returns false (with the offending path in `bad_path`) when a
-/// file cannot be read.
-bool run_project(const std::vector<std::string>& files, int jobs,
+/// the caller): every file is parsed and harvested into one ProjectContext,
+/// then linted, both in file order. Returns false (with the offending path
+/// in `bad_path`) when a file cannot be read.
+bool run_project(const std::vector<std::string>& files,
                  std::vector<Finding>& out, std::string* bad_path);
 
 /// Read a file into `out`; false on I/O error.
 bool read_file(const std::string& path, std::string& out);
 
 // ---------------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------------
-
-/// Baseline: (path, rule) -> grandfathered finding count.
-using Baseline = std::map<std::pair<std::string, std::string>, int>;
-
-/// Parse `path|rule|count` lines; '#' starts a comment, blanks ignored.
-Baseline parse_baseline(const std::string& text);
-
-/// Serialize findings as a baseline file body (sorted, deduped, counted).
-std::string format_baseline(const std::vector<Finding>& findings);
-
-/// Split findings against a baseline. Returns the findings NOT covered
-/// (new findings, or hits beyond a grandfathered count). `stale` receives
-/// baseline entries whose count exceeds what the scan found — the ratchet
-/// asks for those to be lowered via --update-baseline.
-std::vector<Finding> apply_baseline(const std::vector<Finding>& findings,
-                                    const Baseline& baseline,
-                                    std::vector<std::string>* stale);
-
-// ---------------------------------------------------------------------------
 // Rule registry
 // ---------------------------------------------------------------------------
 
-/// One registered rule: identity, the one-liner used in SARIF metadata, the
-/// paragraph shown by `apn-lint --explain=<rule>`, and a minimal source
-/// example (linted under `example_path` for the directory-scoped rules)
-/// that demonstrably fires the rule — test_lint.cpp asserts this for every
-/// entry, so the docs cannot rot.
+/// One registered rule: its slug and the one-liner used in SARIF metadata.
 struct RuleInfo {
   const char* id;
-  const char* summary;       ///< one line (SARIF shortDescription)
-  const char* doc;           ///< one paragraph (--explain)
-  const char* example_path;  ///< synthetic path the example is linted under
-  const char* example;       ///< source that fires exactly this rule
+  const char* summary;  ///< one line (SARIF shortDescription)
 };
 
 /// Every registered rule, in catalogue order.
