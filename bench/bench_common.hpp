@@ -9,26 +9,18 @@
 // the core count in wall-clock while producing byte-identical output at
 // any `--jobs` level.
 //
-// Common bench flags (see also EXPERIMENTS.md):
-//   --jobs=N           worker threads (default: APN_JOBS, else all cores)
-//   --filter=<substr>  run only points whose name contains the substring
-//   --list             print point names (one per line) and exit
-//   --hw-profile=<n>   hardware profile (APN_HW_PROFILE; docs/HARDWARE.md)
-//   --json=<path>      NDJSON record per measured point (APN_BENCH_JSON)
-//   --check            enable the same-tick race detector (like APN_CHECK=1)
-//   --coro-check       enable the coroutine frame-lifetime oracle (like
-//                      APN_CORO_CHECK=1): report + abort at exit if any
-//                      frame is still suspended
-//   --state-hash-out=F write per-event rolling state hashes to F; diffing
-//                      two runs' files pinpoints the first divergent event
+// Every bench takes the same eight flags: --jobs=, --filter=, --list,
+// --hw-profile=, --json=, --check, --coro-check and --state-hash-out=.
+// exp::RunnerOptions::from_args parses them from one table (an unknown
+// argument gets the table's listing); EXPERIMENTS.md explains each.
+// bench::Runner applies them. Any other argument, a malformed value or an
+// output path that cannot be created prints `error: ...` and exits 2.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -36,9 +28,9 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "check/coro_check.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
+#include "common/ordered_file.hpp"
 #include "common/table.hpp"
 #include "exp/runner.hpp"
 #include "hw/profile.hpp"
@@ -53,72 +45,13 @@ namespace apn::bench {
 /// ran under (docs/HARDWARE.md) and `paper` is null when the paper gives
 /// no quantitative target for the point. Inert (no file, no output) when neither switch is present, so
 /// the human-readable tables stay the default interface.
-///
-/// Concurrency: the sink is internally synchronized, and every record is
-/// flushed to the file as soon as it is written, so an aborted run keeps
-/// every completed line of NDJSON. Under `bench::Runner` the records a
-/// point emits while measuring are captured in a per-point buffer and
-/// flushed in declaration order, so the NDJSON stream is byte-identical
-/// at any job count.
-class JsonSink {
+class JsonSink : public OrderedFile<JsonSink> {
  public:
-  static JsonSink& global() {
-    static JsonSink sink;
-    return sink;
-  }
-
-  /// Parse --json=<path> / APN_BENCH_JSON; call once at bench startup.
-  /// An explicit empty `--json=` is a usage error (exit 2); an empty
-  /// APN_BENCH_JSON is reported and treated as unset.
-  void init(int argc, char** argv) {
-    const char* flag = nullptr;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--json=", 7) == 0) flag = argv[i] + 7;
-    }
-    if (flag != nullptr && *flag == '\0') {
-      std::fprintf(stderr, "error: --json= requires a non-empty path\n");
-      std::exit(2);
-    }
-    const char* path = flag;
-    if (path == nullptr) {
-      path = std::getenv("APN_BENCH_JSON");
-      if (path != nullptr && *path == '\0') {
-        std::fprintf(
-            stderr,
-            "warning: APN_BENCH_JSON is empty; NDJSON output disabled\n");
-        return;
-      }
-    }
-    if (path == nullptr) return;
-    open(path);
-  }
-
-  /// Open `path` for NDJSON output (closing any previous file). Returns
-  /// false (with a warning) when the file cannot be created.
-  bool open(const std::string& path) {
-    close();
-    out_ = std::fopen(path.c_str(), "w");
-    if (out_ == nullptr) {
-      std::fprintf(stderr, "warning: cannot open %s for JSON output\n",
-                   path.c_str());
-      return false;
-    }
-    return true;
-  }
-
-  void close() {
-    if (out_ != nullptr) std::fclose(out_);
-    out_ = nullptr;
-  }
-
-  bool enabled() const { return out_ != nullptr; }
-
   /// Emit one measurement. Pass NAN for `paper` when the paper has no
-  /// number for this point (serialized as null). Buffered per-point under
-  /// the runner; written and flushed immediately otherwise.
+  /// number for this point (serialized as null).
   void record(const std::string& bench, const std::string& point,
               double model, double paper = NAN) {
-    if (out_ == nullptr) return;
+    if (!enabled()) return;
     // hw::active() honors the calling thread's ScopedProfile, so points
     // that build per-profile clusters tag their rows correctly.
     std::string line = "{\"bench\": \"" + escaped(bench) +
@@ -129,38 +62,12 @@ class JsonSink {
     line += ", ";
     append_number(line, "paper", paper);
     line += "}\n";
-    if (std::string* buf = tls_buffer()) {
-      *buf += line;
-      return;
-    }
-    write_raw(line);
+    emit(line);
   }
-
-  /// Route this thread's records into `buf` (nullptr restores direct
-  /// writes). Used by bench::Runner to commit point records in
-  /// declaration order.
-  void set_thread_buffer(std::string* buf) { tls_buffer() = buf; }
-
-  /// Write pre-formatted record text (a point's buffered lines) under the
-  /// sink lock, flushing so partial output survives aborted runs.
-  void write_raw(const std::string& text) {
-    if (out_ == nullptr || text.empty()) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    std::fwrite(text.data(), 1, text.size(), out_);
-    std::fflush(out_);
-  }
-
-  ~JsonSink() { close(); }
 
  private:
+  friend OrderedFile<JsonSink>;
   JsonSink() = default;
-  JsonSink(const JsonSink&) = delete;
-  JsonSink& operator=(const JsonSink&) = delete;
-
-  static std::string*& tls_buffer() {
-    thread_local std::string* b = nullptr;
-    return b;
-  }
 
   static std::string escaped(const std::string& s) {
     std::string out;
@@ -180,46 +87,15 @@ class JsonSink {
       std::snprintf(buf, sizeof buf, "\"%s\": %.17g", key, v);
     out += buf;
   }
-
-  std::mutex mu_;
-  std::FILE* out_ = nullptr;
 };
 
-/// Bench-side wrapper over exp::ParallelRunner: parses the shared bench
-/// flags (--jobs/--filter/--list via the runner, --json via JsonSink) and
-/// wraps every point so JsonSink records emitted during the concurrent
-/// work phase are flushed in declaration order.
+/// Bench-side wrapper over exp::ParallelRunner: applies the parsed bench
+/// flags (hardware profile, NDJSON and state-hash files, checkers) and
+/// captures every point's NDJSON records and state-hash lines, so both
+/// files are written in declaration order.
 class Runner {
  public:
-  Runner(int argc, char** argv) : inner_(parse_options(argc, argv)) {
-    JsonSink::global().init(argc, argv);
-    init_check_flags(argc, argv);
-  }
-
-  /// Parse --check / --coro-check / --state-hash-out=<path> (shared with
-  /// bus_analyzer). --check and --state-hash-out= arm the race detector
-  /// for every Simulator built after this call (cluster::Cluster installs
-  /// a check::Session from it); --coro-check arms the frame-lifetime
-  /// oracle and its exit report.
-  static void init_check_flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--check") == 0) {
-        check::Session::force_enable(true);
-      } else if (std::strcmp(argv[i], "--coro-check") == 0) {
-        check::coro::force_enable(true);
-        check::coro::install_exit_report();
-      } else if (std::strncmp(argv[i], "--state-hash-out=", 17) == 0) {
-        const char* path = argv[i] + 17;
-        if (*path == '\0') {
-          std::fprintf(stderr,
-                       "error: --state-hash-out= requires a path\n");
-          std::exit(2);
-        }
-        check::Session::force_enable(true);
-        check::HashSink::global().open(path);
-      }
-    }
-  }
+  Runner(int argc, char** argv) : inner_(apply_options(argc, argv)) {}
 
   /// Declare one measurement point. `work` runs concurrently and must own
   /// everything it touches (fresh Simulator+Cluster, distinct result
@@ -251,12 +127,15 @@ class Runner {
   int jobs() const { return inner_.jobs(); }
 
  private:
-  /// Parse the runner flags and select --hw-profile; a malformed --jobs /
-  /// APN_JOBS or an unknown profile is a usage error (exit 2).
-  static exp::RunnerOptions parse_options(int argc, char** argv) {
+  /// Parse the bench flags and apply them; an unknown or malformed flag,
+  /// an unknown profile or an output file that cannot be created is a
+  /// usage error (exit 2).
+  static exp::RunnerOptions apply_options(int argc, char** argv) {
     try {
       exp::RunnerOptions opt = exp::RunnerOptions::from_args(argc, argv);
       if (!opt.hw_profile.empty()) hw::select(opt.hw_profile);
+      if (!opt.json.empty()) JsonSink::global().open(opt.json);
+      check::apply_flags(opt.check, opt.coro_check, opt.state_hash_out);
       return opt;
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
@@ -268,30 +147,20 @@ class Runner {
     std::string point = name;
     inner_.add(std::move(name),
                [work = std::move(work), point = std::move(point)]() {
-      JsonSink& js = JsonSink::global();
-      check::HashSink& hs = check::HashSink::global();
-      std::string buffered;
-      std::string hash_buffered;
-      js.set_thread_buffer(&buffered);
-      if (hs.enabled()) {
-        hs.set_thread_buffer(&hash_buffered);
-        hs.note("point " + point);
-      }
+      std::string json;
+      std::string hashes;
       exp::ParallelRunner::Commit commit;
-      try {
+      {
+        JsonSink::Capture json_capture(json);
+        check::HashSink::Capture hash_capture(hashes);
+        check::HashSink::global().note("point " + point);
         commit = work();
-      } catch (...) {
-        js.set_thread_buffer(nullptr);
-        hs.set_thread_buffer(nullptr);
-        throw;
       }
-      js.set_thread_buffer(nullptr);
-      hs.set_thread_buffer(nullptr);
       return exp::ParallelRunner::Commit(
-          [commit = std::move(commit), buffered = std::move(buffered),
-           hash_buffered = std::move(hash_buffered)]() {
-            JsonSink::global().write_raw(buffered);
-            check::HashSink::global().write_raw(hash_buffered);
+          [commit = std::move(commit), json = std::move(json),
+           hashes = std::move(hashes)]() {
+            JsonSink::global().write(json);
+            check::HashSink::global().write(hashes);
             if (commit) commit();
           });
     });
@@ -351,10 +220,17 @@ inline void print_header(const char* id, const char* what) {
 }
 
 /// Scale knob for the heavyweight app benches (BFS graph scale), settable
-/// via APN_BENCH_SCALE to trade fidelity for runtime.
+/// via APN_BENCH_SCALE to trade fidelity for runtime. Anything but an
+/// integer in [1, 31] is a usage error (exit 2); empty counts as unset.
 inline int bfs_scale() {
-  if (const char* s = std::getenv("APN_BENCH_SCALE")) return std::atoi(s);
-  return 20;  // the paper's |V| = 2^20
+  const char* s = std::getenv("APN_BENCH_SCALE");
+  if (s == nullptr || *s == '\0') return 20;  // the paper's |V| = 2^20
+  try {
+    return exp::parse_int(s, "APN_BENCH_SCALE", 1, 31);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace apn::bench

@@ -22,10 +22,10 @@
 // raw bus transactions mirrored from both analyzer slots.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "check/check.hpp"
-#include "check/coro_check.hpp"
 #include "cluster/cluster.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -34,6 +34,9 @@ using namespace apn;
 
 int main(int argc, char** argv) {
   std::string trace_path;
+  bool race_check = false;
+  bool coro_check = false;
+  std::string hash_path;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--trace-out") == 0) {
@@ -42,17 +45,12 @@ int main(int argc, char** argv) {
       trace_path = a + 12;
       if (trace_path.empty()) trace_path = "bus_analyzer_trace.json";
     } else if (std::strcmp(a, "--check") == 0) {
-      check::Session::force_enable(true);
+      race_check = true;
     } else if (std::strcmp(a, "--coro-check") == 0) {
-      check::coro::force_enable(true);
-      check::coro::install_exit_report();
-    } else if (std::strncmp(a, "--state-hash-out=", 17) == 0) {
-      if (a[17] == '\0') {
-        std::fprintf(stderr, "error: --state-hash-out= requires a path\n");
-        return 2;
-      }
-      check::Session::force_enable(true);
-      check::HashSink::global().open(a + 17);
+      coro_check = true;
+    } else if (std::strncmp(a, "--state-hash-out=", 17) == 0 &&
+               a[17] != '\0') {
+      hash_path = a + 17;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace-out[=path]] [--check] [--coro-check] "
@@ -60,6 +58,12 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+  try {
+    check::apply_flags(race_check, coro_check, hash_path);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   // The sink must be live before the cluster is built: components open

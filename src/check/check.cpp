@@ -193,62 +193,27 @@ void Context::record(const void* cell, const char* name, Access kind,
 
 // ---- HashSink -------------------------------------------------------------
 
-HashSink& HashSink::global() {
-  static HashSink sink;
-  return sink;
-}
-
-std::string*& HashSink::tls_buffer() {
-  thread_local std::string* b = nullptr;
-  return b;
-}
-
-bool HashSink::open(const std::string& path) {
-  close();
-  out_ = std::fopen(path.c_str(), "w");
-  if (out_ == nullptr) {
-    std::fprintf(stderr, "warning: cannot open %s for state-hash output\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-void HashSink::close() {
-  if (out_ != nullptr) std::fclose(out_);
-  out_ = nullptr;
-}
-
 void HashSink::line(std::uint64_t seq, Time time, std::uint64_t hash) {
-  if (out_ == nullptr) return;
+  if (!enabled()) return;
   char buf[96];
   std::snprintf(buf, sizeof buf, "e %" PRIu64 " t=%" PRId64 " h=%016" PRIx64
                 "\n",
                 seq, static_cast<std::int64_t>(time), hash);
-  if (std::string* b = tls_buffer()) {
-    *b += buf;
-    return;
-  }
-  write_raw(buf);
+  emit(buf);
 }
 
 void HashSink::note(const std::string& text) {
-  if (out_ == nullptr) return;
-  std::string line = "# " + text + "\n";
-  if (std::string* b = tls_buffer()) {
-    *b += line;
-    return;
-  }
-  write_raw(line);
+  if (enabled()) emit("# " + text + "\n");
 }
 
-void HashSink::set_thread_buffer(std::string* buf) { tls_buffer() = buf; }
-
-void HashSink::write_raw(const std::string& text) {
-  if (out_ == nullptr || text.empty()) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  std::fwrite(text.data(), 1, text.size(), out_);
-  std::fflush(out_);
+void apply_flags(bool race_check, bool coro_check,
+                 const std::string& state_hash_out) {
+  if (!state_hash_out.empty()) HashSink::global().open(state_hash_out);
+  if (race_check || !state_hash_out.empty()) Session::force_enable(true);
+  if (coro_check) {
+    coro::force_enable(true);
+    coro::install_exit_report();
+  }
 }
 
 // ---- Session --------------------------------------------------------------

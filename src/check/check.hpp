@@ -43,12 +43,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ordered_file.hpp"
 #include "sim/simulator.hpp"
 
 namespace apn::check {
@@ -173,38 +173,27 @@ Context*& current_ref();
 /// The thread's active checking context; nullptr when checking is off.
 inline Context* current() { return detail::current_ref(); }
 
-/// Ordered file sink for state-hash lines, shared process-wide like the
-/// bench JsonSink: bench::Runner redirects each point's lines into a
-/// per-point buffer and flushes them in declaration order, so the file is
-/// byte-identical at any --jobs level and diffable across runs.
-class HashSink {
+/// Ordered file of state-hash lines (`--state-hash-out=`): bench::Runner
+/// captures each point's lines and commits them in declaration order, so
+/// the file is byte-identical at any --jobs level and diffable across runs.
+class HashSink : public OrderedFile<HashSink> {
  public:
-  static HashSink& global();
-
-  bool open(const std::string& path);
-  void close();
-  bool enabled() const { return out_ != nullptr; }
-
-  /// Emit one state-hash line (routed via the thread buffer if set).
+  /// Emit one state-hash line.
   void line(std::uint64_t seq, Time time, std::uint64_t hash);
   /// Emit a comment line (point headers: "# point <name>").
   void note(const std::string& text);
 
-  void set_thread_buffer(std::string* buf);
-  void write_raw(const std::string& text);
-
-  ~HashSink() { close(); }
-
  private:
+  friend OrderedFile<HashSink>;
   HashSink() = default;
-  HashSink(const HashSink&) = delete;
-  HashSink& operator=(const HashSink&) = delete;
-
-  static std::string*& tls_buffer();
-
-  std::mutex mu_;
-  std::FILE* out_ = nullptr;
 };
+
+/// Apply the parsed `--check`, `--coro-check` and `--state-hash-out=`
+/// flags (an empty path means none): open the hash file, throwing
+/// std::invalid_argument if it cannot be created, then arm the race
+/// detector (either flag) and the coroutine oracle with its exit report.
+void apply_flags(bool race_check, bool coro_check,
+                 const std::string& state_hash_out);
 
 /// RAII enablement: installs a Context as the simulator's event hook and
 /// as the thread-current context; restores both on destruction. One per

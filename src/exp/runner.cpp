@@ -1,12 +1,14 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,6 +23,8 @@
 namespace apn::exp {
 
 namespace {
+
+constexpr int kMaxJobs = std::numeric_limits<int>::max();
 
 int auto_jobs() {
   unsigned hc = std::thread::hardware_concurrency();
@@ -46,41 +50,81 @@ std::string trace_point_path(std::size_t seq) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-/// Parse the whole of `v` as a non-negative decimal job count; throws
-/// std::invalid_argument naming `source` on an empty value, trailing
-/// characters, a sign or overflow.
-int parse_jobs(std::string_view v, const char* source) {
-  const char* end = v.data() + v.size();
-  int n = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
-  if (ec != std::errc() || ptr != end || n < 0)
-    throw std::invalid_argument(std::string("bad ") + source + " value '" +
-                                std::string(v) +
-                                "' (expected a non-negative integer)");
-  return n;
-}
+/// One bench flag: a switch ("--list") or, ending in '=', a flag that
+/// takes the rest of the argument as a non-empty value.
+struct Flag {
+  std::string_view spelling;
+  std::string_view help;
+  void (*set)(RunnerOptions&, std::string_view value);
+};
+
+constexpr Flag kFlags[] = {
+    {"--jobs=", "worker threads, 0 = all cores (env APN_JOBS)",
+     [](auto& o, auto v) { o.jobs = parse_int(v, "--jobs", 0, kMaxJobs); }},
+    {"--filter=", "run only points whose name contains this substring",
+     [](auto& o, auto v) { o.filter = v; }},
+    {"--list", "print the point names and exit",
+     [](auto& o, auto) { o.list = true; }},
+    {"--hw-profile=", "hardware profile (env APN_HW_PROFILE)",
+     [](auto& o, auto v) { o.hw_profile = v; }},
+    {"--json=", "write one NDJSON record per result (env APN_BENCH_JSON)",
+     [](auto& o, auto v) { o.json = v; }},
+    {"--check", "arm the same-tick race detector (like APN_CHECK=1)",
+     [](auto& o, auto) { o.check = true; }},
+    {"--coro-check",
+     "arm the coroutine frame-lifetime oracle (like APN_CORO_CHECK=1)",
+     [](auto& o, auto) { o.coro_check = true; }},
+    {"--state-hash-out=", "write per-event state hashes (implies --check)",
+     [](auto& o, auto v) { o.state_hash_out = v; }},
+};
 
 }  // namespace
 
+int parse_int(std::string_view v, const char* source, int lo, int hi) {
+  const char* end = v.data() + v.size();
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < lo || n > hi)
+    throw std::invalid_argument(
+        std::string("bad ") + source + " value '" + std::string(v) +
+        "' (expected an integer in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "])");
+  return n;
+}
+
 RunnerOptions RunnerOptions::from_args(int argc, char** argv) {
   RunnerOptions opt;
-  if (const char* env = std::getenv("APN_JOBS")) {
-    if (*env != '\0') opt.jobs = parse_jobs(env, "APN_JOBS");
-  }
-  if (const char* env = std::getenv("APN_HW_PROFILE")) {
-    if (*env != '\0') opt.hw_profile = env;
-  }
+  if (const char* env = std::getenv("APN_JOBS"); env && *env != '\0')
+    opt.jobs = parse_int(env, "APN_JOBS", 0, kMaxJobs);
+  if (const char* env = std::getenv("APN_HW_PROFILE")) opt.hw_profile = env;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = parse_jobs(a + 7, "--jobs");
-    } else if (std::strncmp(a, "--filter=", 9) == 0) {
-      opt.filter = a + 9;
-    } else if (std::strcmp(a, "--list") == 0) {
-      opt.list = true;
-    } else if (std::strncmp(a, "--hw-profile=", 13) == 0) {
-      opt.hw_profile = a + 13;
+    const std::string_view a = argv[i];
+    const Flag* f = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                 [a](const Flag& flag) {
+      return flag.spelling.ends_with('=') ? a.starts_with(flag.spelling)
+                                          : a == flag.spelling;
+    });
+    if (f == std::end(kFlags)) {
+      std::string msg = "unknown option '" + std::string(a) + "'; options:";
+      for (const Flag& flag : kFlags) {
+        std::string line = "\n  " + std::string(flag.spelling);
+        line.resize(22, ' ');  // every spelling fits in the gutter
+        msg += line + std::string(flag.help);
+      }
+      throw std::invalid_argument(msg);
     }
+    const std::string_view value = a.substr(f->spelling.size());
+    if (f->spelling.ends_with('=') && value.empty())
+      throw std::invalid_argument(std::string(a) + " needs a value");
+    f->set(opt, value);
+  }
+  const char* env_json = std::getenv("APN_BENCH_JSON");
+  if (env_json != nullptr && opt.json.empty()) {
+    opt.json = env_json;
+    if (opt.json.empty())
+      std::fprintf(stderr,
+                   "warning: APN_BENCH_JSON is empty; NDJSON output "
+                   "disabled\n");
   }
   return opt;
 }

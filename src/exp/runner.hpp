@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace apn::exp {
@@ -48,15 +49,25 @@ struct RunnerOptions {
   /// process default alone"; validation happens in bench::Runner, which
   /// resolves the name against the hw registry.
   std::string hw_profile;
+  /// NDJSON output path; empty means no NDJSON.
+  std::string json;
+  /// Arm the race detector / the coroutine frame-lifetime oracle.
+  bool check = false;
+  bool coro_check = false;
+  /// State-hash output path; empty means no hash file.
+  std::string state_hash_out;
 
-  /// Parse `--jobs=N`, `--filter=<substr>`, `--list`, and
-  /// `--hw-profile=<name>` from argv (unknown arguments are ignored —
-  /// other flags such as `--json=` belong to their own parsers) and the
-  /// APN_JOBS / APN_HW_PROFILE environment variables (flags win). A job
-  /// count must be a non-negative integer (0 = auto; an empty APN_JOBS
-  /// counts as unset); anything else throws std::invalid_argument.
+  /// Parse the bench flags from argv, plus the APN_JOBS, APN_HW_PROFILE
+  /// and APN_BENCH_JSON environment variables (flags win; an empty
+  /// variable counts as unset). Throws std::invalid_argument on a bad job
+  /// count, an empty flag value, or any other argument (the message then
+  /// lists every flag, from the same table the parser walks).
   static RunnerOptions from_args(int argc, char** argv);
 };
+
+/// Parse the whole of `v` as a decimal integer in [lo, hi]; throws
+/// std::invalid_argument naming `source` on anything else.
+int parse_int(std::string_view v, const char* source, int lo, int hi);
 
 class ParallelRunner {
  public:

@@ -8,7 +8,8 @@
 //  * Per-profile determinism: the same workload run twice under each
 //    profile yields identical rolling state hashes and simulated timings.
 //  * The shared bench flag parsing of --hw-profile / APN_HW_PROFILE and
-//    the bench::Runner exit on an unknown profile.
+//    the bench::Runner exit 2 on an unknown profile, an unknown flag, an
+//    output path that cannot be created or a bad APN_BENCH_SCALE.
 #include "hw/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -280,6 +282,45 @@ TEST(HwProfileDeathTest, BenchRunnerRejectsUnknownProfile) {
   EXPECT_EXIT(bench::Runner(2, const_cast<char**>(argv)),
               testing::ExitedWithCode(2),
               "no_such_machine.*apenet_2013.*apenet_28nm.*gen3");
+}
+
+TEST(BenchRunnerDeathTest, UnknownFlagExitsWithUsage) {
+  // A typo'd flag must not be ignored: exit 2 and list the real flags.
+  const char* argv[] = {"prog", "--jsn=x"};
+  EXPECT_EXIT(bench::Runner(2, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2),
+              "error: unknown option '--jsn=x'(.|\n)*--json=");
+}
+
+TEST(BenchRunnerDeathTest, UnwritableOutputPathExits) {
+  const std::string missing = testing::TempDir() + "no_such_dir/out";
+  for (const char* flag : {"--json=", "--state-hash-out="}) {
+    const std::string arg = flag + missing;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_EXIT(bench::Runner(2, const_cast<char**>(argv)),
+                testing::ExitedWithCode(2), "error: cannot open .*no_such_dir")
+        << flag;
+  }
+  setenv("APN_BENCH_JSON", missing.c_str(), 1);
+  const char* argv[] = {"prog"};
+  EXPECT_EXIT(bench::Runner(1, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2), "error: cannot open .*no_such_dir");
+  unsetenv("APN_BENCH_JSON");
+}
+
+TEST(BenchRunnerDeathTest, BadBenchScaleExits) {
+  for (const char* v : {"abc", "0", "14x", "-3", "32"}) {
+    setenv("APN_BENCH_SCALE", v, 1);
+    EXPECT_EXIT((void)bench::bfs_scale(), testing::ExitedWithCode(2),
+                "error: bad APN_BENCH_SCALE value")
+        << v;
+  }
+  setenv("APN_BENCH_SCALE", "14", 1);
+  EXPECT_EQ(bench::bfs_scale(), 14);
+  setenv("APN_BENCH_SCALE", "", 1);  // empty counts as unset
+  EXPECT_EQ(bench::bfs_scale(), 20);
+  unsetenv("APN_BENCH_SCALE");
+  EXPECT_EQ(bench::bfs_scale(), 20);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Pins the parallel experiment runner's contract: byte-identical output at
-// any job count, declaration-order commits, per-point observability
-// isolation, and the shared bench flag parsing.
+// any job count, declaration-order commits (including the NDJSON and
+// state-hash ordered files), per-point observability isolation, and the
+// one strict bench flag parser.
 #include "exp/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "check/check.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
 #include "trace/metrics.hpp"
@@ -52,6 +56,22 @@ TEST(RunnerOptions, ParsesFlagsAndEnv) {
     EXPECT_EQ(o.jobs, 5);
   }
   unsetenv("APN_JOBS");
+  setenv("APN_BENCH_JSON", "env.ndjson", 1);
+  {
+    const char* argv[] = {"prog"};
+    EXPECT_EQ(exp::RunnerOptions::from_args(1, const_cast<char**>(argv)).json,
+              "env.ndjson");
+    const char* flag[] = {"prog", "--json=flag.ndjson"};
+    EXPECT_EQ(exp::RunnerOptions::from_args(2, const_cast<char**>(flag)).json,
+              "flag.ndjson");
+  }
+  setenv("APN_BENCH_JSON", "", 1);  // empty counts as unset
+  {
+    const char* argv[] = {"prog"};
+    auto o = exp::RunnerOptions::from_args(1, const_cast<char**>(argv));
+    EXPECT_TRUE(o.json.empty());
+  }
+  unsetenv("APN_BENCH_JSON");
 }
 
 TEST(RunnerOptions, RejectsMalformedJobs) {
@@ -84,6 +104,62 @@ TEST(RunnerOptions, RejectsMalformedJobs) {
               0);
   }
   unsetenv("APN_JOBS");
+}
+
+TEST(RunnerOptions, RejectsUnknownArguments) {
+  // Typos, stray words, a switch given a value or a value flag given none.
+  for (const char* arg :
+       {"--job=2", "--hw-profle=gen3", "--jsn=x", "--chek", "stray",
+        "--jobs", "--list=1", "--json=", "--state-hash-out="}) {
+    SCOPED_TRACE(arg);
+    const char* argv[] = {"prog", arg};
+    try {
+      exp::RunnerOptions::from_args(2, const_cast<char**>(argv));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string flag(arg, std::strcspn(arg, "="));
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RunnerOptions, AcceptsEveryTableFlag) {
+  unsetenv("APN_JOBS");
+  unsetenv("APN_HW_PROFILE");
+  unsetenv("APN_BENCH_JSON");
+  const char* argv[] = {"prog", "--jobs=3", "--filter=fig", "--list",
+                        "--hw-profile=gen3", "--json=out.ndjson", "--check",
+                        "--coro-check", "--state-hash-out=h.txt"};
+  const auto o = exp::RunnerOptions::from_args(9, const_cast<char**>(argv));
+  EXPECT_EQ(o.jobs, 3);
+  EXPECT_EQ(o.filter, "fig");
+  EXPECT_TRUE(o.list);
+  EXPECT_EQ(o.hw_profile, "gen3");
+  EXPECT_EQ(o.json, "out.ndjson");
+  EXPECT_TRUE(o.check);
+  EXPECT_TRUE(o.coro_check);
+  EXPECT_EQ(o.state_hash_out, "h.txt");
+
+  // An unknown argument's error lists the same table: exactly these flags.
+  const char* typo[] = {"prog", "--jsn=x"};
+  std::string listing;
+  try {
+    exp::RunnerOptions::from_args(2, const_cast<char**>(typo));
+  } catch (const std::invalid_argument& e) {
+    listing = e.what();
+  }
+  std::istringstream lines(listing);
+  std::vector<std::string> listed;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream words(line);
+    std::string first;
+    if (words >> first && first.rfind("--", 0) == 0) listed.push_back(first);
+  }
+  EXPECT_EQ(listed, (std::vector<std::string>{
+                        "--jobs=", "--filter=", "--list", "--hw-profile=",
+                        "--json=", "--check", "--coro-check",
+                        "--state-hash-out="}));
 }
 
 TEST(ParallelRunner, CommitsRunInDeclarationOrder) {
@@ -180,17 +256,97 @@ TEST(ParallelRunner, MetricsScopePerPoint) {
 struct SweepOutput {
   std::string table;
   std::string ndjson;
+  std::string hashes;  ///< state-hash file with the h= values stripped
   std::vector<double> values;
   bool operator==(const SweepOutput& o) const {
-    return table == o.table && ndjson == o.ndjson && values == o.values;
+    return table == o.table && ndjson == o.ndjson && hashes == o.hashes &&
+           values == o.values;
   }
 };
 
-SweepOutput run_sweep(int jobs, const std::string& json_path) {
+/// Drop the " h=<hash>" field from every state-hash line.
+std::string strip_hash_values(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    out += line.substr(0, line.find(" h="));
+    out += '\n';
+  }
+  return out;
+}
+
+/// Close both ordered files and disarm the race detector that
+/// --state-hash-out= armed, so later tests in the process start clean.
+void close_sinks() {
+  bench::JsonSink::global().close();
+  check::HashSink::global().close();
+  check::Session::force_enable(false);
+}
+
+TEST(OrderedFile, RunnerCommitsBothFilesInDeclarationOrder) {
+  const std::string dir = testing::TempDir();
+  const std::string json_flag = "--json=" + dir + "ordered.ndjson";
+  const std::string hash_flag = "--state-hash-out=" + dir + "ordered.hash";
+  const char* argv[] = {"prog", "--jobs=4", json_flag.c_str(),
+                        hash_flag.c_str()};
+  bench::Runner runner(4, const_cast<char**>(argv));
+  std::string want_json;
+  std::string want_hash;
+  for (int i = 0; i < 16; ++i) {
+    const std::string name = "ordered/p" + std::to_string(i);
+    const int lines = 1 + i % 3;
+    want_hash += "# point " + name + "\n";
+    for (int k = 0; k < lines; ++k) {
+      want_json += strf("json p%d line %d\n", i, k);
+      want_hash += strf("hash p%d line %d\n", i, k);
+    }
+    runner.add(name, [i, lines] {
+      // Uneven work so completion order differs from declaration order.
+      volatile double x = 0;
+      for (int k = 0; k < (16 - i) * 20000; ++k) x = x + k;
+      for (int k = 0; k < lines; ++k) {
+        bench::JsonSink::global().emit(strf("json p%d line %d\n", i, k));
+        check::HashSink::global().emit(strf("hash p%d line %d\n", i, k));
+      }
+    });
+  }
+  EXPECT_EQ(runner.run(), 16u);
+  close_sinks();
+  EXPECT_EQ(read_file(dir + "ordered.ndjson"), want_json);
+  EXPECT_EQ(read_file(dir + "ordered.hash"), want_hash);
+}
+
+TEST(OrderedFile, ThrowingPointLeavesNoCaptureInstalled) {
+  // At --jobs=1 the point runs on this thread, so a capture it leaked
+  // would swallow (or, dangling, corrupt) the direct emits below.
+  const std::string dir = testing::TempDir();
+  const std::string json_flag = "--json=" + dir + "throw.ndjson";
+  const std::string hash_flag = "--state-hash-out=" + dir + "throw.hash";
+  const char* argv[] = {"prog", "--jobs=1", json_flag.c_str(),
+                        hash_flag.c_str()};
+  bench::Runner runner(4, const_cast<char**>(argv));
+  runner.add("throws", [] {
+    bench::JsonSink::global().emit("captured\n");
+    check::HashSink::global().emit("captured\n");
+    throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(runner.run(), std::runtime_error);
+  bench::JsonSink::global().emit("direct\n");
+  check::HashSink::global().emit("direct\n");
+  close_sinks();
+  // The failed point's buffered text is dropped with its commit.
+  EXPECT_EQ(read_file(dir + "throw.ndjson"), "direct\n");
+  EXPECT_EQ(read_file(dir + "throw.hash"), "direct\n");
+}
+
+SweepOutput run_sweep(int jobs, const std::string& json_path,
+                      const std::string& hash_path) {
   std::string jobs_flag = "--jobs=" + std::to_string(jobs);
   std::string json_flag = "--json=" + json_path;
-  const char* argv[] = {"prog", jobs_flag.c_str(), json_flag.c_str()};
-  bench::Runner runner(3, const_cast<char**>(argv));
+  std::string hash_flag = "--state-hash-out=" + hash_path;
+  const char* argv[] = {"prog", jobs_flag.c_str(), json_flag.c_str(),
+                        hash_flag.c_str()};
+  bench::Runner runner(4, const_cast<char**>(argv));
 
   const std::uint64_t sizes[] = {4096, 16384, 65536};
   const core::MemType types[] = {core::MemType::kHost, core::MemType::kGpu};
@@ -215,7 +371,7 @@ SweepOutput run_sweep(int jobs, const std::string& json_path) {
     }
   }
   EXPECT_EQ(runner.run(), 6u);
-  bench::JsonSink::global().close();
+  close_sinks();
 
   SweepOutput out;
   TextTable t({"Msg size", "H-H", "G-G"});
@@ -233,15 +389,23 @@ SweepOutput run_sweep(int jobs, const std::string& json_path) {
   out.table.assign(buf, len);
   std::free(buf);
   out.ndjson = read_file(json_path);
+  out.hashes = strip_hash_values(read_file(hash_path));
   return out;
 }
 
 TEST(ParallelRunner, ByteIdenticalOutputAcrossJobCounts) {
   const std::string dir = testing::TempDir();
-  SweepOutput j1 = run_sweep(1, dir + "runner_j1.ndjson");
-  SweepOutput j4 = run_sweep(4, dir + "runner_j4.ndjson");
+  SweepOutput j1 =
+      run_sweep(1, dir + "runner_j1.ndjson", dir + "runner_j1.hash");
+  SweepOutput j4 =
+      run_sweep(4, dir + "runner_j4.ndjson", dir + "runner_j4.hash");
   EXPECT_FALSE(j1.ndjson.empty());
   EXPECT_EQ(j1.ndjson, j4.ndjson);
+  // Same `# point` headers in declaration order and the same
+  // `e <seq> t=<time>` events; the h= values are heap-layout dependent.
+  EXPECT_EQ(std::count(j1.hashes.begin(), j1.hashes.end(), '#'), 6);
+  EXPECT_GT(std::count(j1.hashes.begin(), j1.hashes.end(), '\n'), 6);
+  EXPECT_EQ(j1.hashes, j4.hashes);
   EXPECT_EQ(j1.table, j4.table);
   EXPECT_EQ(j1.values, j4.values);  // exact simulated-timing equality
   EXPECT_EQ(j1, j4);
