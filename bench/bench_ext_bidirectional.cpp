@@ -24,22 +24,11 @@ double bidir_bw(core::MemType type, std::uint64_t size, int count) {
   auto sh = std::make_shared<Shared>();
   sh->ready = std::make_shared<sim::Gate>(sim);
 
-  struct Buf {
-    std::uint64_t addr;
-    std::shared_ptr<std::vector<std::uint8_t>> host;
-  };
-  auto mkbuf = [&](int node) {
-    Buf b{};
-    if (type == core::MemType::kGpu) {
-      b.addr = c->node(node).cuda().malloc_device(0, size);
-    } else {
-      b.host = std::make_shared<std::vector<std::uint8_t>>(size);
-      b.addr = reinterpret_cast<std::uint64_t>(b.host->data());
-    }
-    return b;
-  };
-  Buf src[2] = {mkbuf(0), mkbuf(1)};
-  Buf dst[2] = {mkbuf(0), mkbuf(1)};
+  using cluster::Buf;
+  Buf src[2] = {Buf::make(c->node(0), type, size),
+                Buf::make(c->node(1), type, size)};
+  Buf dst[2] = {Buf::make(c->node(0), type, size),
+                Buf::make(c->node(1), type, size)};
 
   for (int me = 0; me < 2; ++me) {
     [](cluster::Cluster* c, int me, Buf src, Buf my_dst, Buf remote_dst,

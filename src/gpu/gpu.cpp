@@ -53,16 +53,24 @@ void Gpu::serve_p2p_request(const P2pReadDescriptor& desc) {
   // The request mailbox has a finite queue (the "multiple-outstanding read
   // request queue" of Fig. 2); requests beyond the depth wait until a
   // completion frees a slot.
-  APN_CHECK_ACCESS(p2p_queue_depth_, kRead);
   if (p2p_queue_depth_ >= arch_.p2p_max_outstanding) {
+    // Order-sensitive: a same-tick completion that frees a slot first
+    // would have let this request in.
+    APN_CHECK_ACCESS(p2p_queue_depth_, kRead);
     p2p_backlog_.push_back(desc);
     APN_CHECK_ACCESS(p2p_backlog_, kWrite);
     return;
   }
   ++p2p_requests_;
   p2p_bytes_ += desc.len;
+  // kAccum: taking a slot here and freeing one in a same-tick completion
+  // commute. Only a same-tick acceptance could have filled the queue
+  // before this one, and none exists: mailbox writes arrive one at a time
+  // over the GPU's single PCIe link, and a completion hands a slot to the
+  // backlog only while the queue is full, when this request takes the
+  // backlog path in either order.
   ++p2p_queue_depth_;
-  APN_CHECK_ACCESS(p2p_queue_depth_, kWrite);
+  APN_CHECK_ACCESS(p2p_queue_depth_, kAccum);
   m_p2p_requests_->inc();
   m_p2p_bytes_->add(desc.len);
   const Time t_accept = sim_->now();
@@ -94,7 +102,7 @@ void Gpu::serve_p2p_request(const P2pReadDescriptor& desc) {
                           {{"dev_offset", desc.dev_offset},
                            {"bytes", desc.len}});
           --p2p_queue_depth_;
-          APN_CHECK_ACCESS(p2p_queue_depth_, kWrite);
+          APN_CHECK_ACCESS(p2p_queue_depth_, kAccum);  // see serve_p2p_request
           if (!p2p_backlog_.empty()) {
             P2pReadDescriptor next = p2p_backlog_.front();
             p2p_backlog_.pop_front();

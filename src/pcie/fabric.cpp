@@ -29,21 +29,19 @@ int Fabric::new_node(const std::string& name, int parent, LinkParams link) {
   Node node;
   node.name = name;
 
-  Edge edge;
-  edge.up_node = parent;
-  edge.down_node = static_cast<int>(nodes_.size());
-  edge.link = link;
   sim::ChannelParams cp;
   cp.rate = link.raw_rate();
   cp.per_send_overhead = 0;  // TLP overhead charged via wire_bytes()
   cp.latency = link.hop_latency;
-  edge.up = std::make_unique<sim::Channel>(*sim_, cp);
-  edge.down = std::make_unique<sim::Channel>(*sim_, cp);
-
-  edge.trace =
-      trace::Track::open(name_, nodes_[parent].name + "<->" + node.name);
-
-  edges_.push_back(std::move(edge));
+  edges_.push_back(Edge{
+      .up_node = parent,
+      .down_node = static_cast<int>(nodes_.size()),
+      .link = link,
+      .up = sim::Channel(*sim_, cp),
+      .down = sim::Channel(*sim_, cp),
+      .trace =
+          trace::Track::open(name_, nodes_[parent].name + "<->" + node.name),
+  });
   node.parent_edge = static_cast<int>(edges_.size()) - 1;
   nodes_.push_back(std::move(node));
   const int id = static_cast<int>(nodes_.size()) - 1;
@@ -209,7 +207,7 @@ void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
   }
   const Hop& h = x->hops[hop];
   Edge& e = edges_[static_cast<std::size_t>(h.edge)];
-  sim::Channel& ch = h.downstream ? *e.down : *e.up;
+  sim::Channel& ch = h.downstream ? e.down : e.up;
   const Time t_send = sim_->now();
   auto arrived = [this, x, offset, chunk, hop, t_send] {
     const Hop& h = x->hops[hop];
@@ -224,8 +222,7 @@ void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
                     {"down", h.downstream}});
     forward_chunk(x, offset, chunk, hop + 1);
   };
-  static_assert(sizeof(arrived) <= sim::Channel::kInlineDeliveredBytes &&
-                    UniqueFn<void()>::stores_inline<decltype(arrived)>(),
+  static_assert(sim::Simulator::stores_inline<decltype(arrived)>(),
                 "the per-hop callback must not heap-allocate");
   ch.send(e.link.wire_bytes(Bytes(chunk)), std::move(arrived));
 }

@@ -201,8 +201,8 @@ class Fabric {
     int up_node;    // closer to root
     int down_node;  // further from root
     LinkParams link;
-    std::unique_ptr<sim::Channel> up;    // down_node -> up_node
-    std::unique_ptr<sim::Channel> down;  // up_node -> down_node
+    sim::Channel up;    // down_node -> up_node
+    sim::Channel down;  // up_node -> down_node
     BusAnalyzer* analyzer = nullptr;
     trace::Track trace;  ///< per-edge lane; inert when tracing is off
   };

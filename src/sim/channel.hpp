@@ -2,26 +2,29 @@
 // propagation latency. One Channel models one direction of a physical link
 // (PCIe lane bundle, torus cable, IB port).
 //
-// Timing model per send of N bytes:
+// Timing model per send of N bytes, queued at time `now`:
 //   serialization = per_send_overhead + N / bytes_per_sec   (FIFO, exclusive)
-//   delivery      = serialization completion + latency      (pipelined)
+//   done          = max(now, busy_until) + serialization
+//   delivery      = done + latency                          (pipelined)
 // Multiple in-flight sends pipeline: the wire serializes them back-to-back
 // while earlier ones are still propagating.
 //
-// send() is templated over the callback types so lambdas flow into the
-// event engine's inline storage without being boxed behind a type-erased
-// wrapper; transfer() takes the fully typed path (Resource::post_resume)
-// and constructs no callable at all.
+// Every send's duration is known when it is queued, so the Channel is a
+// closed-form FIFO serializer: it keeps only `busy_until` and schedules the
+// delivery straight away, one event per send. A send with a `serialized`
+// hook costs two: the hook at `done`, then the delivery. transfer()
+// schedules its coroutine's resume directly and constructs no callable.
+// A Channel may be moved while no hooked send is pending (the hook's event
+// refers back to it), which lets topologies hold channels by value.
 #pragma once
 
-#include <cstddef>
+#include <algorithm>
+#include <coroutine>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 
 #include "common/fn.hpp"
 #include "common/units.hpp"
-#include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 namespace apn::sim {
@@ -35,14 +38,9 @@ struct ChannelParams {
 class Channel {
  public:
   Channel(Simulator& sim, ChannelParams params)
-      : sim_(&sim), params_(params), line_(sim) {}
+      : sim_(&sim), params_(params) {}
 
   const ChannelParams& params() const { return params_; }
-
-  /// A `delivered` callable of at most this size makes a send without a
-  /// `serialized` hook allocation-free: the job wrapper adds one pointer
-  /// and still fits UniqueFn's small buffer.
-  static constexpr std::size_t kInlineDeliveredBytes = 40;
 
   /// Serialization time for a send of `bytes` (excludes latency/queueing).
   Time serialization_time(Bytes bytes) const {
@@ -53,14 +51,16 @@ class Channel {
   /// Queue `bytes` for transmission; `delivered` fires at arrival time.
   /// `serialized` (optional) fires when the payload has fully left the
   /// sender — the point at which sender-side buffer space is reclaimable.
+  /// A send without a hook hands `delivered` to the event engine as it
+  /// is, so a small one stays in the event node's inline storage. With a
+  /// hook, the event at `done` runs it and only then schedules the
+  /// delivery: scheduling both up front reorders same-tick deliveries and
+  /// moves bench_ext_hsg2d's 2-D rows.
   template <typename D, typename S = UniqueFn<void()>>
   void send(Bytes bytes, D delivered, S serialized = {}) {
-    bytes_sent_ += bytes;
+    const Time done = occupy(bytes);
     // S may be a UniqueFn-like type passed empty when the caller has no
-    // serialized hook; plain lambdas are always truthy-equivalent and
-    // called unconditionally. The no-hook wrapper captures only
-    // {this, delivered}, so a `delivered` of up to kInlineDeliveredBytes
-    // stays inline in the Resource job and then in the latency event.
+    // serialized hook; plain lambdas are always truthy-equivalent.
     const bool has_serialized = [&] {
       if constexpr (requires { static_cast<bool>(serialized); })
         return static_cast<bool>(serialized);
@@ -68,25 +68,14 @@ class Channel {
         return true;
     }();
     if (!has_serialized) {
-      auto forward = [this, delivered = std::move(delivered)]() mutable {
-        sim_->after(params_.latency, std::move(delivered));
-      };
-      static_assert(sizeof(D) > kInlineDeliveredBytes ||
-                        UniqueFn<void()>::stores_inline<decltype(forward)>(),
-                    "a small `delivered` must keep the Resource job inline");
-      line_.post(serialization_time(bytes), std::move(forward));
+      sim_->at(done + params_.latency, std::move(delivered));
       return;
     }
-    line_.post(serialization_time(bytes),
-               [this, delivered = std::move(delivered),
-                serialized = std::move(serialized)]() mutable {
-                 if constexpr (requires { static_cast<bool>(serialized); }) {
-                   if (serialized) serialized();
-                 } else {
-                   serialized();
-                 }
-                 sim_->after(params_.latency, std::move(delivered));
-               });
+    sim_->at(done, [this, delivered = std::move(delivered),
+                    serialized = std::move(serialized)]() mutable {
+      serialized();
+      sim_->after(params_.latency, std::move(delivered));
+    });
   }
 
   /// Awaitable form: resumes when the payload has been *delivered*.
@@ -96,9 +85,7 @@ class Channel {
       Bytes n;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        ch.bytes_sent_ += n;
-        ch.line_.post_resume(ch.serialization_time(n), h,
-                             ch.params_.latency);
+        ch.sim_->resume_at(ch.occupy(n) + ch.params_.latency, h);
       }
       void await_resume() const noexcept {}
     };
@@ -106,14 +93,30 @@ class Channel {
   }
 
   Bytes bytes_sent() const { return bytes_sent_; }
-  double utilization() const { return line_.utilization(); }
-  bool busy() const { return line_.busy(); }
-  std::size_t queue_length() const { return line_.queue_length(); }
+  /// Fraction of [0, now] the wire was (or is committed to be) busy.
+  double utilization() const {
+    const Time now = sim_->now();
+    return now > 0 ? static_cast<double>(busy_time_) /
+                         static_cast<double>(now)
+                   : 0.0;
+  }
+  bool busy() const { return busy_until_ > sim_->now(); }
 
  private:
+  /// Claim the wire for a send of `bytes` queued now; returns the time its
+  /// last byte leaves the sender.
+  Time occupy(Bytes bytes) {
+    const Time ser = serialization_time(bytes);
+    bytes_sent_ += bytes;
+    busy_time_ += ser;
+    busy_until_ = std::max(sim_->now(), busy_until_) + ser;
+    return busy_until_;
+  }
+
   Simulator* sim_;
   ChannelParams params_;
-  Resource line_;
+  Time busy_until_ = 0;  ///< when the last queued send finishes serializing
+  Time busy_time_ = 0;
   Bytes bytes_sent_;
 };
 

@@ -100,6 +100,14 @@ class Simulator {
     schedule_node(make_node<std::decay_t<F>>(std::forward<F>(fn)), t);
   }
 
+  /// True if a callable of type F is stored inline in the event node
+  /// rather than boxed. Hot paths static_assert this on their closures,
+  /// so a capture that outgrows the node fails to compile.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    return fits_inline<std::decay_t<F>>();
+  }
+
   /// Schedule `fn` after `delay` picoseconds.
   template <typename F>
   void after(Time delay, F&& fn) {

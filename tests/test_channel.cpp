@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
+#include <vector>
+
+#include "check/coro_check.hpp"
+#include "common/rng.hpp"
 #include "sim/channel.hpp"
 #include "sim/coro.hpp"
+#include "sim/resource.hpp"
 
 namespace apn::sim {
 namespace {
@@ -76,6 +83,144 @@ TEST(Channel, ZeroByteSendCostsOverheadOnly) {
   ch.send(Bytes(0), [&] { delivered = sim.now(); });
   sim.run();
   EXPECT_EQ(delivered, us(5));
+}
+
+TEST(Channel, ZeroLatencyHookFiresBeforeDelivery) {
+  Simulator sim;
+  Channel ch(sim, ChannelParams{Rate(1e9), 0, 0});
+  std::vector<int> order;
+  ch.send(Bytes(0), [&] { order.push_back(2); },
+          UniqueFn<void()>([&] { order.push_back(1); }));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+/// The model Channel replaced: a FIFO Resource serves each send, and its
+/// completion runs the hook and schedules the delivery `latency` later.
+class ReferenceChannel {
+ public:
+  ReferenceChannel(Simulator& sim, ChannelParams params)
+      : sim_(&sim), params_(params), line_(sim) {}
+
+  void send(Bytes bytes, UniqueFn<void()> delivered,
+            UniqueFn<void()> serialized = {}) {
+    line_.post(serialization_time(bytes),
+               [this, delivered = std::move(delivered),
+                serialized = std::move(serialized)]() mutable {
+                 if (serialized) serialized();
+                 sim_->after(params_.latency, std::move(delivered));
+               });
+  }
+
+  auto transfer(Bytes bytes) {
+    struct Awaiter {
+      ReferenceChannel& ch;
+      Bytes n;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        ch.line_.post_resume(ch.serialization_time(n), h, ch.params_.latency);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, bytes};
+  }
+
+ private:
+  Time serialization_time(Bytes bytes) const {
+    return params_.per_send_overhead +
+           units::transfer_time(bytes, params_.rate);
+  }
+
+  Simulator* sim_;
+  ChannelParams params_;
+  Resource line_;
+};
+
+/// When each operation's hook and delivery (or transfer resume) fired.
+struct Fired {
+  Time serialized = -1;
+  Time delivered = -1;
+  bool operator==(const Fired&) const = default;
+};
+
+template <typename Ch>
+Coro await_transfer(Simulator& sim, Ch& ch, Bytes n, Fired* out) {
+  co_await ch.transfer(n);
+  out->delivered = sim.now();
+}
+
+/// Drives a channel of type Ch with a seeded random schedule of sends
+/// (mixed and zero sizes, with and without a serialized hook) and
+/// transfers, issued in bursts at random times, and records when each
+/// operation's callbacks fired.
+template <typename Ch>
+std::vector<Fired> drive(std::uint64_t seed) {
+  Rng rng(seed);
+  const Rate rates[] = {Rate(1e9), units::GBps(2), Rate(3.7e9)};
+  ChannelParams params;
+  params.rate = rates[rng.next_below(3)];
+  params.per_send_overhead = rng.bernoulli(0.5) ? 0 : units::ns(
+      static_cast<double>(rng.next_below(50)));
+  params.latency = rng.bernoulli(0.3) ? 0 : units::ns(
+      static_cast<double>(rng.next_below(2000)));
+
+  constexpr int kOps = 200;
+  Simulator sim;
+  Ch ch(sim, params);
+  std::vector<Fired> fired(kOps);
+  Time t = 0;
+  for (int i = 0; i < kOps; ++i) {
+    // Bursts: most operations share a tick with the previous one.
+    if (rng.bernoulli(0.3))
+      t += static_cast<Time>(rng.next_below(4000)) * 1000;
+    const Bytes bytes(rng.bernoulli(0.2) ? 0 : rng.next_below(9000));
+    Fired* f = &fired[static_cast<std::size_t>(i)];
+    const std::uint64_t kind = rng.next_below(3);
+    sim.at(t, [&sim, &ch, bytes, f, kind] {
+      if (kind == 0) {
+        ch.send(bytes, [&sim, f] { f->delivered = sim.now(); });
+      } else if (kind == 1) {
+        ch.send(bytes, [&sim, f] { f->delivered = sim.now(); },
+                UniqueFn<void()>([&sim, f] { f->serialized = sim.now(); }));
+      } else {
+        await_transfer(sim, ch, bytes, f);
+      }
+    });
+  }
+  sim.run();
+  return fired;
+}
+
+TEST(Channel, MatchesResourceReferenceOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<Fired> want = drive<ReferenceChannel>(seed);
+    const std::vector<Fired> got = drive<Channel>(seed);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("op " + std::to_string(i));
+      ASSERT_GE(want[i].delivered, 0);
+      EXPECT_EQ(got[i], want[i]);
+    }
+  }
+}
+
+TEST(Channel, PendingTransfersAreReclaimedAtTeardown) {
+  namespace coro = check::coro;
+  coro::force_enable(true);
+  const std::size_t before = coro::live_count();
+  {
+    Simulator sim;
+    Channel ch(sim, ChannelParams{Rate(1e9), 0, us(5)});
+    Fired first, second;
+    // At 1 us the first transfer is propagating, the second serializing.
+    await_transfer(sim, ch, Bytes(1000), &first);
+    await_transfer(sim, ch, Bytes(1000), &second);
+    sim.run_until(us(1));
+    EXPECT_EQ(coro::live_count() - before, 2u);
+  }
+  EXPECT_EQ(coro::live_count(), before);
+  coro::force_enable(false);
 }
 
 }  // namespace

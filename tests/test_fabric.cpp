@@ -138,6 +138,31 @@ TEST_F(FabricFixture, ConcurrentWritesShareTheUplink) {
   EXPECT_LT(a_done, us(320));
 }
 
+TEST_F(FabricFixture, EachChunkCostsOneEventPerHop) {
+  // A third endpoint right below the root: a -> c climbs a's link and the
+  // switch's uplink, then descends c's link.
+  ScratchDevice c{sim};
+  fabric.attach(c, root, gen2_x8());
+  fabric.claim_range(c, 0x3000000, 0x100000);
+  struct Case {
+    const Device* src;
+    std::uint64_t addr;
+    std::uint64_t hops;
+  };
+  for (const Case& k : {Case{&a, 0x2000000, 2}, Case{&a, 0x3000000, 3}}) {
+    for (std::uint64_t chunks : {1u, 5u, 64u}) {
+      SCOPED_TRACE(std::to_string(chunks) + " chunks over " +
+                   std::to_string(k.hops) + " hops");
+      const std::uint64_t before = sim.events_processed();
+      // The last chunk is short: the count is per chunk, not per byte.
+      fabric.post_write(*k.src, k.addr,
+                        Payload::timing(chunks * fabric.chunk_bytes() - 100));
+      sim.run();
+      EXPECT_EQ(sim.events_processed() - before, chunks * k.hops);
+    }
+  }
+}
+
 TEST_F(FabricFixture, BusAnalyzerRecordsChunks) {
   BusAnalyzer bus;
   fabric.attach_analyzer(b.pcie_node(), bus);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "check/check.hpp"
 #include "gpu/gpu.hpp"
 #include "pcie/memory.hpp"
 
@@ -190,6 +193,62 @@ TEST_F(GpuFixture, QueueDepthLimitThrottlesRequests) {
   EXPECT_LT(mbps, 900.0);
   EXPECT_EQ(gpu->p2p_queue_depth(), 0);  // fully drained
   EXPECT_EQ(gpu->p2p_requests_served(), total / 512);
+}
+
+/// Race-detector findings (cell names) when a 512 B read request reaches
+/// the mailbox in the same tick as the completion that frees the slot of
+/// the request before it, from an event causally unrelated to that
+/// completion.
+std::vector<std::string> same_tick_request_findings(int max_outstanding) {
+  sim::Simulator sim;
+  check::Session session(sim, check::Context::Mode::kRecord);
+  pcie::Fabric fabric(sim);
+  Collector nic(sim);
+  GpuArch arch = fermi_c2050();
+  arch.p2p_max_outstanding = max_outstanding;
+  Gpu gpu(sim, fabric, arch, kGpuBase);
+  const int sw = fabric.add_switch(fabric.add_root(), pcie::gen2_x16(), "plx");
+  fabric.attach(gpu, sw, pcie::gen2_x16());
+  fabric.attach(nic, sw, pcie::gen2_x8());
+  fabric.claim_range(gpu, gpu.mmio_base(), gpu.mmio_size());
+  fabric.claim_range(nic, kNicBase, 1 << 20);
+
+  auto request_at = [&](Time t) {
+    sim.at(t, [&] {
+      P2pReadDescriptor d{};
+      d.len = 512;
+      d.reply_addr = kNicBase;
+      pcie::Payload p;
+      p.bytes = 32;
+      p.data.resize(sizeof(d));
+      std::memcpy(p.data.data(), &d, sizeof(d));
+      gpu.handle_write(gpu.mailbox_addr(), std::move(p));
+    });
+  };
+  // The first request's one 512 B completion frees its slot at `freed`.
+  const Time freed = arch.p2p_head_latency +
+                     units::transfer_time(Bytes(512), arch.effective_p2p_rate());
+  request_at(0);
+  request_at(freed);
+  sim.run();
+  EXPECT_EQ(gpu.p2p_requests_served(), 2u);
+  std::vector<std::string> cells;
+  for (const check::Finding& f : session.context().findings())
+    cells.push_back(f.cell);
+  return cells;
+}
+
+TEST(GpuRaceCheck, SameTickRequestAndCompletionCommuteBelowTheDepth) {
+  // Taking a slot and freeing one commute: no finding.
+  EXPECT_EQ(same_tick_request_findings(2), std::vector<std::string>{});
+}
+
+TEST(GpuRaceCheck, SameTickRequestAtFullQueueIsFlagged) {
+  // With the queue full, whether the request waits in the backlog depends
+  // on which same-tick event runs first.
+  const std::vector<std::string> cells = same_tick_request_findings(1);
+  ASSERT_FALSE(cells.empty());
+  EXPECT_EQ(cells.front(), "p2p_queue_depth_");
 }
 
 TEST(GpuArchPresets, PaperValues) {
