@@ -109,11 +109,11 @@ void ApenetCard::handle_write(std::uint64_t addr, pcie::Payload payload) {
 }
 
 void ApenetCard::handle_read(std::uint64_t /*addr*/, std::uint32_t len,
-                             UniqueFn<void(pcie::Payload)> reply) {
-  sim_->after(params_.mmio_read_latency,
-              [len, reply = std::move(reply)]() mutable {
-                reply(pcie::Payload::timing(len));
-              });
+                             bool /*with_data*/, pcie::ReadReply reply) {
+  auto complete = [len, reply] { reply(pcie::Payload::timing(len)); };
+  static_assert(sim::Simulator::stores_inline<decltype(complete)>(),
+                "the MMIO read completion must not heap-allocate");
+  sim_->after(params_.mmio_read_latency, complete);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ sim::Coro ApenetCard::host_tx_engine() {
                                   total - issued));
       co_await host_read_window_.acquire(chunk);
       co_await host_tx_fifo_.acquire(chunk);
-      fabric_->read(*this, d.src_addr + issued, chunk,
+      fabric_->read(*this, d.src_addr + issued, chunk, d.carry_data,
                     [this, as, chunk, total](pcie::Payload p) {
                       host_read_window_.release(chunk);
                       as->arrived += p.bytes;

@@ -124,8 +124,8 @@ class ApenetCard : public pcie::Device {
 
   // ---- pcie::Device -----------------------------------------------------------
   void handle_write(std::uint64_t addr, pcie::Payload payload) override;
-  void handle_read(std::uint64_t addr, std::uint32_t len,
-                   UniqueFn<void(pcie::Payload)> reply) override;
+  void handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
+                   pcie::ReadReply reply) override;
 
   // ---- used by GpuP2pTx ---------------------------------------------------
   /// Inject a packet into the router; `on_sent` fires when the packet has

@@ -36,6 +36,7 @@ void GpuP2pTx::issue_request(gpu::Gpu& gpu, std::uint64_t dev_offset,
   desc.len = len;
   desc.reply_addr = card_.gpu_landing_addr();
   desc.tag = requests_issued_;
+  if (!active_->job.carry_data) desc.flags = gpu::kP2pTimingOnly;
   pcie::Payload p;
   p.bytes = params_.p2p_descriptor_bytes;
   p.data.resize(sizeof(desc));

@@ -80,27 +80,26 @@ void Gpu::serve_p2p_request(const P2pReadDescriptor& desc) {
   // makes prefetching effective for the requester. Responses are emitted
   // as 512 B completion writes, so large (V1-style 4 KB) requests overlap
   // their own PCIe serialization with the response streaming.
-  sim_->after(arch_.p2p_head_latency, [this, desc, t_accept] {
+  auto head = [this, desc, t_accept] {
     constexpr std::uint32_t kCompletion = 512;
+    const bool with_data = (desc.flags & kP2pTimingOnly) == 0;
     std::uint32_t off = 0;
     while (off < desc.len) {
       const std::uint32_t sub = std::min(kCompletion, desc.len - off);
-      const bool last = off + sub >= desc.len;
       Time stream_time =
           units::transfer_time(Bytes(sub), arch_.effective_p2p_rate());
-      p2p_response_line_.post(stream_time, [this, desc, t_accept, off, sub,
-                                            last] {
-        if (last) {
+      auto respond = [this, dev_offset = desc.dev_offset,
+                      reply_addr = desc.reply_addr, t_accept, off, sub,
+                      len = desc.len, with_data] {
+        if (off + sub >= len) {
           // The two phases of a served read request (paper Fig. 3): head
           // latency until the response engine starts, then streaming of
           // the posted-write completions.
           const Time t_head = t_accept + arch_.p2p_head_latency;
           trace_p2p_.span("gpu", "p2p_head", t_accept, t_head,
-                          {{"dev_offset", desc.dev_offset},
-                           {"bytes", desc.len}});
+                          {{"dev_offset", dev_offset}, {"bytes", len}});
           trace_p2p_.span("gpu", "p2p_stream", t_head, sim_->now(),
-                          {{"dev_offset", desc.dev_offset},
-                           {"bytes", desc.len}});
+                          {{"dev_offset", dev_offset}, {"bytes", len}});
           --p2p_queue_depth_;
           APN_CHECK_ACCESS(p2p_queue_depth_, kAccum);  // see serve_p2p_request
           if (!p2p_backlog_.empty()) {
@@ -110,15 +109,22 @@ void Gpu::serve_p2p_request(const P2pReadDescriptor& desc) {
             serve_p2p_request(next);
           }
         }
-        pcie::Payload p;
-        p.bytes = sub;
-        p.data.resize(sub);
-        mem_.read(desc.dev_offset + off, std::span<std::uint8_t>(p.data));
-        fabric_->post_write(*this, desc.reply_addr, std::move(p));
-      });
+        pcie::Payload p = pcie::Payload::timing(sub);
+        if (with_data) {
+          p.data.resize(sub);
+          mem_.read(dev_offset + off, std::span<std::uint8_t>(p.data));
+        }
+        fabric_->post_write(*this, reply_addr, std::move(p));
+      };
+      static_assert(UniqueFn<void()>::stores_inline<decltype(respond)>(),
+                    "the P2P response-line job must not heap-allocate");
+      p2p_response_line_.post(stream_time, respond);
       off += sub;
     }
-  });
+  };
+  static_assert(sim::Simulator::stores_inline<decltype(head)>(),
+                "the P2P head-latency event must not heap-allocate");
+  sim_->after(arch_.p2p_head_latency, head);
 }
 
 void Gpu::handle_write(std::uint64_t addr, pcie::Payload payload) {
@@ -174,8 +180,8 @@ void Gpu::handle_write(std::uint64_t addr, pcie::Payload payload) {
   // Writes to unmapped space are dropped (master abort), as on hardware.
 }
 
-void Gpu::handle_read(std::uint64_t addr, std::uint32_t len,
-                      UniqueFn<void(pcie::Payload)> reply) {
+void Gpu::handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
+                      pcie::ReadReply reply) {
   const std::uint64_t off = addr - mmio_base_;
   if (off >= GpuMmio::kBar1Aperture) {
     std::uint64_t ap = off - GpuMmio::kBar1Aperture;
@@ -188,37 +194,35 @@ void Gpu::handle_read(std::uint64_t addr, std::uint32_t len,
         // Head latency pipelines across outstanding reads; completion
         // generation serializes at the BAR1 read rate (the Fermi
         // 150 MB/s bottleneck).
-        Time stream =
-            units::transfer_time(Bytes(len), arch_.effective_bar1_read_rate());
         m_bar1_reads_->inc();
         const Time t_req = sim_->now();
-        sim_->after(arch_.bar1_read_latency, [this, dev_off, len, stream,
-                                              t_req,
-                                              reply = std::move(reply)]() mutable {
-          bar1_line_.post(stream,
-                          [this, dev_off, len, t_req,
-                           reply = std::move(reply)]() mutable {
-                            trace_bar1_.span("gpu", "bar1_read", t_req,
-                                             sim_->now(),
-                                             {{"dev_offset", dev_off},
-                                              {"bytes", len}});
-                            pcie::Payload p;
-                            p.bytes = len;
-                            p.data.resize(len);
-                            mem_.read(dev_off,
-                                      std::span<std::uint8_t>(p.data));
-                            reply(std::move(p));
-                          });
-        });
+        auto accessed = [this, dev_off, len, with_data, t_req, reply] {
+          auto complete = [this, dev_off, len, with_data, t_req, reply] {
+            trace_bar1_.span("gpu", "bar1_read", t_req, sim_->now(),
+                             {{"dev_offset", dev_off}, {"bytes", len}});
+            pcie::Payload p = pcie::Payload::timing(len);
+            if (with_data) {
+              p.data.resize(len);
+              mem_.read(dev_off, std::span<std::uint8_t>(p.data));
+            }
+            reply(std::move(p));
+          };
+          static_assert(UniqueFn<void()>::stores_inline<decltype(complete)>(),
+                        "the BAR1 read-line job must not heap-allocate");
+          bar1_line_.post(units::transfer_time(
+                              Bytes(len), arch_.effective_bar1_read_rate()),
+                          complete);
+        };
+        static_assert(sim::Simulator::stores_inline<decltype(accessed)>(),
+                      "the BAR1 read-latency event must not heap-allocate");
+        sim_->after(arch_.bar1_read_latency, accessed);
         return;
       }
     }
   }
   // Reads of unmapped space complete with zeros after a nominal delay.
   sim_->after(arch_.unmapped_read_latency,
-              [len, reply = std::move(reply)]() mutable {
-                reply(pcie::Payload::timing(len));
-              });
+              [len, reply] { reply(pcie::Payload::timing(len)); });
 }
 
 }  // namespace apn::gpu

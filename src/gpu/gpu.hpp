@@ -44,11 +44,16 @@ namespace apn::gpu {
 struct P2pReadDescriptor {
   std::uint64_t dev_offset;  ///< source address in GPU global memory
   std::uint32_t len;         ///< bytes requested
-  std::uint32_t pad;
+  std::uint32_t flags;       ///< kP2p* bits
   std::uint64_t reply_addr;  ///< PCIe address the data is written back to
   std::uint64_t tag;         ///< opaque requester cookie (echoed, unused here)
 };
 static_assert(sizeof(P2pReadDescriptor) == 32);
+
+/// P2pReadDescriptor::flags bit: the requester discards the data, so the
+/// response engine posts timing-only completions of the same sizes at the
+/// same times instead of copying device memory.
+constexpr std::uint32_t kP2pTimingOnly = 1u << 0;
 
 /// MMIO layout offsets relative to the GPU's register BAR.
 struct GpuMmio {
@@ -103,8 +108,8 @@ class Gpu : public pcie::Device {
 
   // ---- pcie::Device ----------------------------------------------------------
   void handle_write(std::uint64_t addr, pcie::Payload payload) override;
-  void handle_read(std::uint64_t addr, std::uint32_t len,
-                   UniqueFn<void(pcie::Payload)> reply) override;
+  void handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
+                   pcie::ReadReply reply) override;
 
  private:
   void serve_p2p_request(const P2pReadDescriptor& desc);

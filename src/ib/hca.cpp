@@ -98,7 +98,9 @@ sim::Coro Hca::tx_engine() {
         const std::uint32_t chunk =
             std::min(params_.read_request_bytes, frame - got);
         co_await read_window_.acquire(chunk);
-        fabric_->read(*this, /*addr=*/0x1000, chunk,
+        // A dummy address: the frame's bytes travel with the message,
+        // so the read only paces the wire.
+        fabric_->read(*this, /*addr=*/0x1000, chunk, /*with_data=*/false,
                       [this, chunk](pcie::Payload) {
                         read_window_.release(chunk);
                       });

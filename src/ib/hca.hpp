@@ -77,8 +77,8 @@ class Hca : public pcie::Device {
 
   // pcie::Device (the HCA has no interesting MMIO behaviour in this model)
   void handle_write(std::uint64_t, pcie::Payload) override {}
-  void handle_read(std::uint64_t, std::uint32_t len,
-                   UniqueFn<void(pcie::Payload)> reply) override {
+  void handle_read(std::uint64_t, std::uint32_t len, bool,
+                   pcie::ReadReply reply) override {
     reply(pcie::Payload::timing(len));
   }
 

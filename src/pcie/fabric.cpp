@@ -116,8 +116,10 @@ Time Fabric::path_latency(const Device& a, const Device& b) const {
 ///
 /// A read uses one slot for its whole life: the request carries the
 /// target, length, response route and completion, and the same slot then
-/// becomes the completion transfer that streams the data back.
+/// becomes the completion transfer that streams the data back. The slot is
+/// also the context of the target's ReadReply, so it knows its fabric.
 struct Fabric::Xfer {
+  Fabric* fabric = nullptr;
   std::span<const Hop> hops;
   BusEvent::Kind kind = BusEvent::Kind::kWrite;
   std::uint64_t addr = 0;
@@ -128,6 +130,7 @@ struct Fabric::Xfer {
   // kReadReq / kCompletion
   Device* target = nullptr;
   std::uint32_t len = 0;
+  bool with_data = true;
   std::span<const Hop> rsp_hops;
   UniqueFn<void(Payload)> on_read;
   Xfer* next_free = nullptr;
@@ -156,6 +159,7 @@ Fabric::Xfer* Fabric::acquire_xfer() {
     Xfer* slab =
         xfer_slabs_.emplace_back(std::make_unique<Xfer[]>(kXferSlab)).get();
     for (std::size_t i = kXferSlab; i-- > 0;) {
+      slab[i].fabric = this;
       slab[i].next_free = free_xfers_;
       free_xfers_ = &slab[i];
     }
@@ -199,8 +203,12 @@ void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
     if (x->kind == BusEvent::Kind::kWrite) {
       Device* target = route(x->addr + offset);
       if (target != nullptr)
+        // A single-chunk write hands its payload over whole: the slot
+        // reads it no more.
         target->handle_write(x->addr + offset,
-                             slice(x->payload, offset, chunk));
+                             chunk == x->total
+                                 ? std::move(x->payload)
+                                 : slice(x->payload, offset, chunk));
     }
     if (x->total == 0 || x->delivered_bytes >= x->total) finish(x);
     return;
@@ -240,13 +248,8 @@ void Fabric::finish(Xfer* x) {
     case BusEvent::Kind::kReadReq:
       // The target's reply streams back in this slot, which stays taken
       // until then (or until the fabric is destroyed, if none comes).
-      x->target->handle_read(x->addr, x->len, [this, x](Payload data) {
-        x->kind = BusEvent::Kind::kCompletion;
-        x->hops = x->rsp_hops;
-        x->total = data.bytes;
-        x->payload = std::move(data);
-        send_chunks(x);
-      });
+      x->target->handle_read(x->addr, x->len, x->with_data,
+                             ReadReply{&Fabric::complete_read, x});
       return;
     case BusEvent::Kind::kCompletion: {
       UniqueFn<void(Payload)> done = std::move(x->on_read);
@@ -256,6 +259,15 @@ void Fabric::finish(Xfer* x) {
       return;
     }
   }
+}
+
+void Fabric::complete_read(void* ctx, Payload data) {
+  Xfer* x = static_cast<Xfer*>(ctx);
+  x->kind = BusEvent::Kind::kCompletion;
+  x->hops = x->rsp_hops;
+  x->total = data.bytes;
+  x->payload = std::move(data);
+  x->fabric->send_chunks(x);
 }
 
 void Fabric::post_write(const Device& src, std::uint64_t addr, Payload payload,
@@ -273,7 +285,7 @@ void Fabric::post_write(const Device& src, std::uint64_t addr, Payload payload,
 }
 
 void Fabric::read(const Device& src, std::uint64_t addr, std::uint32_t len,
-                  UniqueFn<void(Payload)> on_complete) {
+                  bool with_data, UniqueFn<void(Payload)> on_complete) {
   Device* target = route(addr);
   if (target == nullptr) throw std::runtime_error("unroutable read address");
   // Read request: a header-only TLP travelling to the target.
@@ -284,6 +296,7 @@ void Fabric::read(const Device& src, std::uint64_t addr, std::uint32_t len,
   x->total = 0;
   x->target = target;
   x->len = len;
+  x->with_data = with_data;
   x->rsp_hops = route_between(target->pcie_node(), src.pcie_node());
   x->on_read = std::move(on_complete);
   send_chunks(x);

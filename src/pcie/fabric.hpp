@@ -16,7 +16,8 @@
 // Functional semantics: MemWr carries payload bytes that are handed to the
 // target device's handle_write(); MemRd invokes handle_read() on the target,
 // which replies with data that streams back to the requester. Timing-only
-// payloads (no data) are supported for pure-bandwidth benches.
+// payloads (no data) serve pure-bandwidth benches: a read whose requester
+// discards the data says so, and the target replies without copying any.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,11 @@ namespace apn::pcie {
 class Fabric;
 
 /// Payload of a memory transaction. `data` may be empty for timing-only
-/// transfers; `bytes` is always the authoritative size.
+/// transfers; `bytes` is always the authoritative size, and a timing-only
+/// payload takes exactly as long on the wire as one carrying its bytes.
+/// A device answers a read made with `with_data = false` with
+/// `Payload::timing(len)`, so no buffer is filled for a requester that
+/// throws it away.
 struct Payload {
   std::uint64_t bytes = 0;
   std::vector<std::uint8_t> data;  // empty => timing-only
@@ -51,6 +56,17 @@ struct Payload {
     p.data = std::move(d);
     return p;
   }
+};
+
+/// Where a device sends the data of a read it serves: a plain function and
+/// its context. Two words, so a device closure holding one plus a few
+/// scalars stays in the inline storage of UniqueFn and the event engine.
+/// Call it exactly once.
+struct ReadReply {
+  void (*fn)(void* ctx, Payload data) = nullptr;
+  void* ctx = nullptr;
+
+  void operator()(Payload data) const { fn(ctx, std::move(data)); }
 };
 
 /// A PCIe function that can be the *target* of memory transactions.
@@ -65,8 +81,11 @@ class Device {
   /// A read request arrived; the device must eventually call `reply` with
   /// the data (the fabric streams the completion back to the requester).
   /// The delay before calling reply models the device's internal latency.
+  /// When `with_data` is false the requester discards the contents, and
+  /// the device replies with `Payload::timing(len)` at the same time it
+  /// would have replied with the bytes.
   virtual void handle_read(std::uint64_t addr, std::uint32_t len,
-                           UniqueFn<void(Payload)> reply) = 0;
+                           bool with_data, ReadReply reply) = 0;
 
   const std::string& pcie_name() const { return pcie_name_; }
   int pcie_node() const { return pcie_node_; }
@@ -170,9 +189,11 @@ class Fabric {
 
   /// Memory read: request travels to the target; target replies via
   /// handle_read; completion data streams back. `on_complete` receives the
-  /// full data once the last completion chunk arrives at `src`.
+  /// full data once the last completion chunk arrives at `src`. A requester
+  /// that discards the data passes `with_data = false` and receives a
+  /// timing-only payload of `len` bytes, at the same simulated time.
   void read(const Device& src, std::uint64_t addr, std::uint32_t len,
-            UniqueFn<void(Payload)> on_complete);
+            bool with_data, UniqueFn<void(Payload)> on_complete);
 
   /// Route lookup (target device for an address); nullptr if unroutable.
   Device* route(std::uint64_t addr) const;
@@ -236,6 +257,9 @@ class Fabric {
                      std::uint32_t hop);
   /// The last chunk of `x` arrived at its target.
   void finish(Xfer* x);
+  /// ReadReply target: the device answered read `ctx` (an Xfer) with
+  /// `data`, which now streams back in the same slot.
+  static void complete_read(void* ctx, Payload data);
 
   sim::Simulator* sim_;
   // apn-lint: allow(check-coverage) — set at construction, never mutated

@@ -5,7 +5,12 @@
 // RDMA PUT ends with bytes landing in the destination test buffer and
 // results can be validated end-to-end. Reads/writes outside any pinned
 // region are timing-only (they advance the clock but touch no data), which
-// keeps pure-bandwidth benches safe and cheap.
+// keeps stray addresses safe.
+//
+// Pure-bandwidth benches pin their buffers like any other, so what keeps
+// them cheap is the requester: a read made with `with_data = false` (the
+// card's reads for a PUT posted without data) is answered with a
+// timing-only payload, and no bytes are copied even from pinned memory.
 #pragma once
 
 #include <cstdint>
@@ -54,25 +59,30 @@ class HostMemory : public Device {
     }
   }
 
-  void handle_read(std::uint64_t addr, std::uint32_t len,
-                   UniqueFn<void(Payload)> reply) override {
+  void handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
+                   ReadReply reply) override {
     // Access latency pipelines across outstanding reads (DRAM banks);
     // completion generation serializes at the memory-port rate.
-    Time stream = units::transfer_time(Bytes(len), params_.read_rate);
-    sim_->after(params_.read_latency, [this, addr, len, stream,
-                                       reply = std::move(reply)]() mutable {
-      read_port_.post(stream, [this, addr, len,
-                               reply = std::move(reply)]() mutable {
+    auto accessed = [this, addr, len, with_data, reply] {
+      auto complete = [this, addr, len, with_data, reply] {
+        if (!with_data || find_pinned(addr, len) == nullptr) {
+          reply(Payload::timing(len));
+          return;
+        }
         Payload p;
         p.bytes = len;
-        if (find_pinned(addr, len) != nullptr) {
-          p.data.resize(len);
-          std::memcpy(p.data.data(), reinterpret_cast<const void*>(addr),
-                      len);
-        }
+        p.data.resize(len);
+        std::memcpy(p.data.data(), reinterpret_cast<const void*>(addr), len);
         reply(std::move(p));
-      });
-    });
+      };
+      static_assert(UniqueFn<void()>::stores_inline<decltype(complete)>(),
+                    "the read-port job must not heap-allocate");
+      read_port_.post(units::transfer_time(Bytes(len), params_.read_rate),
+                      complete);
+    };
+    static_assert(sim::Simulator::stores_inline<decltype(accessed)>(),
+                  "the access-latency event must not heap-allocate");
+    sim_->after(params_.read_latency, accessed);
   }
 
  private:

@@ -9,10 +9,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <utility>
+#include <vector>
 
+#include "gpu/gpu.hpp"
 #include "pcie/fabric.hpp"
+#include "pcie/memory.hpp"
 #include "sim/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -86,8 +90,8 @@ class Sink : public pcie::Device {
  public:
   explicit Sink(sim::Simulator& sim) : sim_(&sim) {}
   void handle_write(std::uint64_t, pcie::Payload) override {}
-  void handle_read(std::uint64_t, std::uint32_t len,
-                   UniqueFn<void(pcie::Payload)> reply) override {
+  void handle_read(std::uint64_t, std::uint32_t len, bool,
+                   pcie::ReadReply reply) override {
     sim_->after(ns(500), [reply = std::move(reply), len]() mutable {
       reply(pcie::Payload::timing(len));
     });
@@ -125,7 +129,7 @@ struct AllocFixture : ::testing::Test {
 
   std::uint64_t read(std::uint32_t bytes) {
     return allocs_during([&] {
-      fabric.read(src, kDstBase, bytes,
+      fabric.read(src, kDstBase, bytes, true,
                   [this](pcie::Payload) { ++completions; });
       sim.run();
     });
@@ -177,6 +181,63 @@ TEST(SteadyStateAllocs, ChannelSendAllocatesNothing) {
   burst();
   EXPECT_EQ(allocs_during(burst), 0u);
   EXPECT_EQ(delivered, 64);
+}
+
+TEST(SteadyStateAllocs, TimingOnlyHostReadAllocatesNothing) {
+  sim::Simulator sim;
+  pcie::Fabric fabric(sim);
+  const int root = fabric.add_root();
+  pcie::HostMemory host(sim);
+  fabric.attach(host, root, pcie::gen2_x16());
+  fabric.set_default_target(host);
+  Sink card(sim);
+  fabric.attach(card, root, pcie::gen2_x8());
+  // Pinned, so a read that asked for the data would copy it.
+  std::vector<std::uint8_t> buffer(64 << 10, 0x5A);
+  host.pin(buffer.data(), buffer.size());
+  const auto base = reinterpret_cast<std::uint64_t>(buffer.data());
+  int done = 0;
+  auto burst = [&] {
+    for (std::uint64_t off = 0; off < buffer.size(); off += 512)
+      fabric.read(card, base + off, 512, /*with_data=*/false,
+                  [&done](pcie::Payload p) { done += p.data.empty(); });
+    sim.run();
+  };
+  burst();  // warm-up: transfer slots, read-port ring and event slabs
+  EXPECT_EQ(allocs_during(burst), 0u);
+  EXPECT_EQ(done, 2 * 128);
+}
+
+TEST(SteadyStateAllocs, TimingOnlyP2pRequestAllocatesOnlyItsDescriptor) {
+  constexpr std::uint64_t kGpuBase = 0xE00000000000ull;
+  constexpr std::uint64_t kNicBase = 0xD00000000000ull;
+  sim::Simulator sim;
+  pcie::Fabric fabric(sim);
+  gpu::Gpu gpu(sim, fabric, gpu::fermi_c2050(), kGpuBase);
+  Sink nic(sim);
+  const int root = fabric.add_root();
+  const int sw = fabric.add_switch(root, pcie::gen2_x16(), "plx");
+  fabric.attach(gpu, sw, pcie::gen2_x16());
+  fabric.attach(nic, sw, pcie::gen2_x8());
+  fabric.claim_range(gpu, gpu.mmio_base(), gpu.mmio_size());
+  fabric.claim_range(nic, kNicBase, 1 << 20);
+  // 4 KB: eight 512 B completions, each of which would copy device
+  // memory if the request asked for the data.
+  auto request = [&] {
+    gpu::P2pReadDescriptor d{};
+    d.len = 4096;
+    d.flags = gpu::kP2pTimingOnly;
+    d.reply_addr = kNicBase;
+    pcie::Payload p;
+    p.bytes = sizeof(d);
+    p.data.resize(sizeof(d));  // the one allocation
+    std::memcpy(p.data.data(), &d, sizeof(d));
+    fabric.post_write(nic, gpu.mailbox_addr(), std::move(p));
+    sim.run();
+  };
+  request();  // warm-up
+  EXPECT_EQ(allocs_during(request), 1u);
+  EXPECT_EQ(gpu.p2p_requests_served(), 2u);
 }
 
 }  // namespace

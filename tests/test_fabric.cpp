@@ -25,8 +25,8 @@ class ScratchDevice : public Device {
     if (!payload.data.empty())
       last_data.assign(payload.data.begin(), payload.data.end());
   }
-  void handle_read(std::uint64_t, std::uint32_t len,
-                   UniqueFn<void(Payload)> reply) override {
+  void handle_read(std::uint64_t, std::uint32_t len, bool,
+                   ReadReply reply) override {
     Payload p;
     p.bytes = len;
     p.data.assign(len, 0xAB);
@@ -102,7 +102,8 @@ TEST_F(FabricFixture, LargeWriteIsChunkedButContiguous) {
 
 TEST_F(FabricFixture, ReadReturnsTargetData) {
   std::vector<std::uint8_t> got;
-  fabric.read(a, 0x2000000, 512, [&](Payload p) { got = std::move(p.data); });
+  fabric.read(a, 0x2000000, 512, true,
+              [&](Payload p) { got = std::move(p.data); });
   sim.run();
   ASSERT_EQ(got.size(), 512u);
   EXPECT_EQ(got[0], 0xAB);
@@ -183,7 +184,7 @@ TEST_F(FabricFixture, CompletionReusesTheFreedTransferSlot) {
   std::vector<std::uint8_t> got;
   std::function<void()> next = [&] {
     if (++writes_done == kChain) {
-      fabric.read(a, 0x2000000, 300,
+      fabric.read(a, 0x2000000, 300, true,
                   [&](Payload p) { got = std::move(p.data); });
       return;
     }
@@ -204,7 +205,7 @@ TEST_F(FabricFixture, ConcurrentTransfersTakeOneSlotEach) {
   std::size_t done = 0;
   for (std::size_t i = 0; i + 1 < n; ++i)
     fabric.post_write(a, 0x2000000, Payload::timing(8192), [&] { ++done; });
-  fabric.read(b, 0x1000000, 64, [&](Payload) { ++done; });
+  fabric.read(b, 0x1000000, 64, true, [&](Payload) { ++done; });
   sim.run();
   EXPECT_EQ(done, n);
   EXPECT_EQ(fabric.transfer_slots(), 2 * Fabric::kXferSlab);
@@ -222,13 +223,13 @@ TEST_F(FabricFixture, InterleavedReadsAndWritesRecordPinnedBusTrace) {
   fabric.attach_analyzer(b.pcie_node(), bus_b);
   std::vector<std::uint64_t> read_sizes;
   fabric.post_write(a, 0x2000100, Payload::timing(9000));
-  fabric.read(a, 0x2000000, 6000,
+  fabric.read(a, 0x2000000, 6000, true,
               [&](Payload p) { read_sizes.push_back(p.bytes); });
-  fabric.read(b, 0x1000000, 0,  // zero-length read: header-only both ways
+  fabric.read(b, 0x1000000, 0, true,  // zero-length: header-only both ways
               [&](Payload p) { read_sizes.push_back(p.bytes); });
   fabric.post_write(b, 0x1000040, Payload::timing(4096));
   sim.after(units::ns(1500), [&] {
-    fabric.read(a, 0x2000800, 100,
+    fabric.read(a, 0x2000800, 100, true,
                 [&](Payload p) { read_sizes.push_back(p.bytes); });
   });
   sim.run();
@@ -313,9 +314,9 @@ void teardown_in_flight(bool fabric_first) {
     fabric->post_write(a, 0x2000000,
                        Payload::of(std::vector<std::uint8_t>(50000, 7)),
                        [t = Tally(&destroyed), &ran] { ++ran; });
-    fabric->read(a, 0x2000000, 20000,
+    fabric->read(a, 0x2000000, 20000, true,
                  [t = Tally(&destroyed), &ran](Payload) { ++ran; });
-    fabric->read(b, 0x1000000, 100,
+    fabric->read(b, 0x1000000, 100, true,
                  [t = Tally(&destroyed), &ran](Payload) { ++ran; });
     engine->run_until(us(1));
     EXPECT_FALSE(engine->empty());
@@ -378,10 +379,45 @@ TEST(HostMemoryFabric, ReadFromPinnedMemoryReturnsBytes) {
   host.pin(buffer.data(), buffer.size());
 
   std::vector<std::uint8_t> got;
-  fabric.read(dev, reinterpret_cast<std::uint64_t>(buffer.data()), 512,
+  fabric.read(dev, reinterpret_cast<std::uint64_t>(buffer.data()), 512, true,
               [&](Payload p) { got = std::move(p.data); });
   sim.run();
   EXPECT_EQ(got, buffer);
+}
+
+/// One read of a pinned host buffer through a fresh fabric: when it
+/// completed, and what it returned.
+std::pair<Time, Payload> read_pinned(std::vector<std::uint8_t>& buffer,
+                                     bool with_data) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  int root = fabric.add_root();
+  HostMemory host(sim);
+  fabric.attach(host, root, gen2_x16());
+  fabric.set_default_target(host);
+  ScratchDevice dev(sim);
+  fabric.attach(dev, root, gen2_x8());
+  host.pin(buffer.data(), buffer.size());
+  std::pair<Time, Payload> out{-1, {}};
+  fabric.read(dev, reinterpret_cast<std::uint64_t>(buffer.data()),
+              static_cast<std::uint32_t>(buffer.size()), with_data,
+              [&](Payload p) { out = {sim.now(), std::move(p)}; });
+  sim.run();
+  return out;
+}
+
+TEST(HostMemoryFabric, TimingOnlyReadOfPinnedMemoryKeepsDataReadTiming) {
+  std::vector<std::uint8_t> buffer(6000);  // two completion chunks
+  for (std::size_t i = 0; i < buffer.size(); ++i)
+    buffer[i] = static_cast<std::uint8_t>(i * 7);
+  const auto [t_data, data] = read_pinned(buffer, true);
+  const auto [t_timing, timing] = read_pinned(buffer, false);
+  EXPECT_GT(t_data, 0);
+  EXPECT_EQ(t_timing, t_data);
+  EXPECT_EQ(data.bytes, buffer.size());
+  EXPECT_EQ(timing.bytes, buffer.size());
+  EXPECT_EQ(data.data, buffer);
+  EXPECT_TRUE(timing.data.empty());
 }
 
 TEST(HostMemoryFabric, UnpinnedReadsAreTimingOnly) {
@@ -396,7 +432,7 @@ TEST(HostMemoryFabric, UnpinnedReadsAreTimingOnly) {
   fabric.claim_range(dev, 0xF0000000, 0x1000);
 
   bool completed = false;
-  fabric.read(dev, 0x12345000, 256, [&](Payload p) {
+  fabric.read(dev, 0x12345000, 256, true, [&](Payload p) {
     completed = true;
     EXPECT_TRUE(p.data.empty());
     EXPECT_EQ(p.bytes, 256u);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -24,8 +25,8 @@ class Collector : public pcie::Device {
     last_at = sim_->now();
     if (first_at < 0) first_at = sim_->now();
   }
-  void handle_read(std::uint64_t, std::uint32_t len,
-                   UniqueFn<void(pcie::Payload)> reply) override {
+  void handle_read(std::uint64_t, std::uint32_t len, bool,
+                   pcie::ReadReply reply) override {
     reply(pcie::Payload::timing(len));
   }
   std::uint64_t bytes = 0;
@@ -64,10 +65,12 @@ struct GpuFixture : ::testing::Test {
     fabric.claim_range(nic, kNicBase, 1 << 20);
   }
 
-  void send_read_request(std::uint64_t dev_off, std::uint32_t len) {
+  void send_read_request(std::uint64_t dev_off, std::uint32_t len,
+                         std::uint32_t flags = 0) {
     P2pReadDescriptor d{};
     d.dev_offset = dev_off;
     d.len = len;
+    d.flags = flags;
     d.reply_addr = kNicBase;
     pcie::Payload p;
     p.bytes = 32;
@@ -88,6 +91,33 @@ TEST_F(GpuFixture, P2pReadReturnsData) {
   EXPECT_EQ(nic.bytes, 512u);
   EXPECT_EQ(nic.data, src);
   EXPECT_EQ(gpu->p2p_requests_served(), 1u);
+}
+
+TEST_F(GpuFixture, P2pTimingOnlyFlagKeepsDataRequestTiming) {
+  wire();
+  std::vector<std::uint8_t> src(4096);  // eight 512 B completions
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<std::uint8_t>(i * 5);
+  gpu->memory().write(0x10000, src);
+  // Each request runs alone on an idle GPU and fabric, so its completion
+  // times relative to its start are comparable.
+  auto serve = [&](std::uint32_t flags) {
+    nic.bytes = 0;
+    nic.data.clear();
+    nic.first_at = nic.last_at = -1;
+    const Time t0 = sim.now();
+    send_read_request(0x10000, 4096, flags);
+    sim.run();
+    return std::pair{nic.first_at - t0, nic.last_at - t0};
+  };
+  const auto with_data = serve(0);
+  EXPECT_EQ(nic.bytes, 4096u);
+  EXPECT_EQ(nic.data, src);
+  const auto timing_only = serve(kP2pTimingOnly);
+  EXPECT_EQ(nic.bytes, 4096u);
+  EXPECT_TRUE(nic.data.empty());
+  EXPECT_EQ(timing_only, with_data);
+  EXPECT_EQ(gpu->p2p_requests_served(), 2u);
 }
 
 TEST_F(GpuFixture, P2pHeadLatencyVisibleOnSingleRequest) {
@@ -155,7 +185,7 @@ TEST_F(GpuFixture, Bar1FermiReadIsSlow) {
   std::uint64_t done_bytes = 0;
   Time last = 0;
   for (std::uint64_t off = 0; off < total; off += chunk) {
-    fabric.read(nic, bar_addr + off, chunk, [&](pcie::Payload p) {
+    fabric.read(nic, bar_addr + off, chunk, true, [&](pcie::Payload p) {
       done_bytes += p.bytes;
       last = sim.now();
     });
@@ -166,6 +196,34 @@ TEST_F(GpuFixture, Bar1FermiReadIsSlow) {
   // Fermi BAR1 read-completion rate: ~150 MB/s.
   EXPECT_GT(mbps, 130.0);
   EXPECT_LT(mbps, 170.0);
+}
+
+TEST_F(GpuFixture, Bar1TimingOnlyReadKeepsDataReadTiming) {
+  wire();
+  std::vector<std::uint8_t> src(8192);  // two completion chunks
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<std::uint8_t>(i * 11);
+  gpu->memory().write(0x40000, src);
+  const std::uint64_t bar_addr = gpu->bar1_map(0x40000, src.size());
+  // Each read runs alone on an idle GPU and fabric, so its latency is
+  // comparable.
+  auto read = [&](bool with_data) {
+    const Time t0 = sim.now();
+    std::pair<Time, pcie::Payload> out{-1, {}};
+    fabric.read(nic, bar_addr, 8192, with_data, [&](pcie::Payload p) {
+      out = {sim.now() - t0, std::move(p)};
+    });
+    sim.run();
+    return out;
+  };
+  const auto [t_data, data] = read(true);
+  const auto [t_timing, timing] = read(false);
+  EXPECT_GT(t_data, 0);
+  EXPECT_EQ(t_timing, t_data);
+  EXPECT_EQ(data.bytes, src.size());
+  EXPECT_EQ(timing.bytes, src.size());
+  EXPECT_EQ(data.data, src);
+  EXPECT_TRUE(timing.data.empty());
 }
 
 TEST_F(GpuFixture, Bar1ApertureExhaustion) {

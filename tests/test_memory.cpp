@@ -56,10 +56,16 @@ TEST(HostMemory, ReadCompletionsSerializeAtMemoryRate) {
   params.read_latency = units::us(1);
   HostMemory host(sim, params);
   std::vector<Time> done;
-  for (int i = 0; i < 3; ++i) {
-    host.handle_read(0x5000, 1000,
-                     [&](Payload) { done.push_back(sim.now()); });
-  }
+  struct Ctx {
+    sim::Simulator* sim;
+    std::vector<Time>* done;
+  } ctx{&sim, &done};
+  const ReadReply record{[](void* c, Payload) {
+                           auto* ctx = static_cast<Ctx*>(c);
+                           ctx->done->push_back(ctx->sim->now());
+                         },
+                         &ctx};
+  for (int i = 0; i < 3; ++i) host.handle_read(0x5000, 1000, true, record);
   sim.run();
   ASSERT_EQ(done.size(), 3u);
   // Latency pipelines; the 1 us streaming serializes on the port.
