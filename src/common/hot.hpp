@@ -1,12 +1,8 @@
-// APN_HOT: marks a function as being on the per-event hot path.
-//
-// Two consumers: the compiler (branch/layout hints via the `hot`
-// attribute) and tools/apn-lint, whose `hot-path-alloc` rule rejects heap
-// allocation (`new`, malloc-family, make_unique/make_shared) inside any
-// function carrying the marker. The event engine's zero-allocation
-// guarantee (docs/ARCHITECTURE.md) is therefore machine-checked: adding
-// an allocation to a marked function fails the lint job, and deliberate
-// cold fallbacks carry an explicit `// apn-lint: allow(hot-path-alloc)`.
+// APN_HOT: marks a function as being on the per-event hot path. It is a
+// compiler hint only (the `hot` attribute: branch and layout). The event
+// engine's zero-allocation guarantee (docs/ARCHITECTURE.md) is checked by
+// the exact zero counts of the SteadyStateAllocs cases in
+// tests/test_alloc.cpp.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -248,8 +248,6 @@ std::size_t ParallelRunner::run() {
     for (std::size_t i = 0; i < n; ++i) {
       {
         std::unique_lock<std::mutex> lk(mu);
-        // Host-side std::condition_variable in the worker pool, not a sim
-        // awaitable.  apn-lint: allow(dropped-awaitable)
         cv.wait(lk, [&] { return slots[i].done; });
       }
       finish(i);

@@ -80,7 +80,7 @@ class Channel {
 
   /// Awaitable form: resumes when the payload has been *delivered*.
   auto transfer(Bytes bytes) {
-    struct Awaiter {
+    struct [[nodiscard]] Awaiter {
       Channel& ch;
       Bytes n;
       bool await_ready() const noexcept { return false; }

@@ -46,7 +46,7 @@ struct Coro {
 };
 
 /// Awaitable that suspends the current process for `delay` picoseconds.
-class DelayAwaiter {
+class [[nodiscard]] DelayAwaiter {
  public:
   DelayAwaiter(Simulator& sim, Time delay) : sim_(sim), delay_(delay) {}
 

@@ -68,7 +68,7 @@ class Resource {
 
   /// Awaitable form: suspends until the job has been serviced.
   auto use(Time duration) {
-    struct Awaiter {
+    struct [[nodiscard]] Awaiter {
       Resource& res;
       Time dur;
       bool await_ready() const noexcept { return false; }

@@ -294,7 +294,7 @@ class Simulator {
       n->drop = &inline_drop<F>;
     } else {
       // Deliberate cold fallback for oversized callables; the common case
-      // is the placement-new above.  apn-lint: allow(hot-path-alloc)
+      // is the placement-new above.
       F* boxed = new F(std::forward<Arg>(fn));
       ::new (static_cast<void*>(n->storage)) (F*)(boxed);
       n->invoke = &boxed_invoke<F>;

@@ -46,7 +46,7 @@ class Gate {
   }
 
   auto wait() {
-    struct Awaiter : Waiter {
+    struct [[nodiscard]] Awaiter : Waiter {
       Gate& gate;
       explicit Awaiter(Gate& g) : gate(g) {}
       bool await_ready() const noexcept { return gate.open_; }
@@ -85,7 +85,7 @@ class Future {
   const T& get() const { return *state_->value; }
 
   auto operator co_await() {
-    struct Awaiter : Waiter {
+    struct [[nodiscard]] Awaiter : Waiter {
       std::shared_ptr<State> st;
       explicit Awaiter(std::shared_ptr<State> s) : st(std::move(s)) {}
       bool await_ready() const noexcept { return st->value.has_value(); }
@@ -127,7 +127,7 @@ class Semaphore {
   std::size_t waiting() const { return waiters_.size(); }
 
   auto acquire() {
-    struct Awaiter : Waiter {
+    struct [[nodiscard]] Awaiter : Waiter {
       Semaphore& sem;
       explicit Awaiter(Semaphore& s) : sem(s) {}
       bool await_ready() const noexcept { return false; }
@@ -200,7 +200,7 @@ class CreditPool {
           "CreditPool::acquire: request of " + std::to_string(n) +
           " units can never be satisfied (capacity " +
           std::to_string(capacity_) + ")");
-    struct Awaiter : CreditWaiter {
+    struct [[nodiscard]] Awaiter : CreditWaiter {
       CreditPool& pool;
       Awaiter(CreditPool& p, std::int64_t n) : pool(p) { need = n; }
       bool await_ready() const noexcept { return false; }
@@ -264,7 +264,7 @@ class Queue {
   }
 
   auto pop() {
-    struct Awaiter : QueueWaiter {
+    struct [[nodiscard]] Awaiter : QueueWaiter {
       Queue& q;
       std::optional<T> item;
       explicit Awaiter(Queue& queue) : q(queue) {}

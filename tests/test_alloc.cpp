@@ -18,8 +18,10 @@
 #include "pcie/fabric.hpp"
 #include "pcie/memory.hpp"
 #include "sim/channel.hpp"
+#include "sim/coro.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 
 namespace {
 
@@ -181,6 +183,38 @@ TEST(SteadyStateAllocs, ChannelSendAllocatesNothing) {
   burst();
   EXPECT_EQ(allocs_during(burst), 0u);
   EXPECT_EQ(delivered, 64);
+}
+
+TEST(SteadyStateAllocs, CoroutineResumeAllocatesNothing) {
+  sim::Simulator sim;
+  sim::Resource res(sim);
+  sim::Channel ch(sim, sim::ChannelParams{units::GBps(4), ns(5), ns(200)});
+  sim::Gate warm(sim), go(sim);
+  int rounds = 0;
+  // One frame for both bursts. Each round resumes through resume_after
+  // (delay), the Resource completion event and resume_at (transfer); each
+  // gate wakes the frame through schedule_resume.
+  auto proc = [](sim::Simulator* sim, sim::Resource* res, sim::Channel* ch,
+                 sim::Gate* warm, sim::Gate* go, int* rounds) -> sim::Coro {
+    for (sim::Gate* gate : {warm, go}) {
+      co_await gate->wait();
+      for (int i = 0; i < 32; ++i) {
+        co_await sim::delay(*sim, ns(10));
+        co_await res->use(ns(10));
+        co_await ch->transfer(Bytes(4096));
+        ++*rounds;
+      }
+    }
+  };
+  proc(&sim, &res, &ch, &warm, &go, &rounds);  // allocates the frame
+  warm.open();
+  sim.run();  // warm-up: ready ring, Resource ring and event slabs
+  EXPECT_EQ(allocs_during([&] {
+              go.open();
+              sim.run();
+            }),
+            0u);
+  EXPECT_EQ(rounds, 64);
 }
 
 TEST(SteadyStateAllocs, TimingOnlyHostReadAllocatesNothing) {

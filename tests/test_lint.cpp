@@ -15,84 +15,6 @@ namespace {
 using apn::lint::Finding;
 using apn::lint::lint_source;
 
-std::vector<std::string> rules_of(const std::vector<Finding>& fs) {
-  std::vector<std::string> out;
-  for (const Finding& f : fs) out.push_back(f.rule);
-  return out;
-}
-
-// ---- wall-clock ------------------------------------------------------------
-
-TEST(LintWallClock, FlagsChronoClocksAndCApis) {
-  auto f = lint_source("src/core/x.cpp",
-                       "auto t = std::chrono::steady_clock::now();\n"
-                       "struct timeval tv; gettimeofday(&tv, nullptr);\n");
-  ASSERT_EQ(f.size(), 2u);
-  EXPECT_EQ(f[0].rule, "wall-clock");
-  EXPECT_EQ(f[0].line, 1);
-  EXPECT_EQ(f[1].line, 2);
-}
-
-TEST(LintWallClock, FlagsBareAndQualifiedTimeCalls) {
-  EXPECT_EQ(lint_source("a.cpp", "time_t t = time(nullptr);\n").size(), 1u);
-  EXPECT_EQ(lint_source("a.cpp", "auto t = std::time(nullptr);\n").size(),
-            1u);
-  EXPECT_EQ(lint_source("a.cpp", "auto t = ::time(nullptr);\n").size(), 1u);
-}
-
-TEST(LintWallClock, IgnoresMembersAndOtherNamespaces) {
-  // Member calls and non-std qualifiers are someone else's time().
-  EXPECT_TRUE(lint_source("a.cpp", "auto t = sim.time();\n").empty());
-  EXPECT_TRUE(lint_source("a.cpp", "auto t = obj->time();\n").empty());
-  EXPECT_TRUE(lint_source("a.cpp", "auto t = mysim::time(x);\n").empty());
-  // The word in other contexts (declarations, members) is fine too.
-  EXPECT_TRUE(lint_source("a.cpp", "Time rx_task_time = 0;\n").empty());
-}
-
-TEST(LintWallClock, CommentsAndStringsAreNotCode) {
-  EXPECT_TRUE(lint_source("a.cpp",
-                          "// calls gettimeofday() on real hardware\n"
-                          "const char* s = \"gettimeofday\";\n")
-                  .empty());
-}
-
-// ---- raw-rand --------------------------------------------------------------
-
-TEST(LintRawRand, FlagsCAndStdEngines) {
-  auto f = lint_source("src/apps/x.cpp",
-                       "int a = rand();\n"
-                       "std::mt19937 gen(std::random_device{}());\n");
-  auto rules = rules_of(f);
-  ASSERT_EQ(f.size(), 3u);  // rand, mt19937, random_device
-  for (const auto& r : rules) EXPECT_EQ(r, "raw-rand");
-}
-
-TEST(LintRawRand, RngModuleIsExempt) {
-  EXPECT_TRUE(
-      lint_source("src/common/rng.hpp", "int a = rand();\n").empty());
-  EXPECT_TRUE(
-      lint_source("src/common/rng_test_helper.cpp", "std::mt19937 g;\n")
-          .empty());
-}
-
-// ---- std-function ----------------------------------------------------------
-
-TEST(LintStdFunction, FlaggedOnlyInHotPaths) {
-  const std::string src = "std::function<void()> cb;\n";
-  EXPECT_EQ(lint_source("src/sim/x.hpp", src).size(), 1u);
-  EXPECT_EQ(lint_source("src/core/x.cpp", src).size(), 1u);
-  EXPECT_EQ(lint_source("src/pcie/x.hpp", src).size(), 1u);
-  // Cold layers may still use it.
-  EXPECT_TRUE(lint_source("src/apps/x.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/ib/hca.cpp", src).empty());
-}
-
-TEST(LintStdFunction, QualifiedSpellingOnly) {
-  // A type merely named "function" is not std::function.
-  EXPECT_TRUE(lint_source("src/sim/x.hpp", "my::function<void()> cb;\n")
-                  .empty());
-}
-
 // ---- ptr-key-iter ----------------------------------------------------------
 
 TEST(LintPtrKeyIter, FlagsRangeForOverPointerKeyedMap) {
@@ -160,52 +82,6 @@ TEST(LintDetachedCoro, NonCoroCapturingLambdaIsClean) {
   EXPECT_TRUE(
       lint_source("src/x.cpp", "auto f = [this]() -> int { return 1; };\n")
           .empty());
-}
-
-// ---- dropped-awaitable -----------------------------------------------------
-
-TEST(LintDroppedAwaitable, BareAwaiterCallIsFlagged) {
-  auto f = lint_source("src/core/x.cpp",
-                       "sim::Coro run(Gate& g) {\n"
-                       "  g.wait();\n"
-                       "  co_return;\n"
-                       "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "dropped-awaitable");
-  EXPECT_EQ(f[0].line, 2);
-}
-
-TEST(LintDroppedAwaitable, ConsumedOrBoundResultsAreClean) {
-  // Pointer parameters: references read after the first co_await would
-  // (correctly) fire coro-ref-param, which is not under test here.
-  EXPECT_TRUE(lint_source("src/core/x.cpp",
-                          "sim::Coro run(Gate* g, Semaphore* s) {\n"
-                          "  co_await g->wait();\n"
-                          "  auto tok = s->acquire();\n"
-                          "  co_await tok;\n"
-                          "}\n")
-                  .empty());
-}
-
-TEST(LintDroppedAwaitable, CoroCallsAreFireAndForget) {
-  // sim::Coro starts eagerly and owns its frame: a bare call is the
-  // repo's spawn idiom, not a dropped wait.
-  EXPECT_TRUE(lint_source("src/core/x.cpp",
-                          "sim::Coro pump() { co_return; }\n"
-                          "void kick() { pump(); }\n")
-                  .empty());
-}
-
-TEST(LintDroppedAwaitable, HarvestsDeclaredAwaiterReturnTypes) {
-  auto f = lint_source("src/core/x.cpp",
-                       "TickAwaiter next_tick() { return TickAwaiter{}; }\n"
-                       "sim::Coro run() {\n"
-                       "  next_tick();\n"
-                       "  co_return;\n"
-                       "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "dropped-awaitable");
-  EXPECT_EQ(f[0].line, 3);
 }
 
 // ---- coroutine suspension safety -------------------------------------------
@@ -387,100 +263,90 @@ TEST(LintCheckCoverage, AllowCommentSuppresses) {
                   .empty());
 }
 
-// ---- hot-path-alloc --------------------------------------------------------
+// ---- suppressions ----------------------------------------------------------
 
-TEST(LintHotPathAlloc, AllocationInHotFunctionFlagged) {
-  auto f = lint_source("src/sim/x.hpp",
-                       "APN_HOT void push() {\n"
-                       "  Node* m = new Node();\n"
-                       "  void* p = malloc(16);\n"
-                       "}\n");
-  ASSERT_EQ(f.size(), 2u);
-  EXPECT_EQ(f[0].rule, "hot-path-alloc");
-  EXPECT_EQ(f[0].line, 2);
-  EXPECT_EQ(f[1].rule, "hot-path-alloc");
-  EXPECT_EQ(f[1].line, 3);
-}
+// One unit-mix finding (src/sim keeps calibration-literal out of scope).
+const std::string kUnitMixLine = "Time f(Time start) { return start + 512; }\n";
+// Under src/core: one unit-mix and one calibration-literal finding.
+const std::string kTwoRuleLine =
+    "Time f(Time start) { return start + 512 + units::ns(400); }\n";
 
-TEST(LintHotPathAlloc, PlacementNewAndColdFunctionsAreClean) {
+TEST(LintSuppress, SameLineAndLineAbove) {
+  EXPECT_TRUE(lint_source("src/sim/x.cpp",
+                          "Time f(Time start) { return start + 512; }  "
+                          "// apn-lint: allow(unit-mix)\n")
+                  .empty());
   EXPECT_TRUE(
-      lint_source("src/sim/x.hpp",
-                  "APN_HOT void push(void* slab) { new (slab) Node(); }\n"
-                  "Node* grow() { return new Node(); }\n")
+      lint_source("src/sim/x.cpp", "// apn-lint: allow(unit-mix)\n" + kUnitMixLine)
           .empty());
 }
 
-// ---- suppressions ----------------------------------------------------------
-
-TEST(LintSuppress, SameLineAndLineAbove) {
-  EXPECT_TRUE(lint_source("src/sim/x.hpp",
-                          "std::function<void()> cb;  "
-                          "// apn-lint: allow(std-function)\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/sim/x.hpp",
-                          "// apn-lint: allow(std-function)\n"
-                          "std::function<void()> cb;\n")
-                  .empty());
-}
-
 TEST(LintSuppress, MultipleRulesInOneComment) {
-  EXPECT_TRUE(lint_source("src/sim/x.hpp",
-                          "// apn-lint: allow(std-function, wall-clock)\n"
-                          "std::function<Time()> cb = [] { return "
-                          "std::time(nullptr); };\n")
+  EXPECT_EQ(lint_source("src/core/x.cpp", kTwoRuleLine).size(), 2u);
+  EXPECT_TRUE(lint_source("src/core/x.cpp",
+                          "// apn-lint: allow(unit-mix, calibration-literal)\n" +
+                              kTwoRuleLine)
                   .empty());
 }
 
 TEST(LintSuppress, WrongRuleDoesNotSuppress) {
-  EXPECT_EQ(lint_source("src/sim/x.hpp",
-                        "// apn-lint: allow(wall-clock)\n"
-                        "std::function<void()> cb;\n")
+  EXPECT_EQ(lint_source("src/sim/x.cpp",
+                        "// apn-lint: allow(calibration-literal)\n" +
+                            kUnitMixLine)
                 .size(),
             1u);
 }
 
 TEST(LintSuppress, DoesNotLeakPastTheNextLine) {
-  EXPECT_EQ(lint_source("src/sim/x.hpp",
-                        "// apn-lint: allow(std-function)\n"
-                        "int unrelated;\n"
-                        "std::function<void()> cb;\n")
+  EXPECT_EQ(lint_source("src/sim/x.cpp",
+                        "// apn-lint: allow(unit-mix)\n"
+                        "int unrelated;\n" +
+                            kUnitMixLine)
                 .size(),
             1u);
 }
 
 TEST(LintSuppress, RulesSeparatedBySpacesOnly) {
   // The contract allows commas AND/OR spaces between rule names.
-  EXPECT_TRUE(lint_source("src/sim/x.hpp",
-                          "// apn-lint: allow(std-function wall-clock)\n"
-                          "std::function<Time()> cb = [] { return "
-                          "std::time(nullptr); };\n")
+  EXPECT_TRUE(lint_source("src/core/x.cpp",
+                          "// apn-lint: allow(unit-mix calibration-literal)\n" +
+                              kTwoRuleLine)
                   .empty());
 }
 
 TEST(LintSuppress, MixedCommaAndSpaceSeparators) {
-  EXPECT_TRUE(lint_source("src/sim/x.hpp",
-                          "// apn-lint: allow(std-function,  wall-clock "
-                          "raw-rand)\n"
-                          "std::function<int()> cb = [] { return rand(); };\n")
+  const std::string map = "std::map<Node*, int> w;\n";
+  const std::string line =
+      "void f(Time t) { for (auto& [n, x] : w) t = t + 512 + units::ns(4); }\n";
+  EXPECT_EQ(lint_source("src/core/x.cpp", map + line).size(), 3u);
+  EXPECT_TRUE(lint_source("src/core/x.cpp",
+                          map +
+                              "// apn-lint: allow(ptr-key-iter,  unit-mix "
+                              "calibration-literal)\n" +
+                              line)
                   .empty());
 }
 
 TEST(LintSuppress, AboveMultiLineStatement) {
-  // The finding sits on line 4, but its statement starts on line 2; an
+  // The finding sits on line 5, but its statement starts on line 3; an
   // allow above the statement's first line covers the whole statement.
   EXPECT_TRUE(lint_source("src/core/x.cpp",
-                          "// apn-lint: allow(wall-clock)\n"
-                          "auto t =\n"
-                          "    wrap(\n"
-                          "        std::time(nullptr));\n")
+                          "void f() {\n"
+                          "  // apn-lint: allow(calibration-literal)\n"
+                          "  Time t =\n"
+                          "      wrap(\n"
+                          "          units::ns(400));\n"
+                          "}\n")
                   .empty());
 }
 
 TEST(LintSuppress, OnFirstLineOfMultiLineStatement) {
   EXPECT_TRUE(lint_source("src/core/x.cpp",
-                          "auto t =  // apn-lint: allow(wall-clock)\n"
-                          "    wrap(\n"
-                          "        std::time(nullptr));\n")
+                          "void f() {\n"
+                          "  Time t =  // apn-lint: allow(calibration-literal)\n"
+                          "      wrap(\n"
+                          "          units::ns(400));\n"
+                          "}\n")
                   .empty());
 }
 
@@ -534,21 +400,16 @@ TEST_P(LintFixtures, NegativeIsClean) {
 
 // One positive/negative fixture pair per registered rule.
 const FixtureCase kFixtureCases[] = {
-    {"wall-clock", "wall_clock", "src/core/fixture.cpp"},
-    {"raw-rand", "raw_rand", "src/core/fixture.cpp"},
-    {"std-function", "std_function", "src/sim/fixture.hpp"},
     {"ptr-key-iter", "ptr_key_iter", "src/core/fixture.cpp"},
     {"detached-coro", "detached_coro", "src/core/fixture.cpp"},
-    // src/sim paths below keep calibration-literal (core/pcie/gpu-scoped)
-    // from cross-firing on these fixtures' units::us(1) calls.
-    {"dropped-awaitable", "dropped_awaitable", "src/sim/fixture.cpp"},
+    // A src/sim path keeps calibration-literal (core/pcie/gpu-scoped)
+    // from cross-firing on the fixture's units::us(1) calls.
     {"unit-mix", "unit_mix", "src/sim/fixture.cpp"},
     {"check-coverage", "check_coverage", "src/core/fixture.hpp"},
-    {"hot-path-alloc", "hot_path_alloc", "src/sim/fixture.cpp"},
     {"calibration-literal", "calibration_literal", "src/core/fixture.cpp"},
     // src/cluster paths: in scope for the suspension-safety rules (which
-    // skip only tests/) but outside the std-function and calibration-literal
-    // directory scopes.
+    // skip only tests/) but outside the calibration-literal
+    // directory scope.
     {"coro-ref-param", "coro_ref_param", "src/cluster/fixture.cpp"},
     {"coro-local-escape", "coro_local_escape", "src/cluster/fixture.cpp"},
     {"coro-stale-time", "coro_stale_time", "src/cluster/fixture.cpp"},
@@ -598,12 +459,12 @@ TEST(LintRunProject, MissingFileReportsPath) {
 
 TEST(LintSarif, WellFormedWithFindings) {
   std::vector<Finding> fs = {
-      {"src/a.cpp", 3, 0, 0, "wall-clock", "say \"hi\""},
+      {"src/a.cpp", 3, 0, 0, "unit-mix", "say \"hi\""},
   };
   const std::string s = apn::lint::format_sarif(fs);
   EXPECT_NE(s.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(s.find("\"apn-lint\""), std::string::npos);
-  EXPECT_NE(s.find("\"ruleId\": \"wall-clock\""), std::string::npos);
+  EXPECT_NE(s.find("\"ruleId\": \"unit-mix\""), std::string::npos);
   EXPECT_NE(s.find("\"startLine\": 3"), std::string::npos);
   EXPECT_NE(s.find("say \\\"hi\\\""), std::string::npos);  // escaping
 }
@@ -618,24 +479,25 @@ TEST(LintSarif, EmptyRunStillHasToolMetadata) {
 
 TEST(LintSarif, ColumnsAreOneBasedUtf16) {
   // Two-byte 'π' in a comment before the flagged token: a byte count would
-  // say column 18, but SARIF 2.1.0 wants UTF-16 code units, where the
+  // say column 35, but SARIF 2.1.0 wants UTF-16 code units, where the
   // whole character is one unit.
-  auto f = lint_source("src/core/x.cpp", "/* \xcf\x80 */ int a = rand();\n");
+  auto f = lint_source("src/core/x.cpp",
+                       "/* \xcf\x80 */ Time f() { return units::ns(400); }\n");
   ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "raw-rand");
-  EXPECT_EQ(f[0].col, 17);
-  EXPECT_EQ(f[0].end_col, 21);  // one past "rand"
+  EXPECT_EQ(f[0].rule, "calibration-literal");
+  EXPECT_EQ(f[0].col, 34);
+  EXPECT_EQ(f[0].end_col, 36);  // one past "ns"
   const std::string s = apn::lint::format_sarif(f);
-  EXPECT_NE(s.find("\"startColumn\": 17"), std::string::npos);
-  EXPECT_NE(s.find("\"endColumn\": 21"), std::string::npos);
+  EXPECT_NE(s.find("\"startColumn\": 34"), std::string::npos);
+  EXPECT_NE(s.find("\"endColumn\": 36"), std::string::npos);
 }
 
 TEST(LintSarif, AstralPlaneCharactersCountTwoUnits) {
   // U+1F600 (4-byte UTF-8) is a surrogate pair: two UTF-16 code units.
   auto f = lint_source("src/core/x.cpp",
-                       "/* \xf0\x9f\x98\x80 */ int a = rand();\n");
+                       "/* \xf0\x9f\x98\x80 */ Time f() { return units::ns(400); }\n");
   ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].col, 18);  // 16 ASCII chars + 2 units for the emoji
+  EXPECT_EQ(f[0].col, 35);  // 32 ASCII chars + 2 units for the emoji
 }
 
 TEST(LintSarif, LineOnlyFindingsOmitColumns) {

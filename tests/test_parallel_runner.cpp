@@ -171,7 +171,7 @@ TEST(ParallelRunner, CommitsRunInDeclarationOrder) {
     runner.add("p" + std::to_string(i), [i, &order]() {
       // Uneven work so completion order differs from declaration order.
       volatile double x = 0;
-      for (int k = 0; k < (16 - i) * 20000; ++k) x += k;
+      for (int k = 0; k < (16 - i) * 20000; ++k) x = x + k;
       return [i, &order] { order.push_back(i); };
     });
   }

@@ -158,8 +158,9 @@ TEST(CreditPool, OverCapacityRequestThrows) {
   // loudly instead — at acquire() time, before anything suspends.
   Simulator sim;
   CreditPool pool(sim, 1024);
-  EXPECT_THROW(pool.acquire(1025), std::invalid_argument);
-  EXPECT_THROW(pool.acquire(-1), std::invalid_argument);
+  // acquire() throws before it builds the awaiter, so nothing is dropped.
+  EXPECT_THROW((void)pool.acquire(1025), std::invalid_argument);
+  EXPECT_THROW((void)pool.acquire(-1), std::invalid_argument);
   // The pool is still usable after a rejected request.
   EXPECT_EQ(pool.available(), 1024);
   bool ran = false;
@@ -184,7 +185,7 @@ TEST(CreditPool, ZeroCapacityIsCountingPool) {
     order.push_back(1);
   };
   consumer(pool, order);
-  EXPECT_THROW(pool.acquire(-1), std::invalid_argument);
+  EXPECT_THROW((void)pool.acquire(-1), std::invalid_argument);
   sim.after(us(1), [&] { pool.release(4096); });
   sim.run();
   ASSERT_EQ(order.size(), 1u);

@@ -181,17 +181,6 @@ bool contains_token(const std::string& haystack, const std::string& tok) {
   return false;
 }
 
-/// True when the identifier ending right before `off` (skipping one "::")
-/// is `std` or the scope operator is global ("::time(...)").
-bool std_or_global_qualified(const std::string& t, std::size_t ident_off) {
-  std::size_t p = prev_nonspace(t, ident_off);
-  if (p == npos || t[p] != ':' || p == 0 || t[p - 1] != ':')
-    return true;  // unqualified
-  std::size_t q = prev_nonspace(t, p - 1);
-  if (q == npos || !ident_char(t[q])) return true;  // "::time("
-  return token_ending_at(t, q) == "std";
-}
-
 bool member_access_before(const std::string& t, std::size_t ident_off) {
   std::size_t p = prev_nonspace(t, ident_off);
   if (p == npos) return false;
@@ -734,7 +723,6 @@ void build_scopes(FileIR& ir) {
           std::size_t ss = stmt_start_of(ir, info.name_off);
           if (ss < info.name_off)
             fn.decl_text = t.substr(ss, info.name_off - ss);
-          fn.hot = contains_token(fn.decl_text, "APN_HOT");
         }
         if (info.lp != npos && info.rp != npos) {
           parse_params(ir, info.lp, info.rp, fn.params);
@@ -909,76 +897,6 @@ FileIR parse(const std::string& path, const std::string& source) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-// ---- rule: wall-clock ------------------------------------------------------
-
-void rule_wall_clock(const FileIR& ir, const std::vector<Ident>& ids,
-                     std::vector<Finding>& out) {
-  static const std::set<std::string> kBanned = {
-      "system_clock",     "steady_clock", "high_resolution_clock",
-      "gettimeofday",     "clock_gettime", "timespec_get",
-      "localtime",        "gmtime",        "mktime",
-      "asctime",          "strftime",      "ftime",
-  };
-  static const std::set<std::string> kCallForm = {"time", "clock"};
-  for (const Ident& id : ids) {
-    if (kBanned.count(id.text) != 0) {
-      add(out, ir, id.off, "wall-clock",
-          "'" + id.text + "' reads host time; use sim::Simulator::now()");
-      continue;
-    }
-    if (kCallForm.count(id.text) != 0) {
-      std::size_t after = next_nonspace(ir.text, id.off + id.text.size());
-      if (after == npos || ir.text[after] != '(') continue;
-      if (member_access_before(ir.text, id.off)) continue;
-      if (!std_or_global_qualified(ir.text, id.off)) continue;
-      // `long long time() const` *declares* a function named time(); a
-      // call expression is never directly preceded by a bare identifier
-      // (call-introducing keywords aside).
-      std::size_t pb = prev_nonspace(ir.text, id.off);
-      if (pb != npos && ident_char(ir.text[pb])) {
-        static const std::set<std::string> kPreCall = {
-            "return", "co_return", "co_await", "co_yield", "throw", "case"};
-        std::size_t b;
-        if (kPreCall.count(token_ending_at(ir.text, pb, &b)) == 0) continue;
-      }
-      add(out, ir, id.off, "wall-clock",
-          "'" + id.text + "()' reads host time; use sim::Simulator::now()");
-    }
-  }
-}
-
-// ---- rule: raw-rand --------------------------------------------------------
-
-void rule_raw_rand(const FileIR& ir, const std::vector<Ident>& ids,
-                   std::vector<Finding>& out) {
-  static const std::set<std::string> kBanned = {
-      "rand",       "srand",      "rand_r",     "random",
-      "srandom",    "drand48",    "lrand48",    "mrand48",
-      "srand48",    "random_device", "mt19937", "mt19937_64",
-      "minstd_rand", "minstd_rand0", "default_random_engine",
-      "ranlux24",   "ranlux48",
-  };
-  for (const Ident& id : ids) {
-    if (kBanned.count(id.text) == 0) continue;
-    if (member_access_before(ir.text, id.off)) continue;  // x.random(...)
-    add(out, ir, id.off, "raw-rand",
-        "'" + id.text + "' is platform entropy; use apn::Rng (common/rng.hpp)");
-  }
-}
-
-// ---- rule: std-function ----------------------------------------------------
-
-void rule_std_function(const FileIR& ir, const std::vector<Ident>& ids,
-                       std::vector<Finding>& out) {
-  for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-    if (ids[i].text != "std" || ids[i + 1].text != "function") continue;
-    std::size_t between = prev_nonspace(ir.text, ids[i + 1].off);
-    if (between == npos || ir.text[between] != ':') continue;
-    add(out, ir, ids[i].off, "std-function",
-        "std::function in a hot path; use apn::UniqueFn (common/fn.hpp)");
-  }
-}
 
 // ---- rule: ptr-key-iter ----------------------------------------------------
 
@@ -1290,42 +1208,6 @@ void rule_coro_stale_time(const FileIR& ir, const std::vector<Ident>& ids,
   }
 }
 
-// ---- rule: dropped-awaitable -----------------------------------------------
-
-void rule_dropped_awaitable(const FileIR& ir, const ProjectContext& ctx,
-                            std::vector<Finding>& out) {
-  static const std::set<std::string> kFree = {"delay", "yield"};
-  static const std::set<std::string> kMethod = {"wait", "acquire", "use",
-                                                "transfer", "pop"};
-  const std::string& t = ir.text;
-  for (const FunctionIR& f : ir.functions) {
-    for (const Call& c : f.calls) {
-      bool target = false;
-      if (!c.member_access && kFree.count(c.callee) != 0) target = true;
-      else if (c.member_access && kMethod.count(c.callee) != 0) target = true;
-      else if (ctx.awaitable_fns.count(c.callee) != 0) target = true;
-      if (!target) continue;
-      // ss == c.off is the bare-call-at-statement-start case (empty
-      // prefix); only a call *before* its own statement start is bogus.
-      std::size_t ss = stmt_start_of(ir, c.off);
-      if (ss > c.off) continue;
-      std::string prefix = t.substr(ss, c.off - ss);
-      if (prefix.find('=') != npos || prefix.find('(') != npos) continue;
-      if (contains_token(prefix, "co_await") ||
-          contains_token(prefix, "co_return") ||
-          contains_token(prefix, "co_yield") ||
-          contains_token(prefix, "return"))
-        continue;
-      std::size_t after = next_nonspace(t, c.close + 1);
-      if (after == npos || t[after] != ';') continue;
-      add(out, ir, c.off, "dropped-awaitable",
-          "'" + c.callee +
-              "(...)' returns an awaitable that is discarded without "
-              "co_await: the wait silently never happens");
-    }
-  }
-}
-
 // ---- rule: unit-mix --------------------------------------------------------
 
 void rule_unit_mix(const FileIR& ir, const std::vector<Ident>& ids,
@@ -1483,47 +1365,6 @@ void rule_check_coverage(const FileIR& ir, const ProjectContext& ctx,
   }
 }
 
-// ---- rule: hot-path-alloc --------------------------------------------------
-
-void rule_hot_path_alloc(const FileIR& ir, const std::vector<Ident>& ids,
-                         std::vector<Finding>& out) {
-  static const std::set<std::string> kMallocFamily = {
-      "malloc", "calloc", "realloc", "strdup", "aligned_alloc"};
-  const std::string& t = ir.text;
-  for (const FunctionIR& f : ir.functions) {
-    if (!f.hot) continue;
-    for (const Ident& id : ids) {
-      if (id.off <= f.body_begin) continue;
-      if (id.off >= f.body_end) break;
-      std::string why;
-      if (id.text == "new") {
-        std::size_t after = next_nonspace(t, id.off + 3);
-        if (after != npos && t[after] == '(') continue;  // placement new
-        std::size_t before = prev_nonspace(t, id.off);
-        if (before != npos && ident_char(t[before]) &&
-            token_ending_at(t, before) == "operator")
-          continue;
-        why = "'new'";
-      } else if (kMallocFamily.count(id.text) != 0) {
-        std::size_t after = next_nonspace(t, id.off + id.text.size());
-        if (after == npos || t[after] != '(') continue;
-        if (member_access_before(t, id.off)) continue;
-        why = "'" + id.text + "()'";
-      } else if (id.text == "make_unique" || id.text == "make_shared") {
-        std::size_t after = next_nonspace(t, id.off + id.text.size());
-        if (after == npos || (t[after] != '<' && t[after] != '(')) continue;
-        why = "'" + id.text + "'";
-      } else {
-        continue;
-      }
-      add(out, ir, id.off, "hot-path-alloc",
-          why + " allocates inside APN_HOT function '" +
-              (f.name.empty() ? std::string("<lambda>") : f.name) +
-              "'; the hot path is allocation-free by contract");
-    }
-  }
-}
-
 // True when [b, e) of `t`, ignoring whitespace, is a single numeric literal:
 // digits plus the usual '.'/'e'/'x'/'p' spellings, digit separators, a sign
 // inside an exponent and integer/float suffixes. Identifiers never qualify
@@ -1605,30 +1446,6 @@ void rule_calibration_literal(const FileIR& ir, const std::vector<Ident>& ids,
 
 void scan_declarations(const FileIR& ir, ProjectContext& ctx) {
   const std::string& t = ir.text;
-  // Awaiter-returning functions.
-  for (const FunctionIR& f : ir.functions) {
-    if (f.name.empty()) continue;
-    if (f.decl_text.find("Awaiter") != npos ||
-        f.decl_text.find("Awaitable") != npos) {
-      ctx.awaitable_fns.insert(f.name);
-      continue;
-    }
-    // `auto wait() { return WaitAwaiter{...}; }`
-    for (const Ident& id : identifiers(
-             t.substr(f.body_begin, f.body_end - f.body_begin))) {
-      if (id.text != "return") continue;
-      std::size_t abs = f.body_begin + id.off + id.text.size();
-      std::size_t nx = next_nonspace(t, abs);
-      if (nx == npos || !ident_char(t[nx])) continue;
-      std::size_t e = nx;
-      while (e < t.size() && ident_char(t[e])) ++e;
-      const std::string ret = t.substr(nx, e - nx);
-      if (ends_with(ret, "Awaiter") || ends_with(ret, "Awaitable")) {
-        ctx.awaitable_fns.insert(f.name);
-        break;
-      }
-    }
-  }
   // APN_CHECK_ACCESS(first_arg, ...) — the last identifier of the first
   // argument is the member name (handles `a.arrived`, `xfer->bytes`). When
   // the owning class is derivable (bare name inside a `Class::method`
@@ -1706,18 +1523,8 @@ std::vector<Finding> lint_ir(const FileIR& ir, const ProjectContext& ctx) {
   std::vector<Finding> out;
   std::vector<Ident> ids = identifiers(ir.text);
 
-  const bool rng_exempt = path_contains(ir.path, "common/rng");
-  if (!rng_exempt) {
-    rule_wall_clock(ir, ids, out);
-    rule_raw_rand(ir, ids, out);
-  }
-  if (path_contains(ir.path, "src/sim") || path_contains(ir.path, "src/core") ||
-      path_contains(ir.path, "src/pcie")) {
-    rule_std_function(ir, ids, out);
-  }
   rule_ptr_key_iter(ir, ids, out);
   rule_detached_coro(ir, out);
-  rule_dropped_awaitable(ir, ctx, out);
   // Suspension-safety rules skip tests/: test code parks frames and threads
   // pointers on purpose, and the runtime frame oracle (--coro-check) covers
   // it dynamically.
@@ -1728,7 +1535,6 @@ std::vector<Finding> lint_ir(const FileIR& ir, const ProjectContext& ctx) {
   }
   if (!path_contains(ir.path, "common/units")) rule_unit_mix(ir, ids, out);
   rule_check_coverage(ir, ctx, out);
-  rule_hot_path_alloc(ir, ids, out);
   // Model code only; the profile-definition headers (where the named
   // parameter structs and their presets live) are the one legal home for
   // these literals.
@@ -1802,23 +1608,15 @@ std::string json_escape(const std::string& s) {
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"wall-clock",
-       "Host wall-clock read; simulation time must come from sim::Simulator"},
-      {"raw-rand",
-       "Platform entropy; all randomness must flow through apn::Rng"},
-      {"std-function", "std::function in a hot path; use apn::UniqueFn"},
       {"ptr-key-iter",
        "Iteration over a pointer-keyed container is ASLR-dependent"},
       {"detached-coro",
        "Capturing lambda returning a coroutine: captures dangle after the "
        "call"},
-      {"dropped-awaitable",
-       "Awaitable discarded without co_await; the wait never happens"},
       {"unit-mix",
        "Additive arithmetic mixing Time with byte counts or bare literals"},
       {"check-coverage",
        "Mutable state member of a race-checked class is not instrumented"},
-      {"hot-path-alloc", "Heap allocation inside an APN_HOT function"},
       {"calibration-literal",
        "Unnamed numeric calibration literal in model code; hoist it into "
        "the hardware-profile parameter structs"},

@@ -1,11 +1,15 @@
 // apn-lint: the repo's custom static-analysis pass.
 //
-// The simulator's determinism contract cannot be expressed in the type
-// system: nothing stops a model file from reading the wall clock, pulling
-// entropy from the platform PRNG, iterating a pointer-keyed map into a
-// timing decision, or detaching a capturing coroutine lambda whose frame
-// outlives its captures. Each of those compiles, works on one machine, and
-// breaks bit-exact reproduction (or worse, memory) somewhere else.
+// Part of the simulator's determinism contract cannot be expressed in the
+// type system: nothing stops a model file from iterating a pointer-keyed
+// map into a timing decision, or detaching a capturing coroutine lambda
+// whose frame outlives its captures. Each of those compiles, works on one
+// machine, and breaks bit-exact reproduction (or worse, memory) somewhere
+// else. What the toolchain can see is left to it (docs/CORRECTNESS.md,
+// "Guards enforced by the toolchain"): host clocks, platform entropy and
+// std::function in model objects are caught by the SymbolGuard ctest,
+// discarded sim awaiters by [[nodiscard]] and -Werror=unused-result, and
+// hot-path allocation by test_alloc's exact counts.
 //
 // v2 architecture: instead of scanning a flat token stream, the linter
 // micro-parses each file into a lightweight IR — comment/string-stripped
@@ -13,21 +17,10 @@
 // member declarations) and function bodies (with local declarations, call
 // expressions and co_await sites). No LLVM / libclang dependency, so it
 // runs in every CI container. Rules see the IR, which lets them reason
-// about flow ("is this awaitable call consumed by anything?") instead of
+// about flow ("is this local read after a suspension?") instead of
 // just tokens.
 //
 // Rule catalogue:
-//  * wall-clock       — std::chrono::{system,steady,high_resolution}_clock,
-//                       time()/clock()/gettimeofday()/clock_gettime() and
-//                       friends. Simulation time must come from
-//                       sim::Simulator; host timing belongs only in
-//                       src/common/rng-exempt measurement code.
-//  * raw-rand         — rand()/srand()/random()/drand48()/std::random_device/
-//                       std::mt19937 etc. All randomness must flow through
-//                       the seedable, bit-stable apn::Rng (common/rng.hpp).
-//  * std-function     — std::function in the hot paths (src/sim, src/core,
-//                       src/pcie). Use apn::UniqueFn: no copyable-callable
-//                       boxing, fits the event engine's inline storage.
 //  * ptr-key-iter     — iterating a pointer-keyed map/set. Pointer order is
 //                       ASLR-dependent; iteration feeding any model decision
 //                       makes runs irreproducible. Pointer-keyed lookup is
@@ -64,15 +57,6 @@
 //                       stale. Statements that re-read the clock (elapsed-
 //                       time math `sim.now() - start`) or re-touch the same
 //                       cell are exempt.
-//  * dropped-awaitable— calling an awaiter factory (sim::delay, Gate::wait,
-//                       Semaphore/CreditPool::acquire, Resource::use,
-//                       Channel::transfer, Queue::pop, or any function whose
-//                       return type is a *Awaiter/*Awaitable) as a bare
-//                       statement without co_await-ing or binding the
-//                       result. The awaiter is destroyed unsuspended and the
-//                       wait silently never happens. (Bare calls of
-//                       Coro-returning functions are NOT flagged: sim::Coro
-//                       is fire-and-forget by design.)
 //  * unit-mix         — additive arithmetic mixing an apn::Time variable
 //                       with a byte-count variable (apn::Bytes or a
 //                       *_bytes/bytes_* local) or with a bare unscaled
@@ -85,11 +69,6 @@
 //                       instrumented member) declares a mutable state-like
 //                       member (integral/container) that is never
 //                       instrumented anywhere in the project.
-//  * hot-path-alloc   — heap allocation (non-placement new, malloc family,
-//                       make_unique/make_shared) inside a function marked
-//                       APN_HOT (common/hot.hpp). The event engine's hot
-//                       path is allocation-free by contract; cold fallbacks
-//                       carry an explicit allow comment.
 //  * calibration-literal — a units helper (units::ns(400), units::us(1.5),
 //                       Gbps, MBps, ...) or Rate constructor called with a
 //                       raw numeric literal inside a function body in model
@@ -124,7 +103,7 @@ struct Finding {
   int line = 0;        ///< 1-based
   int col = 0;         ///< 1-based UTF-16 column (SARIF); 0 = unknown
   int end_col = 0;     ///< one past the flagged token; 0 = unknown
-  std::string rule;    ///< rule slug, e.g. "wall-clock"
+  std::string rule;    ///< rule slug, e.g. "unit-mix"
   std::string detail;  ///< human-oriented description of the hit
 };
 
@@ -152,8 +131,7 @@ struct Call {
 struct FunctionIR {
   std::string name;       ///< unqualified function name ("" for lambdas)
   std::string decl_text;  ///< declaration text before the name (return type,
-                          ///< specifiers; where APN_HOT lives)
-  bool hot = false;       ///< APN_HOT marker present in decl_text
+                          ///< specifiers)
   bool is_lambda = false;      ///< body belongs to a lambda expression
   bool returns_coro = false;   ///< declared/trailing return type names Coro
   int line = 0;
@@ -210,12 +188,8 @@ FileIR parse(const std::string& path, const std::string& source);
 
 /// Cross-file facts collected in phase 1 and consulted by the flow rules in
 /// phase 2. Single-file linting with a default-constructed context is
-/// supported: the seeded awaitable set still applies, and check-coverage
-/// falls back to facts visible in the one file.
+/// supported: check-coverage falls back to facts visible in the one file.
 struct ProjectContext {
-  /// Functions returning an awaiter/awaitable (seeded names plus any
-  /// function whose declared return type mentions Awaiter/Awaitable).
-  std::set<std::string> awaitable_fns;
   /// Member names instrumented with no derivable owner (APN_CHECK_ACCESS on
   /// a foreign struct's field like `a.arrived`, or calls in free functions):
   /// these match a member of *any* class.
