@@ -17,19 +17,12 @@ double loopback_with_extra_buffers(int extra) {
   sim::Simulator sim;
   auto c = cluster::Cluster::make_cluster_i(sim, 1, hw::params(),
                                             false);
-  // The registered buffers must outlive the coroutine; keep them in a
-  // function-local vector (NOT a static — points run concurrently).
-  std::vector<std::unique_ptr<std::vector<std::uint8_t>>> keep;
-  [](cluster::Cluster* c, int n,
-     std::vector<std::unique_ptr<std::vector<std::uint8_t>>>* keep)
-      -> sim::Coro {
+  [](cluster::Cluster* c, int n) -> sim::Coro {
     for (int i = 0; i < n; ++i) {
-      keep->push_back(std::make_unique<std::vector<std::uint8_t>>(64));
-      co_await c->rdma(0).register_buffer(
-          reinterpret_cast<std::uint64_t>(keep->back()->data()), 64,
-          core::MemType::kHost);
+      co_await c->rdma(0).register_buffer(c->node(0).hostmem().alloc(64), 64,
+                                          core::MemType::kHost);
     }
-  }(c.get(), extra, &keep);
+  }(c.get(), extra);
   sim.run();
   return cluster::loopback_bandwidth(*c, 0, core::MemType::kHost, 1 << 20,
                                      24)

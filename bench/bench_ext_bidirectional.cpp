@@ -24,26 +24,25 @@ double bidir_bw(core::MemType type, std::uint64_t size, int count) {
   auto sh = std::make_shared<Shared>();
   sh->ready = std::make_shared<sim::Gate>(sim);
 
-  using cluster::Buf;
-  Buf src[2] = {Buf::make(c->node(0), type, size),
-                Buf::make(c->node(1), type, size)};
-  Buf dst[2] = {Buf::make(c->node(0), type, size),
-                Buf::make(c->node(1), type, size)};
+  using cluster::make_buf;
+  std::uint64_t src[2] = {make_buf(c->node(0), type, size),
+                          make_buf(c->node(1), type, size)};
+  std::uint64_t dst[2] = {make_buf(c->node(0), type, size),
+                          make_buf(c->node(1), type, size)};
 
   for (int me = 0; me < 2; ++me) {
-    [](cluster::Cluster* c, int me, Buf src, Buf my_dst, Buf remote_dst,
-       core::MemType type, std::uint64_t size, int count,
-       std::shared_ptr<Shared> sh) -> sim::Coro {
+    [](cluster::Cluster* c, int me, std::uint64_t src, std::uint64_t my_dst,
+       std::uint64_t remote_dst, core::MemType type, std::uint64_t size,
+       int count, std::shared_ptr<Shared> sh) -> sim::Coro {
       core::RdmaDevice& rdma = c->rdma(me);
-      co_await rdma.register_buffer(my_dst.addr, size, type);
+      co_await rdma.register_buffer(my_dst, size, type);
       if (type == core::MemType::kGpu)
-        co_await rdma.register_buffer(src.addr, size, type);
+        co_await rdma.register_buffer(src, size, type);
       if (++sh->ready_count == 2) sh->ready->open();
       co_await sh->ready->wait();
       if (me == 0) sh->t0 = c->simulator().now();
       for (int i = 0; i < count; ++i)
-        rdma.put(c->coord(1 - me), src.addr, size, remote_dst.addr, type,
-                 false);
+        rdma.put(c->coord(1 - me), src, size, remote_dst, type, false);
       for (int i = 0; i < count; ++i) co_await rdma.events().pop();
       sh->t_end[me] = c->simulator().now();
     }(c.get(), me, src[me], dst[me], dst[1 - me], type, size, count, sh);

@@ -4,6 +4,7 @@
 //
 //   $ ./examples/quickstart
 #include <cstdio>
+#include <span>
 
 #include "cluster/cluster.hpp"
 
@@ -25,12 +26,12 @@ int main() {
   cuda::DevPtr src = cluster->node(0).cuda().malloc_device(0, kSize);
   cuda::DevPtr dst = cluster->node(1).cuda().malloc_device(0, kSize);
 
-  // Fill the source buffer (functionally; think cudaMemcpy H2D).
+  // Fill the source buffer (functionally, outside simulated time; think
+  // of it as a kernel's output).
   std::vector<std::uint8_t> pattern(kSize);
   for (std::size_t i = 0; i < pattern.size(); ++i)
     pattern[i] = static_cast<std::uint8_t>(i * 131);
-  cluster->node(0).cuda().move_bytes(
-      src, reinterpret_cast<std::uint64_t>(pattern.data()), kSize);
+  cluster->node(0).cuda().upload(src, std::as_bytes(std::span(pattern)));
 
   // Host program, written as a simulation process.
   [](cluster::Cluster* c, cuda::DevPtr src, cuda::DevPtr dst,
@@ -65,8 +66,7 @@ int main() {
 
   // Verify the bytes really moved GPU-to-GPU through the whole stack.
   std::vector<std::uint8_t> out(kSize);
-  cluster->node(1).cuda().move_bytes(
-      reinterpret_cast<std::uint64_t>(out.data()), dst, kSize);
+  cluster->node(1).cuda().download(dst, std::as_writable_bytes(std::span(out)));
   std::printf("data integrity: %s\n",
               out == pattern ? "OK (remote GPU buffer matches source)"
                              : "FAILED");

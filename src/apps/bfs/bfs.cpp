@@ -1,8 +1,8 @@
 #include "apps/bfs/bfs.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+#include <span>
 
 namespace apn::apps::bfs {
 
@@ -12,6 +12,11 @@ struct CountSlot {
   std::uint64_t level_plus_one;
   std::uint64_t pairs;
 };
+
+/// Address of u64 cell `i` of a host slot array.
+std::uint64_t cell(std::uint64_t array, int i) {
+  return array + sizeof(std::uint64_t) * static_cast<std::uint64_t>(i);
+}
 }  // namespace
 
 struct BfsRun::RankState {
@@ -27,16 +32,16 @@ struct BfsRun::RankState {
   std::vector<cuda::DevPtr> in_dev;   // per src peer
   cuda::DevPtr count_out_dev = 0;  ///< np slots, indexed by destination
   cuda::DevPtr count_in_dev = 0;   ///< np slots, indexed by source
-  std::vector<std::uint64_t> reduce_slots;  // np host slots
+  std::uint64_t reduce_slots = 0;  ///< np host u64 cells
 
   // Event pump state.
   std::uint64_t count_events = 0;
   std::uint64_t reduce_events = 0;
   std::function<void()> event_check;
 
-  // minimpi per-peer count staging.
-  std::vector<std::uint64_t> counts_out;
-  std::vector<std::uint64_t> counts_in;
+  // minimpi per-peer count staging (np host u64 cells each).
+  std::uint64_t counts_out = 0;
+  std::uint64_t counts_in = 0;
 
   Time t_start = 0, t_end = 0;
   Time compute_time = 0, comm_time = 0;
@@ -75,8 +80,8 @@ sim::Coro BfsRun::apenet_exchange(int rank, int level,
     if (bytes > 0) {
       // Stage the pair list into the per-peer device buffer (the frontier
       // kernel produced it on the GPU; functional copy is free).
-      cuda.move_bytes(st.out_dev[static_cast<std::size_t>(p)],
-                      reinterpret_cast<std::uint64_t>(box.data()), bytes);
+      cuda.upload(st.out_dev[static_cast<std::size_t>(p)],
+                  std::as_bytes(std::span(box)));
       core::RdmaDevice::Put d =
           rdma.put(cluster_.coord(p), st.out_dev[static_cast<std::size_t>(p)],
                    bytes, peer.in_dev[static_cast<std::size_t>(rank)],
@@ -87,13 +92,10 @@ sim::Coro BfsRun::apenet_exchange(int rank, int level,
     // destination gets its own staging slot: the TX engine reads GPU
     // memory asynchronously, so a shared slot would be overwritten by the
     // next peer's count before the first PUT is served.
-    CountSlot slot{static_cast<std::uint64_t>(level) + 1, box.size()};
-    std::vector<std::uint8_t> raw(sizeof(CountSlot));
-    std::memcpy(raw.data(), &slot, sizeof(slot));
+    const CountSlot slot{static_cast<std::uint64_t>(level) + 1, box.size()};
     const std::uint64_t out_slot =
         st.count_out_dev + sizeof(CountSlot) * static_cast<std::uint64_t>(p);
-    cuda.move_bytes(out_slot, reinterpret_cast<std::uint64_t>(raw.data()),
-                    sizeof(CountSlot));
+    cuda.upload(out_slot, std::as_bytes(std::span(&slot, 1)));
     core::RdmaDevice::Put c = rdma.put(
         cluster_.coord(p), out_slot, sizeof(CountSlot),
         peer.count_in_dev + sizeof(CountSlot) * static_cast<std::uint64_t>(rank),
@@ -125,6 +127,7 @@ sim::Coro BfsRun::ib_exchange(int rank, int level,
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
   mpi::Rank& mr = cluster_.mpi_rank(rank);
   cuda::Runtime& cuda = cluster_.node(rank).cuda();
+  pcie::HostMemory& host = cluster_.node(rank).hostmem();
   const int tag_count = level * 2;
   const int tag_data = level * 2 + 1;
 
@@ -132,16 +135,13 @@ sim::Coro BfsRun::ib_exchange(int rank, int level,
   for (int p = 0; p < np_; ++p) {
     if (p == rank) continue;
     auto& box = st.outbox[static_cast<std::size_t>(p)];
-    st.counts_out[static_cast<std::size_t>(p)] = box.size();
-    pending.push_back(mr.send(
-        p,
-        reinterpret_cast<std::uint64_t>(
-            &st.counts_out[static_cast<std::size_t>(p)]),
-        sizeof(std::uint64_t), tag_count));
+    host.store<std::uint64_t>(cell(st.counts_out, p), box.size());
+    pending.push_back(mr.send(p, cell(st.counts_out, p),
+                              sizeof(std::uint64_t), tag_count));
     const std::uint64_t bytes = box.size() * sizeof(std::pair<Vertex, Vertex>);
     if (bytes > 0) {
-      cuda.move_bytes(st.out_dev[static_cast<std::size_t>(p)],
-                      reinterpret_cast<std::uint64_t>(box.data()), bytes);
+      cuda.upload(st.out_dev[static_cast<std::size_t>(p)],
+                  std::as_bytes(std::span(box)));
       pending.push_back(mr.send(p, st.out_dev[static_cast<std::size_t>(p)],
                                 bytes, tag_data));
     }
@@ -150,16 +150,13 @@ sim::Coro BfsRun::ib_exchange(int rank, int level,
   std::vector<mpi::Signal> count_recvs;
   for (int p = 0; p < np_; ++p) {
     if (p == rank) continue;
-    count_recvs.push_back(mr.recv(
-        p,
-        reinterpret_cast<std::uint64_t>(
-            &st.counts_in[static_cast<std::size_t>(p)]),
-        sizeof(std::uint64_t), tag_count));
+    count_recvs.push_back(mr.recv(p, cell(st.counts_in, p),
+                                  sizeof(std::uint64_t), tag_count));
   }
   for (auto& s : count_recvs) co_await s;
   for (int p = 0; p < np_; ++p) {
     if (p == rank) continue;
-    const std::uint64_t n = st.counts_in[static_cast<std::size_t>(p)];
+    const std::uint64_t n = host.load<std::uint64_t>(cell(st.counts_in, p));
     if (n > 0) {
       pending.push_back(mr.recv(p, st.in_dev[static_cast<std::size_t>(p)],
                                 n * sizeof(std::pair<Vertex, Vertex>),
@@ -200,9 +197,8 @@ sim::Coro BfsRun::rank_main(int rank) {
     co_await rdma.register_buffer(
         st.count_out_dev, sizeof(CountSlot) * static_cast<std::uint64_t>(np_),
         core::MemType::kGpu);
-    co_await rdma.register_buffer(
-        reinterpret_cast<std::uint64_t>(st.reduce_slots.data()),
-        st.reduce_slots.size() * sizeof(std::uint64_t), core::MemType::kHost);
+    co_await rdma.register_buffer(st.reduce_slots, cell(0, np_),
+                                  core::MemType::kHost);
 
     // Event pump: classifies every inbound completion.
     [](BfsRun* self, int rank) -> sim::Coro {
@@ -210,16 +206,13 @@ sim::Coro BfsRun::rank_main(int rank) {
       core::RdmaDevice& rdma = self->cluster_.rdma(rank);
       for (;;) {
         core::RdmaEvent ev = co_await rdma.events().pop();
-        const std::uint64_t reduce_base =
-            reinterpret_cast<std::uint64_t>(st.reduce_slots.data());
         if (ev.vaddr >= st.count_in_dev &&
             ev.vaddr < st.count_in_dev + sizeof(CountSlot) *
                                              static_cast<std::uint64_t>(
                                                  self->np_)) {
           ++st.count_events;
-        } else if (ev.vaddr >= reduce_base &&
-                   ev.vaddr < reduce_base + st.reduce_slots.size() *
-                                                sizeof(std::uint64_t)) {
+        } else if (ev.vaddr >= st.reduce_slots &&
+                   ev.vaddr < cell(st.reduce_slots, self->np_)) {
           ++st.reduce_events;
         }
         if (st.event_check) st.event_check();
@@ -292,22 +285,19 @@ sim::Coro BfsRun::rank_main(int rank) {
         std::uint64_t pairs = 0;
         if (cfg_.net == BfsNet::kApenet) {
           CountSlot slot{};
-          std::vector<std::uint8_t> raw(sizeof(CountSlot));
-          cuda.move_bytes(reinterpret_cast<std::uint64_t>(raw.data()),
-                          st.count_in_dev + sizeof(CountSlot) *
-                                                static_cast<std::uint64_t>(p),
-                          sizeof(CountSlot));
-          std::memcpy(&slot, raw.data(), sizeof(slot));
+          cuda.download(st.count_in_dev + sizeof(CountSlot) *
+                                              static_cast<std::uint64_t>(p),
+                        std::as_writable_bytes(std::span(&slot, 1)));
           pairs = slot.pairs;
         } else {
-          pairs = st.counts_in[static_cast<std::size_t>(p)];
+          pairs = cluster_.node(rank).hostmem().load<std::uint64_t>(
+              cell(st.counts_in, p));
         }
         if (pairs == 0) continue;
         inbound += pairs;
         std::vector<std::pair<Vertex, Vertex>> buf(pairs);
-        cuda.move_bytes(reinterpret_cast<std::uint64_t>(buf.data()),
-                        st.in_dev[static_cast<std::size_t>(p)],
-                        pairs * sizeof(std::pair<Vertex, Vertex>));
+        cuda.download(st.in_dev[static_cast<std::size_t>(p)],
+                      std::as_writable_bytes(std::span(buf)));
         for (auto [w, parent] : buf) {
           if (st.parents[w - vlo] == kUnreached) {
             st.parents[w - vlo] = parent;
@@ -331,17 +321,14 @@ sim::Coro BfsRun::rank_main(int rank) {
       Time tr0 = sim.now();
       if (cfg_.net == BfsNet::kApenet) {
         core::RdmaDevice& rdma = cluster_.rdma(rank);
-        st.reduce_slots[static_cast<std::size_t>(rank)] =
-            st.next_frontier.size();
+        pcie::HostMemory& host = cluster_.node(rank).hostmem();
+        host.store<std::uint64_t>(cell(st.reduce_slots, rank),
+                                  st.next_frontier.size());
         for (int p = 0; p < np_; ++p) {
           if (p == rank) continue;
           RankState& peer = *ranks_[static_cast<std::size_t>(p)];
-          rdma.put(cluster_.coord(p),
-                   reinterpret_cast<std::uint64_t>(
-                       &st.reduce_slots[static_cast<std::size_t>(rank)]),
-                   sizeof(std::uint64_t),
-                   reinterpret_cast<std::uint64_t>(
-                       &peer.reduce_slots[static_cast<std::size_t>(rank)]),
+          rdma.put(cluster_.coord(p), cell(st.reduce_slots, rank),
+                   sizeof(std::uint64_t), cell(peer.reduce_slots, rank),
                    core::MemType::kHost, true);
         }
         const std::uint64_t target =
@@ -356,7 +343,7 @@ sim::Coro BfsRun::rank_main(int rank) {
         st.event_check = nullptr;
         global_next = 0;
         for (int p = 0; p < np_; ++p)
-          global_next += st.reduce_slots[static_cast<std::size_t>(p)];
+          global_next += host.load<std::uint64_t>(cell(st.reduce_slots, p));
       } else {
         mpi::Rank& mr = cluster_.mpi_rank(rank);
         co_await mr.allreduce_sum(&global_next);
@@ -407,6 +394,10 @@ BfsMetrics BfsRun::run() {
           0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
       st->count_in_dev = cuda.malloc_device(
           0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
+      pcie::HostMemory& host = cluster_.node(r).hostmem();
+      st->reduce_slots = host.alloc(cell(0, np_));
+      st->counts_out = host.alloc(cell(0, np_));
+      st->counts_in = host.alloc(cell(0, np_));
       ranks_.push_back(std::move(st));
     }
   }
@@ -414,18 +405,19 @@ BfsMetrics BfsRun::run() {
   // Per-traversal reset (states persist across run_roots iterations so the
   // registrations and the event pump survive; every event of the previous
   // traversal has been consumed by its completion).
-  for (auto& st : ranks_) {
-    st->ready = std::make_shared<sim::Gate>(sim);
-    st->reduce_slots.assign(static_cast<std::size_t>(np_), 0);
-    st->counts_out.assign(static_cast<std::size_t>(np_), 0);
-    st->counts_in.assign(static_cast<std::size_t>(np_), 0);
-    st->frontier.clear();
-    st->next_frontier.clear();
-    st->count_events = 0;
-    st->reduce_events = 0;
-    st->event_check = nullptr;
-    st->t_start = st->t_end = 0;
-    st->compute_time = st->comm_time = 0;
+  for (int r = 0; r < np_; ++r) {
+    RankState& st = *ranks_[static_cast<std::size_t>(r)];
+    pcie::HostMemory& host = cluster_.node(r).hostmem();
+    st.ready = std::make_shared<sim::Gate>(sim);
+    for (std::uint64_t slots : {st.reduce_slots, st.counts_out, st.counts_in})
+      std::ranges::fill(host.bytes(slots, cell(0, np_)), 0);
+    st.frontier.clear();
+    st.next_frontier.clear();
+    st.count_events = 0;
+    st.reduce_events = 0;
+    st.event_check = nullptr;
+    st.t_start = st.t_end = 0;
+    st.compute_time = st.comm_time = 0;
   }
 
   for (int r = 0; r < np_; ++r) rank_main(r);

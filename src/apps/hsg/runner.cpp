@@ -1,9 +1,7 @@
 #include "apps/hsg/runner.hpp"
 
 #include <algorithm>
-
-#include "apps/hsg/host_buf.hpp"
-#include <cstring>
+#include <span>
 #include <stdexcept>
 
 namespace apn::apps::hsg {
@@ -18,10 +16,9 @@ struct HsgRun::RankState {
   // Device halo buffers (one per direction).
   cuda::DevPtr send_dev[2] = {0, 0};
   cuda::DevPtr recv_dev[2] = {0, 0};
-  // Host bounces (staging modes); page-aligned so staged timing is
-  // reproducible under ASLR.
-  HostBuf send_host[2];
-  HostBuf recv_host[2];
+  // Host bounces (staging modes), in the node's host memory.
+  std::uint64_t send_host[2] = {0, 0};
+  std::uint64_t recv_host[2] = {0, 0};
   std::vector<std::uint8_t> pack_buf[2];
 
   Time t_start = 0;
@@ -74,6 +71,17 @@ Time HsgRun::kernel_time(int rank, std::uint64_t sites) const {
                            static_cast<double>(spin_time(rank)) * occ);
 }
 
+void HsgRun::unpack_halos(int rank, int parity) {
+  RankState& st = *ranks_[static_cast<std::size_t>(rank)];
+  cuda::Runtime& cuda = cluster_.node(rank).cuda();
+  std::vector<std::uint8_t> tmp(static_cast<std::uint64_t>(cfg_.L) * cfg_.L /
+                                2 * sizeof(Spin));
+  cuda.download(st.recv_dev[kDown], std::as_writable_bytes(std::span(tmp)));
+  st.slab->unpack_parity_plane(0, parity, tmp);
+  cuda.download(st.recv_dev[kUp], std::as_writable_bytes(std::span(tmp)));
+  st.slab->unpack_parity_plane(local_z_ + 1, parity, tmp);
+}
+
 sim::Coro HsgRun::exchange_phase(int rank, int parity,
                                  std::shared_ptr<sim::Gate> done) {
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
@@ -97,17 +105,14 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
   // ---- IB / minimpi path ---------------------------------------------------
   if (cfg_.mode == CommMode::kIb) {
     mpi::Rank& mr = cluster_.mpi_rank(rank);
+    cuda::Runtime& cuda = cluster_.node(rank).cuda();
     if (cfg_.functional && st.slab) {
       st.slab->pack_parity_plane(1, parity, st.pack_buf[kDown]);
-      cluster_.node(rank).cuda().move_bytes(
-          st.send_dev[kDown],
-          reinterpret_cast<std::uint64_t>(st.pack_buf[kDown].data()),
-          plane_bytes);
+      cuda.upload(st.send_dev[kDown],
+                  std::as_bytes(std::span(st.pack_buf[kDown])));
       st.slab->pack_parity_plane(local_z_, parity, st.pack_buf[kUp]);
-      cluster_.node(rank).cuda().move_bytes(
-          st.send_dev[kUp],
-          reinterpret_cast<std::uint64_t>(st.pack_buf[kUp].data()),
-          plane_bytes);
+      cuda.upload(st.send_dev[kUp],
+                  std::as_bytes(std::span(st.pack_buf[kUp])));
     }
     const int tag_down = parity * 2 + 0;  // plane heading to lower z
     const int tag_up = parity * 2 + 1;
@@ -120,17 +125,7 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
     co_await s2;
     co_await r1;
     co_await r2;
-    if (cfg_.functional && st.slab) {
-      std::vector<std::uint8_t> tmp(plane_bytes);
-      cluster_.node(rank).cuda().move_bytes(
-          reinterpret_cast<std::uint64_t>(tmp.data()), st.recv_dev[kDown],
-          plane_bytes);
-      st.slab->unpack_parity_plane(0, parity, tmp);
-      cluster_.node(rank).cuda().move_bytes(
-          reinterpret_cast<std::uint64_t>(tmp.data()), st.recv_dev[kUp],
-          plane_bytes);
-      st.slab->unpack_parity_plane(local_z_ + 1, parity, tmp);
-    }
+    if (cfg_.functional && st.slab) unpack_halos(rank, parity);
     done->open();
     co_return;
   }
@@ -165,35 +160,24 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
 
     std::uint64_t src_addr = 0;
     core::MemType src_type;
+    if (cfg_.functional && st.slab)
+      cuda.upload(st.send_dev[dir],
+                  std::as_bytes(std::span(st.pack_buf[dir])));
     if (cfg_.mode == CommMode::kP2pOn) {
-      if (cfg_.functional && st.slab)
-        cuda.move_bytes(
-            st.send_dev[dir],
-            reinterpret_cast<std::uint64_t>(st.pack_buf[dir].data()),
-            plane_bytes);
       src_addr = st.send_dev[dir];
       src_type = core::MemType::kGpu;
     } else {
       // Staging for TX: asynchronous cudaMemcpy D2H of the plane.
-      if (cfg_.functional && st.slab) {
-        cuda.move_bytes(
-            st.send_dev[dir],
-            reinterpret_cast<std::uint64_t>(st.pack_buf[dir].data()),
-            plane_bytes);
-      }
-      co_await staging_stream.memcpy_async(
-          reinterpret_cast<std::uint64_t>(st.send_host[dir].data()),
-          st.send_dev[dir], plane_bytes);
-      src_addr = reinterpret_cast<std::uint64_t>(st.send_host[dir].data());
+      co_await staging_stream.memcpy_async(st.send_host[dir],
+                                           st.send_dev[dir], plane_bytes);
+      src_addr = st.send_host[dir];
       src_type = core::MemType::kHost;
     }
 
     // Remote target: GPU halo buffer (ON/RX) or host bounce (OFF).
-    std::uint64_t remote =
-        cfg_.mode == CommMode::kP2pOff
-            ? reinterpret_cast<std::uint64_t>(
-                  peers[dir]->recv_host[remote_slot[dir]].data())
-            : peers[dir]->recv_dev[remote_slot[dir]];
+    std::uint64_t remote = cfg_.mode == CommMode::kP2pOff
+                               ? peers[dir]->recv_host[remote_slot[dir]]
+                               : peers[dir]->recv_dev[remote_slot[dir]];
 
     for (std::uint64_t off = 0; off < plane_bytes; off += chunk) {
       const std::uint64_t n = std::min<std::uint64_t>(chunk, plane_bytes - off);
@@ -213,28 +197,12 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
   // Staged RX: copy the landed halos up to the GPU.
   if (cfg_.mode == CommMode::kP2pOff) {
     for (int dir = 0; dir < 2; ++dir) {
-      if (cfg_.functional && st.slab) {
-        cuda.move_bytes(
-            st.recv_dev[dir],
-            reinterpret_cast<std::uint64_t>(st.recv_host[dir].data()),
-            plane_bytes);
-      }
-      co_await cuda.memcpy_sync(
-          st.recv_dev[dir],
-          reinterpret_cast<std::uint64_t>(st.recv_host[dir].data()),
-          plane_bytes);
+      co_await cuda.memcpy_sync(st.recv_dev[dir], st.recv_host[dir],
+                                plane_bytes);
     }
   }
 
-  if (cfg_.functional && st.slab) {
-    std::vector<std::uint8_t> tmp(plane_bytes);
-    cuda.move_bytes(reinterpret_cast<std::uint64_t>(tmp.data()),
-                    st.recv_dev[kDown], plane_bytes);
-    st.slab->unpack_parity_plane(0, parity, tmp);
-    cuda.move_bytes(reinterpret_cast<std::uint64_t>(tmp.data()),
-                    st.recv_dev[kUp], plane_bytes);
-    st.slab->unpack_parity_plane(local_z_ + 1, parity, tmp);
-  }
+  if (cfg_.functional && st.slab) unpack_halos(rank, parity);
 
   // Drain local sends before the buffers are reused next phase.
   for (auto& g : tx_gates) co_await g->wait();
@@ -250,23 +218,18 @@ sim::Coro HsgRun::rank_main(int rank) {
   // ---- setup: register halo buffers ------------------------------------
   if (cfg_.mode != CommMode::kIb && np_ > 1) {
     core::RdmaDevice& rdma = cluster_.rdma(rank);
+    const bool host_rx = cfg_.mode == CommMode::kP2pOff;
+    const bool host_tx = cfg_.mode != CommMode::kP2pOn;
+    auto type = [](bool host) {
+      return host ? core::MemType::kHost : core::MemType::kGpu;
+    };
     for (int dir = 0; dir < 2; ++dir) {
-      if (cfg_.mode == CommMode::kP2pOff) {
-        co_await rdma.register_buffer(
-            reinterpret_cast<std::uint64_t>(st.recv_host[dir].data()),
-            plane_bytes, core::MemType::kHost);
-      } else {
-        co_await rdma.register_buffer(st.recv_dev[dir], plane_bytes,
-                                      core::MemType::kGpu);
-      }
-      if (cfg_.mode == CommMode::kP2pOn) {
-        co_await rdma.register_buffer(st.send_dev[dir], plane_bytes,
-                                      core::MemType::kGpu);
-      } else {
-        co_await rdma.register_buffer(
-            reinterpret_cast<std::uint64_t>(st.send_host[dir].data()),
-            plane_bytes, core::MemType::kHost);
-      }
+      co_await rdma.register_buffer(
+          host_rx ? st.recv_host[dir] : st.recv_dev[dir], plane_bytes,
+          type(host_rx));
+      co_await rdma.register_buffer(
+          host_tx ? st.send_host[dir] : st.send_dev[dir], plane_bytes,
+          type(host_tx));
     }
   }
 
@@ -331,11 +294,12 @@ HsgMetrics HsgRun::run() {
       st->slab->randomize(cfg_.seed);
     }
     cuda::Runtime& cuda = cluster_.node(r).cuda();
+    pcie::HostMemory& host = cluster_.node(r).hostmem();
     for (int dir = 0; dir < 2; ++dir) {
       st->send_dev[dir] = cuda.malloc_device(0, plane_bytes);
       st->recv_dev[dir] = cuda.malloc_device(0, plane_bytes);
-      st->send_host[dir].resize(plane_bytes);
-      st->recv_host[dir].resize(plane_bytes);
+      st->send_host[dir] = host.alloc(plane_bytes);
+      st->recv_host[dir] = host.alloc(plane_bytes);
     }
     ranks_.push_back(std::move(st));
   }

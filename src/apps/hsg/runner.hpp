@@ -88,6 +88,8 @@ class HsgRun {
   sim::Coro rank_main(int rank);
   sim::Coro exchange_phase(int rank, int parity,
                            std::shared_ptr<sim::Gate> done);
+  /// Functional mode: the two received halo planes, device to slab.
+  void unpack_halos(int rank, int parity);
   Time kernel_time(int rank, std::uint64_t sites) const;
   Time spin_time(int rank) const;
 

@@ -1,9 +1,8 @@
 #include "apps/hsg/runner2d.hpp"
 
 #include <algorithm>
-
-#include "apps/hsg/host_buf.hpp"
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace apn::apps::hsg {
@@ -25,9 +24,9 @@ struct Hsg2dRun::RankState {
   std::unique_ptr<Slab2d> slab;
   cuda::DevPtr send_dev[kFaces] = {0, 0, 0, 0};
   cuda::DevPtr recv_dev[kFaces] = {0, 0, 0, 0};
-  // Page-aligned so staged timing is reproducible under ASLR.
-  HostBuf send_host[kFaces];
-  HostBuf recv_host[kFaces];
+  // Host bounces (P2P=OFF), in the node's host memory.
+  std::uint64_t send_host[kFaces] = {0, 0, 0, 0};
+  std::uint64_t recv_host[kFaces] = {0, 0, 0, 0};
   std::vector<std::uint8_t> pack_buf[kFaces];
 
   Time t_start = 0, t_end = 0;
@@ -105,31 +104,21 @@ sim::Coro Hsg2dRun::exchange_phase(int rank, int parity,
 
     std::uint64_t src_addr;
     core::MemType src_type;
+    if (cfg_.functional && st.slab)
+      cuda.upload(st.send_dev[f], std::as_bytes(std::span(st.pack_buf[f])));
     if (cfg_.mode == CommMode::kP2pOn) {
-      if (cfg_.functional && st.slab)
-        cuda.move_bytes(st.send_dev[f],
-                        reinterpret_cast<std::uint64_t>(st.pack_buf[f].data()),
-                        bytes);
       src_addr = st.send_dev[f];
       src_type = core::MemType::kGpu;
     } else {
-      if (cfg_.functional && st.slab)
-        cuda.move_bytes(st.send_dev[f],
-                        reinterpret_cast<std::uint64_t>(st.pack_buf[f].data()),
-                        bytes);
-      co_await staging.memcpy_async(
-          reinterpret_cast<std::uint64_t>(st.send_host[f].data()),
-          st.send_dev[f], bytes);
-      src_addr = reinterpret_cast<std::uint64_t>(st.send_host[f].data());
+      co_await staging.memcpy_async(st.send_host[f], st.send_dev[f], bytes);
+      src_addr = st.send_host[f];
       src_type = core::MemType::kHost;
     }
 
     const int remote_slot = static_cast<int>(opposite(face));
-    std::uint64_t remote =
-        cfg_.mode == CommMode::kP2pOff
-            ? reinterpret_cast<std::uint64_t>(
-                  dst.recv_host[remote_slot].data())
-            : dst.recv_dev[remote_slot];
+    std::uint64_t remote = cfg_.mode == CommMode::kP2pOff
+                               ? dst.recv_host[remote_slot]
+                               : dst.recv_dev[remote_slot];
     for (std::uint64_t off = 0; off < bytes;
          off += cfg_.halo_chunk_bytes) {
       const std::uint64_t n =
@@ -152,13 +141,7 @@ sim::Coro Hsg2dRun::exchange_phase(int rank, int parity,
       const std::uint64_t bytes =
           st.slab ? st.slab->face_parity_bytes(static_cast<Face>(f))
                   : face_bytes_estimate(static_cast<Face>(f));
-      if (cfg_.functional && st.slab)
-        cuda.move_bytes(st.recv_dev[f],
-                        reinterpret_cast<std::uint64_t>(st.recv_host[f].data()),
-                        bytes);
-      co_await cuda.memcpy_sync(
-          st.recv_dev[f],
-          reinterpret_cast<std::uint64_t>(st.recv_host[f].data()), bytes);
+      co_await cuda.memcpy_sync(st.recv_dev[f], st.recv_host[f], bytes);
     }
   }
 
@@ -167,8 +150,7 @@ sim::Coro Hsg2dRun::exchange_phase(int rank, int parity,
     for (int f = 0; f < kFaces; ++f) {
       Face face = static_cast<Face>(f);
       tmp.resize(st.slab->face_parity_bytes(face));
-      cuda.move_bytes(reinterpret_cast<std::uint64_t>(tmp.data()),
-                      st.recv_dev[f], tmp.size());
+      cuda.download(st.recv_dev[f], std::as_writable_bytes(std::span(tmp)));
       st.slab->unpack_face(face, parity, tmp);
     }
   }
@@ -189,21 +171,15 @@ sim::Coro Hsg2dRun::rank_main(int rank) {
   core::RdmaDevice& rdma = cluster_.rdma(rank);
 
   if (np_ > 1) {
+    const bool host = cfg_.mode == CommMode::kP2pOff;
+    const core::MemType type =
+        host ? core::MemType::kHost : core::MemType::kGpu;
     for (int f = 0; f < kFaces; ++f) {
       const std::uint64_t bytes = face_bytes_estimate(static_cast<Face>(f));
-      if (cfg_.mode == CommMode::kP2pOff) {
-        co_await rdma.register_buffer(
-            reinterpret_cast<std::uint64_t>(st.recv_host[f].data()), bytes,
-            core::MemType::kHost);
-        co_await rdma.register_buffer(
-            reinterpret_cast<std::uint64_t>(st.send_host[f].data()), bytes,
-            core::MemType::kHost);
-      } else {
-        co_await rdma.register_buffer(st.recv_dev[f], bytes,
-                                      core::MemType::kGpu);
-        co_await rdma.register_buffer(st.send_dev[f], bytes,
-                                      core::MemType::kGpu);
-      }
+      co_await rdma.register_buffer(host ? st.recv_host[f] : st.recv_dev[f],
+                                    bytes, type);
+      co_await rdma.register_buffer(host ? st.send_host[f] : st.send_dev[f],
+                                    bytes, type);
     }
   }
 
@@ -279,12 +255,13 @@ HsgMetrics Hsg2dRun::run() {
       st->slab->randomize(cfg_.seed);
     }
     cuda::Runtime& cuda = cluster_.node(r).cuda();
+    pcie::HostMemory& host = cluster_.node(r).hostmem();
     for (int f = 0; f < kFaces; ++f) {
       const std::uint64_t bytes = face_bytes_estimate(static_cast<Face>(f));
       st->send_dev[f] = cuda.malloc_device(0, bytes);
       st->recv_dev[f] = cuda.malloc_device(0, bytes);
-      st->send_host[f].resize(bytes);
-      st->recv_host[f].resize(bytes);
+      st->send_host[f] = host.alloc(bytes);
+      st->recv_host[f] = host.alloc(bytes);
     }
     ranks_.push_back(std::move(st));
   }

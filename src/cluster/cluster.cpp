@@ -54,7 +54,8 @@ Node::Node(sim::Simulator& sim, int index, core::TorusCoord coord,
     gpu_ptrs.push_back(gp.get());
     gpus_.push_back(std::move(gp));
   }
-  cuda_ = std::make_unique<cuda::Runtime>(sim, gpu_ptrs, cfg.cuda);
+  cuda_ =
+      std::make_unique<cuda::Runtime>(sim, *hostmem_, gpu_ptrs, cfg.cuda);
 
   if (cfg.has_apenet) {
     card_ = std::make_unique<core::ApenetCard>(sim, *fabric_, apn_params,
@@ -62,7 +63,7 @@ Node::Node(sim::Simulator& sim, int index, core::TorusCoord coord,
     card_node_ = fabric_->attach(*card_, plx_, cfg.apenet_slot);
     fabric_->claim_range(*card_, base, core::ApenetCard::kMmioSize);
     rdma_ = std::make_unique<core::RdmaDevice>(
-        *card_, *hostmem_, gpus_.empty() ? nullptr : cuda_.get());
+        *card_, gpus_.empty() ? nullptr : cuda_.get());
   }
 
   if (cfg.has_ib) {

@@ -10,25 +10,38 @@ int rounds_for(int np) {
   for (int span = 1; span < np; span *= 2) ++r;
   return r;
 }
+
+/// Bytes of `n` u64 slot cells.
+std::uint64_t cells(int n) {
+  return sizeof(std::uint64_t) * static_cast<std::uint64_t>(n);
+}
 }  // namespace
 
 struct Collectives::NodeState {
-  explicit NodeState(sim::Simulator& sim, int np, int rounds)
-      : barrier_slots(static_cast<std::size_t>(rounds), 0),
-        stage_barrier(static_cast<std::size_t>(rounds), 0),
-        reduce_values(static_cast<std::size_t>(np), 0),
-        reduce_epochs(static_cast<std::size_t>(np), 0),
+  explicit NodeState(sim::Simulator& sim, pcie::HostMemory& host, int np,
+                     int rounds)
+      : host(&host),
+        barrier_slots(host.alloc(cells(rounds))),
+        reduce_values(host.alloc(cells(np))),
+        reduce_epochs(host.alloc(cells(np))),
+        bcast_slot(host.alloc(cells(2))),
+        stage_barrier(host.alloc(cells(rounds))),
+        stage_value(host.alloc(cells(1))),
+        stage_epoch(host.alloc(cells(1))),
+        stage_bcast(host.alloc(cells(2))),
         app_events(sim) {}
 
-  // Remote-writable slot arrays (registered host memory).
-  std::vector<std::uint64_t> barrier_slots;  ///< [round] <- partner epoch
-  std::vector<std::uint64_t> stage_barrier;  ///< staged outgoing epochs
-  std::vector<std::uint64_t> reduce_values;  ///< [src] gathered at rank 0
-  std::vector<std::uint64_t> reduce_epochs;  ///< [src] arrival flags
-  std::uint64_t bcast_slot[2] = {0, 0};      ///< {epoch, value}
-  std::uint64_t stage_value = 0;             ///< staged outgoing value
-  std::uint64_t stage_epoch = 0;
-  std::uint64_t stage_bcast[2] = {0, 0};
+  pcie::HostMemory* host;
+  // Remote-writable slot arrays (registered host memory), u64 cells.
+  std::uint64_t barrier_slots;  ///< [round] <- partner epoch
+  std::uint64_t reduce_values;  ///< [src] gathered at rank 0
+  std::uint64_t reduce_epochs;  ///< [src] arrival flags
+  std::uint64_t bcast_slot;     ///< {epoch, value}
+  // Staged outgoing values (the PUT sources).
+  std::uint64_t stage_barrier;  ///< [round] epoch
+  std::uint64_t stage_value;
+  std::uint64_t stage_epoch;
+  std::uint64_t stage_bcast;  ///< {epoch, value}
 
   std::uint64_t barrier_epoch = 0;
   std::uint64_t reduce_epoch = 0;
@@ -36,6 +49,16 @@ struct Collectives::NodeState {
   /// Conditions re-evaluated on every collective-slot completion; an entry
   /// returning true is done and removed.
   std::vector<std::function<bool()>> waiters;
+
+  static std::uint64_t cell(std::uint64_t array, int i) {
+    return array + cells(i);
+  }
+  std::uint64_t get(std::uint64_t array, int i) const {
+    return host->load<std::uint64_t>(cell(array, i));
+  }
+  void set(std::uint64_t array, int i, std::uint64_t v) {
+    host->store(cell(array, i), v);
+  }
 
   void poll() {
     std::erase_if(waiters, [](auto& w) { return w(); });
@@ -46,8 +69,8 @@ Collectives::Collectives(Cluster& cluster)
     : cluster_(cluster), np_(cluster.size()) {
   const int rounds = rounds_for(np_);
   for (int r = 0; r < np_; ++r) {
-    nodes_.push_back(std::make_unique<NodeState>(cluster.simulator(), np_,
-                                                 rounds));
+    nodes_.push_back(std::make_unique<NodeState>(
+        cluster.simulator(), cluster.node(r).hostmem(), np_, rounds));
     pump(r);
   }
 }
@@ -60,17 +83,12 @@ sim::Queue<core::RdmaEvent>& Collectives::events(int rank) {
 
 bool Collectives::is_collective_addr(int rank, std::uint64_t vaddr) const {
   const NodeState& st = *nodes_[static_cast<std::size_t>(rank)];
-  auto within = [vaddr](const void* base, std::size_t bytes) {
-    auto b = reinterpret_cast<std::uint64_t>(base);
-    return vaddr >= b && vaddr < b + bytes;
+  auto within = [vaddr](std::uint64_t array, int cells) {
+    return vaddr >= array && vaddr < NodeState::cell(array, cells);
   };
-  return within(st.barrier_slots.data(),
-                st.barrier_slots.size() * sizeof(std::uint64_t)) ||
-         within(st.reduce_values.data(),
-                st.reduce_values.size() * sizeof(std::uint64_t)) ||
-         within(st.reduce_epochs.data(),
-                st.reduce_epochs.size() * sizeof(std::uint64_t)) ||
-         within(st.bcast_slot, sizeof(st.bcast_slot));
+  return within(st.barrier_slots, rounds_for(np_)) ||
+         within(st.reduce_values, np_) || within(st.reduce_epochs, np_) ||
+         within(st.bcast_slot, 2);
 }
 
 sim::Future<bool> Collectives::setup() {
@@ -81,17 +99,13 @@ sim::Future<bool> Collectives::setup() {
        sim::Future<bool> done) -> sim::Coro {
       NodeState& st = *self->nodes_[static_cast<std::size_t>(rank)];
       core::RdmaDevice& rdma = self->cluster_.rdma(rank);
-      auto reg = [&](const void* base, std::size_t bytes) {
-        return rdma.register_buffer(reinterpret_cast<std::uint64_t>(base),
-                                    bytes, core::MemType::kHost);
+      auto reg = [&](std::uint64_t array, int n) {
+        return rdma.register_buffer(array, cells(n), core::MemType::kHost);
       };
-      co_await reg(st.barrier_slots.data(),
-                   st.barrier_slots.size() * sizeof(std::uint64_t));
-      co_await reg(st.reduce_values.data(),
-                   st.reduce_values.size() * sizeof(std::uint64_t));
-      co_await reg(st.reduce_epochs.data(),
-                   st.reduce_epochs.size() * sizeof(std::uint64_t));
-      co_await reg(st.bcast_slot, sizeof(st.bcast_slot));
+      co_await reg(st.barrier_slots, rounds_for(self->np_));
+      co_await reg(st.reduce_values, self->np_);
+      co_await reg(st.reduce_epochs, self->np_);
+      co_await reg(st.bcast_slot, 2);
       if (--*remaining == 0) done.set(true);
     }(this, r, remaining, done);
   }
@@ -125,19 +139,15 @@ sim::Coro Collectives::run_barrier(int rank, sim::Future<bool> done) {
   for (int span = 1; span < np_; span *= 2, ++round) {
     const int partner = (rank + span) % np_;
     NodeState& pst = *nodes_[static_cast<std::size_t>(partner)];
-    st.stage_barrier[static_cast<std::size_t>(round)] = epoch;
-    rdma.put(cluster_.coord(partner),
-             reinterpret_cast<std::uint64_t>(
-                 &st.stage_barrier[static_cast<std::size_t>(round)]),
-             sizeof(std::uint64_t),
-             reinterpret_cast<std::uint64_t>(
-                 &pst.barrier_slots[static_cast<std::size_t>(round)]),
+    st.set(st.stage_barrier, round, epoch);
+    rdma.put(cluster_.coord(partner), NodeState::cell(st.stage_barrier, round),
+             cells(1), NodeState::cell(pst.barrier_slots, round),
              core::MemType::kHost, true);
     // Wait for the partner on the other side of this round.
     auto gate = std::make_shared<sim::Gate>(cluster_.simulator());
     const int r = round;
     st.waiters.push_back([&st, r, epoch, gate] {
-      if (st.barrier_slots[static_cast<std::size_t>(r)] >= epoch) {
+      if (st.get(st.barrier_slots, r) >= epoch) {
         gate->open();
         return true;
       }
@@ -165,24 +175,18 @@ sim::Coro Collectives::run_allreduce(int rank, std::uint64_t value,
 
   if (rank != 0) {
     // Value first, then the epoch flag: APEnet+ delivery is FIFO per pair.
-    st.stage_value = value;
-    st.stage_epoch = epoch;
-    rdma.put(cluster_.coord(0),
-             reinterpret_cast<std::uint64_t>(&st.stage_value),
-             sizeof(std::uint64_t),
-             reinterpret_cast<std::uint64_t>(
-                 &root.reduce_values[static_cast<std::size_t>(rank)]),
-             core::MemType::kHost, true);
-    rdma.put(cluster_.coord(0),
-             reinterpret_cast<std::uint64_t>(&st.stage_epoch),
-             sizeof(std::uint64_t),
-             reinterpret_cast<std::uint64_t>(
-                 &root.reduce_epochs[static_cast<std::size_t>(rank)]),
-             core::MemType::kHost, true);
+    st.set(st.stage_value, 0, value);
+    st.set(st.stage_epoch, 0, epoch);
+    rdma.put(cluster_.coord(0), st.stage_value, cells(1),
+             NodeState::cell(root.reduce_values, rank), core::MemType::kHost,
+             true);
+    rdma.put(cluster_.coord(0), st.stage_epoch, cells(1),
+             NodeState::cell(root.reduce_epochs, rank), core::MemType::kHost,
+             true);
     // Wait for the broadcast of this epoch's result.
     auto gate = std::make_shared<sim::Gate>(cluster_.simulator());
     st.waiters.push_back([&st, epoch, gate] {
-      if (st.bcast_slot[0] >= epoch) {
+      if (st.get(st.bcast_slot, 0) >= epoch) {
         gate->open();
         return true;
       }
@@ -190,18 +194,17 @@ sim::Coro Collectives::run_allreduce(int rank, std::uint64_t value,
     });
     st.poll();
     co_await gate->wait();
-    done.set(st.bcast_slot[1]);
+    done.set(st.get(st.bcast_slot, 1));
     co_return;
   }
 
   // Rank 0: gather, sum, broadcast.
-  root.reduce_values[0] = value;
+  root.set(root.reduce_values, 0, value);
   auto gate = std::make_shared<sim::Gate>(cluster_.simulator());
   const int np = np_;
   root.waiters.push_back([&root, epoch, np, gate] {
     for (int i = 1; i < np; ++i) {
-      if (root.reduce_epochs[static_cast<std::size_t>(i)] < epoch)
-        return false;
+      if (root.get(root.reduce_epochs, i) < epoch) return false;
     }
     gate->open();
     return true;
@@ -210,21 +213,15 @@ sim::Coro Collectives::run_allreduce(int rank, std::uint64_t value,
   co_await gate->wait();
   std::uint64_t sum = 0;
   for (int i = 0; i < np_; ++i)
-    sum += root.reduce_values[static_cast<std::size_t>(i)];
-  root.stage_bcast[0] = epoch;
-  root.stage_bcast[1] = sum;
+    sum += root.get(root.reduce_values, i);
+  root.set(root.stage_bcast, 0, epoch);
+  root.set(root.stage_bcast, 1, sum);
   for (int i = 1; i < np_; ++i) {
     NodeState& pst = *nodes_[static_cast<std::size_t>(i)];
-    rdma.put(cluster_.coord(i),
-             reinterpret_cast<std::uint64_t>(&root.stage_bcast[1]),
-             sizeof(std::uint64_t),
-             reinterpret_cast<std::uint64_t>(&pst.bcast_slot[1]),
-             core::MemType::kHost, true);
-    rdma.put(cluster_.coord(i),
-             reinterpret_cast<std::uint64_t>(&root.stage_bcast[0]),
-             sizeof(std::uint64_t),
-             reinterpret_cast<std::uint64_t>(&pst.bcast_slot[0]),
-             core::MemType::kHost, true);
+    rdma.put(cluster_.coord(i), NodeState::cell(root.stage_bcast, 1), cells(1),
+             NodeState::cell(pst.bcast_slot, 1), core::MemType::kHost, true);
+    rdma.put(cluster_.coord(i), NodeState::cell(root.stage_bcast, 0), cells(1),
+             NodeState::cell(pst.bcast_slot, 0), core::MemType::kHost, true);
   }
   done.set(sum);
 }

@@ -31,21 +31,21 @@ BwResult loopback_bandwidth(Cluster& c, int node, core::MemType src_type,
                             std::uint64_t size, int count) {
   Node& n = c.node(node);
   const bool flush = n.card().params().flush_at_switch;
-  Buf src = Buf::make(n, src_type, size);
-  Buf dst = Buf::make(n, src_type, size);
+  std::uint64_t src = make_buf(n, src_type, size);
+  std::uint64_t dst = make_buf(n, src_type, size);
   auto sh = std::make_shared<Shared>();
 
-  [](Cluster* c, int node, Buf src, Buf dst, std::uint64_t size, int count,
-     bool flush, core::MemType type,
+  [](Cluster* c, int node, std::uint64_t src, std::uint64_t dst,
+     std::uint64_t size, int count, bool flush, core::MemType type,
      std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(node);
-    co_await rdma.register_buffer(dst.addr, size, type);
-    co_await rdma.register_buffer(src.addr, size, type);
+    co_await rdma.register_buffer(dst, size, type);
+    co_await rdma.register_buffer(src, size, type);
     sh->t0 = c->simulator().now();
     std::vector<std::shared_ptr<sim::Gate>> gates;
     gates.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
-      auto p = rdma.put(c->coord(node), src.addr, size, dst.addr, type,
+      auto p = rdma.put(c->coord(node), src, size, dst, type,
                         /*carry_data=*/false);
       gates.push_back(p.tx_done);
     }
@@ -70,24 +70,25 @@ BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
                            TwoNodeOptions opt) {
   Node& s = c.node(0);
   Node& d = c.node(1);
-  Buf src = Buf::make(s, opt.src_type, size);
-  Buf bounce_tx[2] = {Buf::make(s, core::MemType::kHost, size),
-                      Buf::make(s, core::MemType::kHost, size)};
+  std::uint64_t src = make_buf(s, opt.src_type, size);
+  std::uint64_t bounce_tx[2] = {make_buf(s, core::MemType::kHost, size),
+                                make_buf(s, core::MemType::kHost, size)};
   // Destination: either the real-typed buffer, or (staged RX) a host
   // landing buffer that is copied up to the GPU per message.
-  Buf dst = Buf::make(d, opt.staged_rx ? core::MemType::kHost : opt.dst_type,
-                      size);
-  Buf dst_gpu = opt.staged_rx ? Buf::make(d, core::MemType::kGpu, size)
-                              : Buf{};
+  std::uint64_t dst = make_buf(
+      d, opt.staged_rx ? core::MemType::kHost : opt.dst_type, size);
+  std::uint64_t dst_gpu =
+      opt.staged_rx ? make_buf(d, core::MemType::kGpu, size) : 0;
   auto sh = std::make_shared<Shared>();
   sh->ready = std::make_shared<sim::Gate>(c.simulator());
 
   // Receiver
-  [](Cluster* c, Buf dst, Buf dst_gpu, std::uint64_t size, int count,
-     TwoNodeOptions opt, std::shared_ptr<Shared> sh) -> sim::Coro {
+  [](Cluster* c, std::uint64_t dst, std::uint64_t dst_gpu,
+     std::uint64_t size, int count, TwoNodeOptions opt,
+     std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(1);
     co_await rdma.register_buffer(
-        dst.addr, size,
+        dst, size,
         opt.staged_rx ? core::MemType::kHost : opt.dst_type);
     sh->ready->open();
     for (int i = 0; i < count; ++i) {
@@ -95,19 +96,20 @@ BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
       // Staged RX: synchronous cudaMemcpy H2D per message, as in the
       // paper's P2P=OFF benchmark.
       if (opt.staged_rx)
-        co_await c->node(1).cuda().memcpy_sync(dst_gpu.addr, dst.addr, size);
+        co_await c->node(1).cuda().memcpy_sync(dst_gpu, dst, size);
     }
     sh->t_end = c->simulator().now();
   }(&c, dst, dst_gpu, size, count, opt, sh);
 
   // Sender
-  [](Cluster* c, Buf src, Buf b0, Buf b1, Buf dst, std::uint64_t size,
-     int count, TwoNodeOptions opt, std::shared_ptr<Shared> sh) -> sim::Coro {
+  [](Cluster* c, std::uint64_t src, std::uint64_t b0, std::uint64_t b1,
+     std::uint64_t dst, std::uint64_t size, int count, TwoNodeOptions opt,
+     std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(0);
     core::MemType wire_type = opt.staged_tx ? core::MemType::kHost
                                             : opt.src_type;
     if (opt.src_type == core::MemType::kGpu && !opt.staged_tx)
-      co_await rdma.register_buffer(src.addr, size, core::MemType::kGpu);
+      co_await rdma.register_buffer(src, size, core::MemType::kGpu);
     // Let the receiver finish registration first.
     co_await sh->ready->wait();
     sh->t0 = c->simulator().now();
@@ -115,13 +117,13 @@ BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
     // the paper's P2P=OFF benchmark (its Fig. 10 shows the full ~10 us
     // D2H sync cost in the sender's per-message overhead).
     for (int i = 0; i < count; ++i) {
-      std::uint64_t from = src.addr;
+      std::uint64_t from = src;
       if (opt.staged_tx) {
-        Buf* b = i % 2 == 0 ? &b0 : &b1;
-        co_await c->node(0).cuda().memcpy_sync(b->addr, src.addr, size);
-        from = b->addr;
+        const std::uint64_t b = i % 2 == 0 ? b0 : b1;
+        co_await c->node(0).cuda().memcpy_sync(b, src, size);
+        from = b;
       }
-      rdma.put(c->coord(1), from, size, dst.addr, wire_type,
+      rdma.put(c->coord(1), from, size, dst, wire_type,
                /*carry_data=*/false);
     }
   }(&c, src, bounce_tx[0], bounce_tx[1], dst, size, count, opt, sh);
@@ -139,34 +141,33 @@ Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
                       TwoNodeOptions opt) {
   // Symmetric endpoints: each node has a recv buffer of the destination
   // type and sends from a buffer of the source type.
-  Buf src0 = Buf::make(c.node(0), opt.src_type, size);
-  Buf src1 = Buf::make(c.node(1), opt.src_type, size);
-  Buf dst0 = Buf::make(c.node(0),
-                       opt.staged_rx ? core::MemType::kHost : opt.dst_type,
-                       size);
-  Buf dst1 = Buf::make(c.node(1),
-                       opt.staged_rx ? core::MemType::kHost : opt.dst_type,
-                       size);
-  Buf gpu0 = opt.staged_rx ? Buf::make(c.node(0), core::MemType::kGpu, size)
-                           : Buf{};
-  Buf gpu1 = opt.staged_rx ? Buf::make(c.node(1), core::MemType::kGpu, size)
-                           : Buf{};
-  Buf host0 = Buf::make(c.node(0), core::MemType::kHost, size);
-  Buf host1 = Buf::make(c.node(1), core::MemType::kHost, size);
+  std::uint64_t src0 = make_buf(c.node(0), opt.src_type, size);
+  std::uint64_t src1 = make_buf(c.node(1), opt.src_type, size);
+  const core::MemType rx_type =
+      opt.staged_rx ? core::MemType::kHost : opt.dst_type;
+  std::uint64_t dst0 = make_buf(c.node(0), rx_type, size);
+  std::uint64_t dst1 = make_buf(c.node(1), rx_type, size);
+  std::uint64_t gpu0 =
+      opt.staged_rx ? make_buf(c.node(0), core::MemType::kGpu, size) : 0;
+  std::uint64_t gpu1 =
+      opt.staged_rx ? make_buf(c.node(1), core::MemType::kGpu, size) : 0;
+  std::uint64_t host0 = make_buf(c.node(0), core::MemType::kHost, size);
+  std::uint64_t host1 = make_buf(c.node(1), core::MemType::kHost, size);
   auto sh = std::make_shared<Shared>();
   sh->ready = std::make_shared<sim::Gate>(c.simulator());
   auto ready_count = std::make_shared<int>(0);
 
-  auto endpoint = [](Cluster* c, int me, Buf src, Buf dst, Buf gpu, Buf host,
+  auto endpoint = [](Cluster* c, int me, std::uint64_t src,
+                     std::uint64_t dst, std::uint64_t gpu, std::uint64_t host,
                      std::uint64_t remote_dst, std::uint64_t size, int reps,
                      TwoNodeOptions opt, std::shared_ptr<Shared> sh,
                      std::shared_ptr<int> ready_count) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(me);
     cuda::Runtime& cuda = c->node(me).cuda();
     co_await rdma.register_buffer(
-        dst.addr, size, opt.staged_rx ? core::MemType::kHost : opt.dst_type);
+        dst, size, opt.staged_rx ? core::MemType::kHost : opt.dst_type);
     if (opt.src_type == core::MemType::kGpu && !opt.staged_tx)
-      co_await rdma.register_buffer(src.addr, size, core::MemType::kGpu);
+      co_await rdma.register_buffer(src, size, core::MemType::kGpu);
     if (++*ready_count == 2) sh->ready->open();
     co_await sh->ready->wait();
     if (me == 0) sh->t0 = c->simulator().now();
@@ -174,25 +175,25 @@ Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
     for (int i = 0; i < reps; ++i) {
       if (me == 0) {
         // send
-        std::uint64_t from = src.addr;
+        std::uint64_t from = src;
         if (opt.staged_tx) {
-          co_await cuda.memcpy_sync(host.addr, src.addr, size);
-          from = host.addr;
+          co_await cuda.memcpy_sync(host, src, size);
+          from = host;
         }
         rdma.put(c->coord(1), from, size, remote_dst,
                  opt.staged_tx ? core::MemType::kHost : opt.src_type, false);
         // wait reply
         co_await rdma.events().pop();
         if (opt.staged_rx)
-          co_await cuda.memcpy_sync(gpu.addr, dst.addr, size);
+          co_await cuda.memcpy_sync(gpu, dst, size);
       } else {
         co_await rdma.events().pop();
         if (opt.staged_rx)
-          co_await cuda.memcpy_sync(gpu.addr, dst.addr, size);
-        std::uint64_t from = src.addr;
+          co_await cuda.memcpy_sync(gpu, dst, size);
+        std::uint64_t from = src;
         if (opt.staged_tx) {
-          co_await cuda.memcpy_sync(host.addr, src.addr, size);
-          from = host.addr;
+          co_await cuda.memcpy_sync(host, src, size);
+          from = host;
         }
         rdma.put(c->coord(0), from, size, remote_dst,
                  opt.staged_tx ? core::MemType::kHost : opt.src_type, false);
@@ -201,9 +202,9 @@ Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
     if (me == 0) sh->t_end = c->simulator().now();
   };
 
-  endpoint(&c, 0, src0, dst0, gpu0, host0, dst1.addr, size, reps, opt, sh,
+  endpoint(&c, 0, src0, dst0, gpu0, host0, dst1, size, reps, opt, sh,
            ready_count);
-  endpoint(&c, 1, src1, dst1, gpu1, host1, dst0.addr, size, reps, opt, sh,
+  endpoint(&c, 1, src1, dst1, gpu1, host1, dst0, size, reps, opt, sh,
            ready_count);
   c.simulator().run();
   const Time half_rtt = (sh->t_end - sh->t0) / (2 * reps);
@@ -214,41 +215,41 @@ Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
 
 Time host_overhead(Cluster& c, std::uint64_t size, int count,
                    TwoNodeOptions opt, int window) {
-  Buf src = Buf::make(c.node(0), opt.src_type, size);
-  Buf host = Buf::make(c.node(0), core::MemType::kHost, size);
-  Buf dst = Buf::make(c.node(1),
-                      opt.staged_rx ? core::MemType::kHost : opt.dst_type,
-                      size);
+  std::uint64_t src = make_buf(c.node(0), opt.src_type, size);
+  std::uint64_t host = make_buf(c.node(0), core::MemType::kHost, size);
+  std::uint64_t dst = make_buf(
+      c.node(1), opt.staged_rx ? core::MemType::kHost : opt.dst_type, size);
   auto sh = std::make_shared<Shared>();
   sh->ready = std::make_shared<sim::Gate>(c.simulator());
 
   // Receiver just registers and drains.
-  [](Cluster* c, Buf dst, std::uint64_t size, int count, TwoNodeOptions opt,
-     std::shared_ptr<Shared> sh) -> sim::Coro {
+  [](Cluster* c, std::uint64_t dst, std::uint64_t size, int count,
+     TwoNodeOptions opt, std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(1);
     co_await rdma.register_buffer(
-        dst.addr, size, opt.staged_rx ? core::MemType::kHost : opt.dst_type);
+        dst, size, opt.staged_rx ? core::MemType::kHost : opt.dst_type);
     sh->ready->open();
     for (int i = 0; i < count; ++i) co_await rdma.events().pop();
   }(&c, dst, size, count, opt, sh);
 
-  [](Cluster* c, Buf src, Buf host, Buf dst, std::uint64_t size, int count,
-     TwoNodeOptions opt, int window, std::shared_ptr<Shared> sh) -> sim::Coro {
+  [](Cluster* c, std::uint64_t src, std::uint64_t host, std::uint64_t dst,
+     std::uint64_t size, int count, TwoNodeOptions opt, int window,
+     std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(0);
     cuda::Runtime& cuda = c->node(0).cuda();
     if (opt.src_type == core::MemType::kGpu && !opt.staged_tx)
-      co_await rdma.register_buffer(src.addr, size, core::MemType::kGpu);
+      co_await rdma.register_buffer(src, size, core::MemType::kGpu);
     co_await sh->ready->wait();
     sim::Semaphore credits(c->simulator(), window);
     sh->t0 = c->simulator().now();
     for (int i = 0; i < count; ++i) {
       co_await credits.acquire();
-      std::uint64_t from = src.addr;
+      std::uint64_t from = src;
       if (opt.staged_tx) {
-        co_await cuda.memcpy_sync(host.addr, src.addr, size);
-        from = host.addr;
+        co_await cuda.memcpy_sync(host, src, size);
+        from = host;
       }
-      auto p = rdma.put(c->coord(1), from, size, dst.addr,
+      auto p = rdma.put(c->coord(1), from, size, dst,
                         opt.staged_tx ? core::MemType::kHost : opt.src_type,
                         false);
       // Free a credit when the message left the card.
@@ -276,32 +277,30 @@ Time host_overhead(Cluster& c, std::uint64_t size, int count,
 namespace {
 BwResult mpi_bandwidth(Cluster& c, std::uint64_t size, int count,
                        bool device) {
-  Buf src = Buf::make(c.node(0),
-                      device ? core::MemType::kGpu : core::MemType::kHost,
-                      size);
-  Buf dst = Buf::make(c.node(1),
-                      device ? core::MemType::kGpu : core::MemType::kHost,
-                      size);
+  std::uint64_t src = make_buf(
+      c.node(0), device ? core::MemType::kGpu : core::MemType::kHost, size);
+  std::uint64_t dst = make_buf(
+      c.node(1), device ? core::MemType::kGpu : core::MemType::kHost, size);
   auto sh = std::make_shared<Shared>();
 
-  [](Cluster* c, Buf dst, std::uint64_t size, int count,
+  [](Cluster* c, std::uint64_t dst, std::uint64_t size, int count,
      std::shared_ptr<Shared> sh) -> sim::Coro {
     mpi::Rank& r = c->mpi_rank(1);
     std::vector<mpi::Signal> sigs;
     sigs.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i)
-      sigs.push_back(r.recv(0, dst.addr, size, 1));
+      sigs.push_back(r.recv(0, dst, size, 1));
     for (auto& s : sigs) co_await s;
     sh->t_end = c->simulator().now();
   }(&c, dst, size, count, sh);
 
-  [](Cluster* c, Buf src, std::uint64_t size, int count,
+  [](Cluster* c, std::uint64_t src, std::uint64_t size, int count,
      std::shared_ptr<Shared> sh) -> sim::Coro {
     mpi::Rank& r = c->mpi_rank(0);
     co_await sim::delay(c->simulator(), units::us(30));
     sh->t0 = c->simulator().now();
     for (int i = 0; i < count; ++i) {
-      co_await r.send(1, src.addr, size, 1);
+      co_await r.send(1, src, size, 1);
     }
   }(&c, src, size, count, sh);
 
@@ -314,31 +313,29 @@ BwResult mpi_bandwidth(Cluster& c, std::uint64_t size, int count,
 }
 
 Time mpi_latency(Cluster& c, std::uint64_t size, int reps, bool device) {
-  Buf b0 = Buf::make(c.node(0),
-                     device ? core::MemType::kGpu : core::MemType::kHost,
-                     size);
-  Buf b1 = Buf::make(c.node(1),
-                     device ? core::MemType::kGpu : core::MemType::kHost,
-                     size);
+  std::uint64_t b0 = make_buf(
+      c.node(0), device ? core::MemType::kGpu : core::MemType::kHost, size);
+  std::uint64_t b1 = make_buf(
+      c.node(1), device ? core::MemType::kGpu : core::MemType::kHost, size);
   auto sh = std::make_shared<Shared>();
 
-  [](Cluster* c, Buf b, std::uint64_t size, int reps,
+  [](Cluster* c, std::uint64_t b, std::uint64_t size, int reps,
      std::shared_ptr<Shared> sh) -> sim::Coro {
     mpi::Rank& r = c->mpi_rank(0);
     co_await sim::delay(c->simulator(), units::us(30));
     sh->t0 = c->simulator().now();
     for (int i = 0; i < reps; ++i) {
-      co_await r.send(1, b.addr, size, 5);
-      co_await r.recv(1, b.addr, size, 6);
+      co_await r.send(1, b, size, 5);
+      co_await r.recv(1, b, size, 6);
     }
     sh->t_end = c->simulator().now();
   }(&c, b0, size, reps, sh);
 
-  [](Cluster* c, Buf b, std::uint64_t size, int reps) -> sim::Coro {
+  [](Cluster* c, std::uint64_t b, std::uint64_t size, int reps) -> sim::Coro {
     mpi::Rank& r = c->mpi_rank(1);
     for (int i = 0; i < reps; ++i) {
-      co_await r.recv(0, b.addr, size, 5);
-      co_await r.send(0, b.addr, size, 6);
+      co_await r.recv(0, b, size, 5);
+      co_await r.send(0, b, size, 6);
     }
   }(&c, b1, size, reps);
 

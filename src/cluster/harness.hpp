@@ -4,34 +4,20 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "cluster/cluster.hpp"
 
 namespace apn::cluster {
 
-/// A measurement buffer of the requested memory type on one node. Host
-/// buffers are page-aligned so the card's V2P scatter behaviour — and
-/// therefore the measured timing — does not depend on where the allocator
-/// happened to place them (keeps benches bit-reproducible under ASLR and
-/// malloc tuning).
-struct Buf {
-  std::uint64_t addr = 0;
-  std::shared_ptr<std::vector<std::uint8_t>> host;  // host buffers only
-
-  static Buf make(Node& node, core::MemType type, std::uint64_t size) {
-    Buf b;
-    if (type == core::MemType::kGpu || type == core::MemType::kGpuBar1) {
-      b.addr = node.cuda().malloc_device(0, size);
-    } else {
-      b.host = std::make_shared<std::vector<std::uint8_t>>(size + 4096);
-      std::uint64_t raw = reinterpret_cast<std::uint64_t>(b.host->data());
-      b.addr = (raw + 4095) & ~4095ull;
-    }
-    return b;
-  }
-};
+/// A measurement buffer of the requested memory type on one node: a UVA
+/// device address or a (page-aligned) HostMemory address. It lives as long
+/// as the node.
+inline std::uint64_t make_buf(Node& node, core::MemType type,
+                              std::uint64_t size) {
+  return type == core::MemType::kGpu || type == core::MemType::kGpuBar1
+             ? node.cuda().malloc_device(0, size)
+             : node.hostmem().alloc(size);
+}
 
 struct BwResult {
   double mbps = 0;

@@ -4,12 +4,10 @@
 
 namespace apn::core {
 
-RdmaDevice::RdmaDevice(ApenetCard& card, pcie::HostMemory& hostmem,
-                       cuda::Runtime* cuda_runtime, std::uint32_t pid,
-                       RdmaParams params)
+RdmaDevice::RdmaDevice(ApenetCard& card, cuda::Runtime* cuda_runtime,
+                       std::uint32_t pid, RdmaParams params)
     : sim_(&card.simulator()),
       card_(&card),
-      hostmem_(&hostmem),
       cuda_(cuda_runtime),
       pid_(pid),
       params_(params) {}
@@ -100,7 +98,6 @@ sim::Future<bool> RdmaDevice::register_buffer(std::uint64_t addr,
            static_cast<Time>(tokens.page_count()) *
                params_.register_gpu_per_page;
   } else {
-    hostmem_->pin(reinterpret_cast<void*>(addr), len);
     std::uint64_t pages = (len + 4095) / 4096;
     cost = params_.register_host_cost +
            static_cast<Time>(pages) * params_.register_host_per_page;
@@ -120,7 +117,6 @@ sim::Future<bool> RdmaDevice::register_buffer(std::uint64_t addr,
 void RdmaDevice::deregister_buffer(std::uint64_t addr) {
   auto it = cache_.find(addr);
   if (it == cache_.end()) return;
-  if (!it->second.is_gpu) hostmem_->unpin(reinterpret_cast<void*>(addr));
   cache_.erase(it);
   APN_CHECK_ACCESS(cache_, kWrite);
   card_->remove_buffer(addr, pid_);
@@ -199,9 +195,6 @@ sim::Coro RdmaDevice::do_put(TorusCoord dst, std::uint64_t local_addr,
     d.src_gpu = &cuda_->device(tokens.device);
     d.src_dev_offset = tokens.dev_offset;
   } else {
-    // The kernel driver pins source pages on the fly during fragmentation.
-    if (carry_data && !hostmem_->is_pinned(local_addr, len))
-      hostmem_->pin(reinterpret_cast<void*>(local_addr), len);
     d.src_addr = local_addr;
   }
   card_->submit_tx(std::move(d));

@@ -2,12 +2,12 @@
 //
 // The programming model is RDMA PUT against 64-bit virtual addresses:
 // buffers — host or GPU, discriminated through the CUDA UVA — are
-// registered (pinned + programmed into the card's BUF_LIST and V2P
-// tables) and can then be the target of PUTs from any node. On the
-// transmit side, the source memory type can be given explicitly via a
-// flag (avoiding the cuPointerGetAttribute call) or auto-detected; GPU
-// source buffers are mapped on the fly on first use and kept in an
-// internal registration cache, exactly as the paper describes.
+// registered (programmed into the card's BUF_LIST and V2P tables) and can
+// then be the target of PUTs from any node. On the transmit side, the
+// source memory type can be given explicitly via a flag (avoiding the
+// cuPointerGetAttribute call) or auto-detected; GPU source buffers are
+// mapped on the fly on first use and kept in an internal registration
+// cache, exactly as the paper describes.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "core/card.hpp"
-#include "pcie/memory.hpp"
 #include "simcuda/runtime.hpp"
 
 namespace apn::core {
@@ -39,16 +38,15 @@ enum class MemType { kAuto, kHost, kGpu, kGpuBar1 };
 
 class RdmaDevice {
  public:
-  RdmaDevice(ApenetCard& card, pcie::HostMemory& hostmem,
-             cuda::Runtime* cuda_runtime, std::uint32_t pid = 0,
-             RdmaParams params = {});
+  RdmaDevice(ApenetCard& card, cuda::Runtime* cuda_runtime,
+             std::uint32_t pid = 0, RdmaParams params = {});
 
   ApenetCard& card() { return *card_; }
   const RdmaParams& params() const { return params_; }
   TorusCoord coord() const { return card_->coord(); }
 
   // ---- registration ----------------------------------------------------------
-  /// Pin + register a buffer for RDMA (BUF_LIST + V2P programming).
+  /// Register a buffer for RDMA (BUF_LIST + V2P programming).
   /// Returns a future completing when the mapping is live; idempotent for
   /// cached buffers (completes immediately at zero cost).
   sim::Future<bool> register_buffer(std::uint64_t addr, std::uint64_t len,
@@ -97,7 +95,6 @@ class RdmaDevice {
 
   sim::Simulator* sim_;
   ApenetCard* card_;
-  pcie::HostMemory* hostmem_;
   cuda::Runtime* cuda_;
   // apn-lint: allow(check-coverage) — fixed at construction, never mutated
   std::uint32_t pid_;

@@ -8,8 +8,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -25,6 +23,15 @@ class DeviceMemory {
 
   std::uint64_t size() const { return size_; }
   std::uint64_t resident_bytes() const { return pages_.size() * kPageBytes; }
+
+  /// True when a page of [offset, offset+len) has ever been written.
+  bool resident(std::uint64_t offset, std::uint64_t len) const {
+    if (len == 0) return false;
+    for (std::uint64_t p = offset / kPageBytes;
+         p <= (offset + len - 1) / kPageBytes; ++p)
+      if (pages_.contains(p)) return true;
+    return false;
+  }
 
   void write(std::uint64_t offset, std::span<const std::uint8_t> data) {
     check_range(offset, data.size());
@@ -82,63 +89,8 @@ class DeviceMemory {
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
 };
 
-/// First-fit free-list allocator over a device-memory offset space.
-/// Allocations are aligned to 256 B (CUDA's minimum alignment).
-class DeviceAllocator {
- public:
-  explicit DeviceAllocator(std::uint64_t size) { free_[0] = size; }
-
-  static constexpr std::uint64_t kAlign = 256;
-
-  /// Returns device offset; throws std::bad_alloc when full.
-  std::uint64_t allocate(std::uint64_t size) {
-    std::uint64_t need = (size + kAlign - 1) / kAlign * kAlign;
-    if (need == 0) need = kAlign;
-    for (auto it = free_.begin(); it != free_.end(); ++it) {
-      if (it->second >= need) {
-        std::uint64_t base = it->first;
-        std::uint64_t remaining = it->second - need;
-        free_.erase(it);
-        if (remaining > 0) free_[base + need] = remaining;
-        live_[base] = need;
-        used_ += need;
-        return base;
-      }
-    }
-    throw std::bad_alloc();
-  }
-
-  void deallocate(std::uint64_t base) {
-    auto it = live_.find(base);
-    if (it == live_.end())
-      throw std::invalid_argument("deallocate: unknown block");
-    std::uint64_t size = it->second;
-    live_.erase(it);
-    used_ -= size;
-    // Insert and coalesce with neighbors.
-    auto ins = free_.emplace(base, size).first;
-    if (ins != free_.begin()) {
-      auto prev = std::prev(ins);
-      if (prev->first + prev->second == ins->first) {
-        prev->second += ins->second;
-        free_.erase(ins);
-        ins = prev;
-      }
-    }
-    auto next = std::next(ins);
-    if (next != free_.end() && ins->first + ins->second == next->first) {
-      ins->second += next->second;
-      free_.erase(next);
-    }
-  }
-
-  std::uint64_t used_bytes() const { return used_; }
-  std::size_t live_blocks() const { return live_.size(); }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> free_;  // base -> size
-  std::unordered_map<std::uint64_t, std::uint64_t> live_;
-  std::uint64_t used_ = 0;
-};
+/// CUDA's minimum allocation alignment (device allocations are
+/// RangeAllocator blocks of this granularity).
+inline constexpr std::uint64_t kAllocAlign = 256;
 
 }  // namespace apn::gpu

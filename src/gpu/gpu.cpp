@@ -10,7 +10,7 @@ Gpu::Gpu(sim::Simulator& sim, pcie::Fabric& fabric, GpuArch arch,
       fabric_(&fabric),
       arch_(std::move(arch)),
       mem_(arch_.mem_bytes),
-      alloc_(arch_.mem_bytes),
+      alloc_(0, arch_.mem_bytes, kAllocAlign),
       mmio_base_(mmio_base),
       p2p_response_line_(sim),
       bar1_line_(sim),

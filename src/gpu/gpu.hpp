@@ -28,6 +28,7 @@
 
 #include "check/check.hpp"
 #include "common/fn.hpp"
+#include "common/range_allocator.hpp"
 #include "gpu/arch.hpp"
 #include "gpu/device_memory.hpp"
 #include "pcie/fabric.hpp"
@@ -74,7 +75,7 @@ class Gpu : public pcie::Device {
   const GpuArch& arch() const { return arch_; }
   DeviceMemory& memory() { return mem_; }
   const DeviceMemory& memory() const { return mem_; }
-  DeviceAllocator& allocator() { return alloc_; }
+  RangeAllocator& allocator() { return alloc_; }
 
   std::uint64_t mmio_base() const { return mmio_base_; }
   std::uint64_t mmio_size() const {
@@ -118,7 +119,7 @@ class Gpu : public pcie::Device {
   pcie::Fabric* fabric_;
   GpuArch arch_;
   DeviceMemory mem_;
-  DeviceAllocator alloc_;
+  RangeAllocator alloc_;
   // apn-lint: allow(check-coverage) — fixed at construction, never mutated
   std::uint64_t mmio_base_;
 

@@ -1,7 +1,6 @@
 #include "ib/hca.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 namespace apn::ib {
@@ -32,12 +31,12 @@ void Hca::post_send(int dst_rank, std::uint64_t local_addr,
   m.wr_id = wr_id;
   m.carry_data = carry_data;
   m.on_sent = std::move(on_sent);
-  if (carry_data && len > 0 && hostmem_->is_pinned(local_addr, len)) {
+  if (carry_data && len > 0) {
     // Snapshot the source now (same contract as verbs: the buffer must
     // stay untouched until the send completes anyway).
-    m.data.resize(len);
-    std::memcpy(m.data.data(), reinterpret_cast<const void*>(local_addr),
-                len);
+    pcie::Payload p = pcie::Payload::timing(len);
+    hostmem_->read(local_addr, p);
+    m.data = std::move(p.data);
   }
   tx_queue_.push(std::move(m));
 }

@@ -59,7 +59,7 @@ class Hca : public pcie::Device {
   const HcaParams& params() const { return params_; }
 
   /// RDMA-write-style send. If `remote_addr` is nonzero the payload is
-  /// written into the destination node's (pinned) host memory; otherwise
+  /// written into the destination node's host memory; otherwise
   /// it is delivered inline with the receive event (eager path).
   /// `on_sent` fires when the message fully left this HCA.
   void post_send(int dst_rank, std::uint64_t local_addr, std::uint32_t len,
@@ -68,7 +68,7 @@ class Hca : public pcie::Device {
                  std::function<void()> on_sent = {});
 
   /// Send with an explicit payload (eager/control path: the bytes come
-  /// from library-owned vbufs rather than a pinned user buffer).
+  /// from library-owned vbufs rather than a registered user buffer).
   void post_send_inline(int dst_rank, std::vector<std::uint8_t> payload,
                         std::uint64_t wr_id,
                         std::function<void()> on_sent = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "sim/resource.hpp"
 
@@ -84,15 +85,17 @@ sim::Coro Rank::do_send(int dst, std::uint64_t addr, std::uint64_t n,
     if (gpu_src) {
       // Staged: synchronous cudaMemcpy D2H into the vbuf, serialized with
       // every other staged copy this rank performs.
-      std::uint64_t vbuf = reinterpret_cast<std::uint64_t>(payload.data());
+      const std::uint64_t vbuf = hostmem_->alloc(n);
       auto g = std::make_shared<sim::Gate>(*sim_);
       staged_copy(vbuf, addr, n, g);
       co_await g->wait();
+      std::ranges::copy(hostmem_->bytes(vbuf, n), payload.begin());
+      hostmem_->free(vbuf);
     } else {
       // Host copy into the vbuf.
       co_await sim::delay(*sim_,
                           units::transfer_time(Bytes(n), p.eager_copy_rate));
-      std::memcpy(payload.data(), reinterpret_cast<const void*>(addr), n);
+      std::ranges::copy(hostmem_->bytes(addr, n), payload.begin());
     }
     CtrlHeader hdr{};
     hdr.kind = CtrlKind::kEager;
@@ -141,9 +144,7 @@ sim::Coro Rank::run_rndv_send(CtrlHeader cts) {
   const std::uint64_t target = cts.aux;
 
   if (!st.is_gpu) {
-    // Zero-copy RDMA write from the (pinned) host user buffer.
-    if (!hostmem_->is_pinned(st.addr, st.n))
-      hostmem_->pin(reinterpret_cast<void*>(st.addr), st.n);
+    // Zero-copy RDMA write from the host user buffer.
     Signal done = st.done;
     hca_->post_send(st.dst, st.addr, static_cast<std::uint32_t>(st.n),
                     target, cts.rndv_id, true,
@@ -154,18 +155,15 @@ sim::Coro Rank::run_rndv_send(CtrlHeader cts) {
 
   if (st.n < p.gpu_pipeline_threshold) {
     // Staged: one synchronous D2H copy, then one RDMA write.
-    auto bounce = std::make_shared<std::vector<std::uint8_t>>(st.n);
-    hostmem_->pin(bounce->data(), bounce->size());
-    std::uint64_t vbuf = reinterpret_cast<std::uint64_t>(bounce->data());
+    const std::uint64_t bounce = hostmem_->alloc(st.n);
     auto g = std::make_shared<sim::Gate>(*sim_);
-    staged_copy(vbuf, st.addr, st.n, g);
+    staged_copy(bounce, st.addr, st.n, g);
     co_await g->wait();
     Signal done = st.done;
     pcie::HostMemory* hm = hostmem_;
-    hca_->post_send(st.dst, reinterpret_cast<std::uint64_t>(bounce->data()),
-                    static_cast<std::uint32_t>(st.n), target, cts.rndv_id,
-                    true, [done, bounce, hm]() mutable {
-                      hm->unpin(bounce->data());
+    hca_->post_send(st.dst, bounce, static_cast<std::uint32_t>(st.n), target,
+                    cts.rndv_id, true, [done, bounce, hm]() mutable {
+                      hm->free(bounce);
                       done.set(true);
                     });
     rndv_send_.erase(it);
@@ -174,8 +172,7 @@ sim::Coro Rank::run_rndv_send(CtrlHeader cts) {
 
   // Pipelined: async D2H chunk copies overlapping the RDMA writes
   // (the MVAPICH2 large-message protocol referenced by the paper).
-  auto bounce = std::make_shared<std::vector<std::uint8_t>>(st.n);
-  hostmem_->pin(bounce->data(), bounce->size());
+  const std::uint64_t bounce = hostmem_->alloc(st.n);
   const std::uint64_t chunk_size = p.gpu_pipeline_chunk;
   const std::uint32_t chunks = static_cast<std::uint32_t>(
       (st.n + chunk_size - 1) / chunk_size);
@@ -192,15 +189,12 @@ sim::Coro Rank::run_rndv_send(CtrlHeader cts) {
     const std::uint64_t len = std::min(chunk_size, total - off);
     // Async D2H of this chunk; the stream serializes the copies while the
     // wire ships previously-copied chunks.
-    co_await stream_->memcpy_async(
-        reinterpret_cast<std::uint64_t>(bounce->data() + off),
-        src_addr + off, len);
-    hca_->post_send(dst,
-                    reinterpret_cast<std::uint64_t>(bounce->data() + off),
-                    static_cast<std::uint32_t>(len), target + off, rid, true,
+    co_await stream_->memcpy_async(bounce + off, src_addr + off, len);
+    hca_->post_send(dst, bounce + off, static_cast<std::uint32_t>(len),
+                    target + off, rid, true,
                     [sent, chunks, done, bounce, hm]() mutable {
                       if (++*sent == chunks) {
-                        hm->unpin(bounce->data());
+                        hm->free(bounce);
                         done.set(true);
                       }
                     });
@@ -233,16 +227,18 @@ sim::Coro Rank::finish_eager_recv(PendingRecv pr,
                                   std::vector<std::uint8_t> data) {
   const MpiParams& p = world_->params();
   const std::uint64_t n = std::min<std::uint64_t>(pr.n, data.size());
+  const auto received = std::span(data).first(n);
   if (is_gpu_ptr(pr.addr)) {
-    std::uint64_t vbuf = reinterpret_cast<std::uint64_t>(data.data());
+    const std::uint64_t vbuf = hostmem_->alloc(n);
+    std::ranges::copy(received, hostmem_->bytes(vbuf, n).begin());
     auto g = std::make_shared<sim::Gate>(*sim_);
     staged_copy(pr.addr, vbuf, n, g);
     co_await g->wait();
+    hostmem_->free(vbuf);
   } else {
     co_await sim::delay(*sim_,
                         units::transfer_time(Bytes(n), p.eager_copy_rate));
-    if (n > 0)
-      std::memcpy(reinterpret_cast<void*>(pr.addr), data.data(), n);
+    std::ranges::copy(received, hostmem_->bytes(pr.addr, n).begin());
   }
   pr.done.set(true);
 }
@@ -255,16 +251,8 @@ void Rank::start_rndv_recv(const CtrlHeader& rts, const PendingRecv& pr) {
   st->chunks = std::max<std::uint32_t>(rts.chunks, 1);
   st->done = pr.done;
 
-  std::uint64_t target;
-  if (st->user_is_gpu) {
-    st->bounce.resize(st->n);
-    hostmem_->pin(st->bounce.data(), st->bounce.size());
-    target = reinterpret_cast<std::uint64_t>(st->bounce.data());
-  } else {
-    if (!hostmem_->is_pinned(pr.addr, st->n))
-      hostmem_->pin(reinterpret_cast<void*>(pr.addr), st->n);
-    target = pr.addr;
-  }
+  if (st->user_is_gpu) st->bounce = hostmem_->alloc(st->n);
+  const std::uint64_t target = st->user_is_gpu ? st->bounce : pr.addr;
 
   CtrlHeader cts{};
   cts.kind = CtrlKind::kCts;
@@ -313,9 +301,8 @@ sim::Coro Rank::progress_loop() {
             static_cast<std::uint64_t>(idx) * chunk_size;
         const std::uint64_t len = std::min(chunk_size, st.n - off);
         ++st.h2d_inflight;
-        cuda::Done d = stream_->memcpy_async(
-            st.user_addr + off,
-            reinterpret_cast<std::uint64_t>(st.bounce.data() + off), len);
+        cuda::Done d =
+            stream_->memcpy_async(st.user_addr + off, st.bounce + off, len);
         std::uint64_t id = ev.wr_id;
         [](Rank* self, cuda::Done d, std::uint64_t id) -> sim::Coro {
           co_await d;
@@ -324,7 +311,7 @@ sim::Coro Rank::progress_loop() {
           RndvRecv& s = *it2->second;
           --s.h2d_inflight;
           if (s.all_arrived && s.h2d_inflight == 0) {
-            self->hostmem_->unpin(s.bounce.data());
+            self->hostmem_->free(s.bounce);
             s.done.set(true);
             self->rndv_recv_.erase(it2);
           }
@@ -336,7 +323,7 @@ sim::Coro Rank::progress_loop() {
           st.done.set(true);
           rndv_recv_.erase(it);
         } else if (st.h2d_inflight == 0) {
-          hostmem_->unpin(st.bounce.data());
+          hostmem_->free(st.bounce);
           st.done.set(true);
           rndv_recv_.erase(it);
         }

@@ -91,7 +91,7 @@ class Rank {
   int rank() const { return hca_->rank(); }
   World& world() { return *world_; }
 
-  /// Send [addr, +n): host pointer or CUDA UVA device pointer.
+  /// Send [addr, +n): host (HostMemory) or CUDA UVA device address.
   /// The returned Signal completes when the send buffer is reusable.
   Signal send(int dst, std::uint64_t addr, std::uint64_t n, int tag);
 
@@ -141,7 +141,7 @@ class Rank {
     std::uint64_t n = 0;
     std::uint32_t chunks = 0;
     std::uint32_t chunks_arrived = 0;
-    std::vector<std::uint8_t> bounce;  ///< GPU destination bounce buffer
+    std::uint64_t bounce = 0;  ///< GPU destination: host bounce buffer
     std::uint32_t h2d_inflight = 0;
     bool all_arrived = false;
     Signal done;

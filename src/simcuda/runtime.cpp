@@ -1,13 +1,12 @@
 #include "simcuda/runtime.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace apn::cuda {
 
-Runtime::Runtime(sim::Simulator& sim, std::vector<gpu::Gpu*> gpus,
-                 RuntimeParams params)
-    : sim_(&sim), gpus_(std::move(gpus)), params_(params) {}
+Runtime::Runtime(sim::Simulator& sim, pcie::HostMemory& host,
+                 std::vector<gpu::Gpu*> gpus, RuntimeParams params)
+    : sim_(&sim), host_(&host), gpus_(std::move(gpus)), params_(params) {}
 
 DevPtr Runtime::malloc_device(int device, std::uint64_t size) {
   gpu::Gpu& g = this->device(device);
@@ -77,6 +76,7 @@ sim::Resource& Runtime::engine_for(MemcpyKind kind, int dev) {
 
 void Runtime::move_bytes(std::uint64_t dst, std::uint64_t src,
                          std::uint64_t n) {
+  if (n == 0) return;
   PointerInfo di = pointer_info(dst);
   PointerInfo si = pointer_info(src);
   if (di.is_device && si.is_device) {
@@ -86,18 +86,35 @@ void Runtime::move_bytes(std::uint64_t dst, std::uint64_t src,
     device(di.device).memory().write(di.dev_offset,
                                      std::span<const std::uint8_t>(tmp));
   } else if (di.is_device) {
-    device(di.device).memory().write(
-        di.dev_offset,
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(src), n));
+    gpu::DeviceMemory& mem = device(di.device).memory();
+    if (!host_->has_backing(src, n) && !mem.resident(di.dev_offset, n))
+      return;  // zeros over zeros
+    mem.write(di.dev_offset, host_->bytes(src, n));
   } else if (si.is_device) {
-    device(si.device).memory().read(
-        si.dev_offset,
-        std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(dst), n));
+    const gpu::DeviceMemory& mem = device(si.device).memory();
+    if (!host_->has_backing(dst, n) && !mem.resident(si.dev_offset, n))
+      return;  // zeros over zeros
+    mem.read(si.dev_offset, host_->bytes(dst, n));
   } else {
-    std::memcpy(reinterpret_cast<void*>(dst),
-                reinterpret_cast<const void*>(src), n);
+    throw std::invalid_argument("host-to-host copy through CUDA runtime");
   }
+}
+
+void Runtime::upload(DevPtr dst, std::span<const std::byte> src) {
+  PointerInfo info = pointer_info(dst);
+  if (!info.is_device) throw std::invalid_argument("upload to host address");
+  device(info.device).memory().write(
+      info.dev_offset,
+      {reinterpret_cast<const std::uint8_t*>(src.data()), src.size()});
+}
+
+void Runtime::download(DevPtr src, std::span<std::byte> dst) {
+  PointerInfo info = pointer_info(src);
+  if (!info.is_device)
+    throw std::invalid_argument("download from host address");
+  device(info.device).memory().read(
+      info.dev_offset,
+      {reinterpret_cast<std::uint8_t*>(dst.data()), dst.size()});
 }
 
 Done Runtime::memcpy_sync(std::uint64_t dst, std::uint64_t src,

@@ -16,15 +16,19 @@
 //  * Streams — FIFO queues of kernels/copies; independent streams overlap,
 //    which the HSG application uses to hide boundary computation.
 //
-// Host pointers are real process pointers; device addresses live at
-// kUvaBase and above, so the two can never collide.
+// Host addresses are the node's simulated host memory (pcie::HostMemory
+// allocations, below kUvaBase); device addresses live at kUvaBase and
+// above, so the two can never collide.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu.hpp"
+#include "pcie/memory.hpp"
 #include "sim/coro.hpp"
 #include "sim/sync.hpp"
 
@@ -101,8 +105,12 @@ class Runtime {
   static constexpr std::uint64_t kUvaBase = 0xC00000000000ull;
   static constexpr std::uint64_t kUvaStride = 1ull << 36;  // 64 GB / device
 
-  Runtime(sim::Simulator& sim, std::vector<gpu::Gpu*> gpus,
-          RuntimeParams params = {});
+  static_assert(pcie::HostMemory::kBase + pcie::HostMemory::kSize <=
+                    kUvaBase,
+                "host allocations must classify as host memory");
+
+  Runtime(sim::Simulator& sim, pcie::HostMemory& host,
+          std::vector<gpu::Gpu*> gpus, RuntimeParams params = {});
 
   sim::Simulator& simulator() { return *sim_; }
   const RuntimeParams& params() const { return params_; }
@@ -113,7 +121,7 @@ class Runtime {
   DevPtr malloc_device(int device, std::uint64_t size);
   void free_device(DevPtr ptr);
 
-  /// UVA classification (cuPointerGetAttribute). Host pointers yield
+  /// UVA classification (cuPointerGetAttribute). Host addresses yield
   /// is_device=false. The *time* cost is charged via pointer_query_cost by
   /// callers that model it (the RDMA API does).
   PointerInfo pointer_info(std::uint64_t addr) const;
@@ -130,7 +138,7 @@ class Runtime {
 
   // ---- copies ----------------------------------------------------------------
   /// Synchronous memcpy: suspends the calling process for overhead+transfer.
-  /// Addresses may be host (real pointers cast to u64) or UVA device.
+  /// Addresses may be host (HostMemory allocations) or UVA device.
   [[nodiscard]] Done memcpy_sync(std::uint64_t dst, std::uint64_t src,
                                  std::uint64_t n);
 
@@ -140,12 +148,21 @@ class Runtime {
   // ---- internal helpers used by Stream ---------------------------------------
   Time transfer_time(MemcpyKind kind, int device, Bytes n) const;
   sim::Resource& engine_for(MemcpyKind kind, int device);
-  /// Functionally move the bytes (no timing).
+  /// Functionally move the bytes (no timing); a host range outside every
+  /// HostMemory allocation throws std::out_of_range. Zeros over zeros (both
+  /// sides never written) move nothing, so staging backs no memory.
   void move_bytes(std::uint64_t dst, std::uint64_t src, std::uint64_t n);
+
+  /// Data the model produces or consumes outside simulated time (a kernel's
+  /// output, a test's fill or check): device memory to and from CPU bytes,
+  /// with no timing. Throws std::invalid_argument for a host address.
+  void upload(DevPtr dst, std::span<const std::byte> src);
+  void download(DevPtr src, std::span<std::byte> dst);
 
  private:
   friend class Stream;
   sim::Simulator* sim_;
+  pcie::HostMemory* host_;
   std::vector<gpu::Gpu*> gpus_;
   RuntimeParams params_;
 };

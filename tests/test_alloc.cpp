@@ -3,6 +3,10 @@
 // size), repeating it must not allocate: in particular, a transfer's
 // allocation count must not grow with its chunk count.
 //
+// Placement independence: simulated host addresses come from each node's
+// HostMemory, never from the process heap, so whole runs repeat exactly
+// (same addresses, same allocation counts, same results) in one process.
+//
 // This binary replaces the global allocation functions with counting ones,
 // so it is a test executable of its own.
 #include <gtest/gtest.h>
@@ -14,7 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "apps/bfs/bfs.hpp"
+#include "apps/hsg/runner.hpp"
+#include "cluster/cluster.hpp"
+#include "cluster/harness.hpp"
 #include "gpu/gpu.hpp"
+#include "hw/profile.hpp"
 #include "pcie/fabric.hpp"
 #include "pcie/memory.hpp"
 #include "sim/channel.hpp"
@@ -226,13 +235,13 @@ TEST(SteadyStateAllocs, TimingOnlyHostReadAllocatesNothing) {
   fabric.set_default_target(host);
   Sink card(sim);
   fabric.attach(card, root, pcie::gen2_x8());
-  // Pinned, so a read that asked for the data would copy it.
-  std::vector<std::uint8_t> buffer(64 << 10, 0x5A);
-  host.pin(buffer.data(), buffer.size());
-  const auto base = reinterpret_cast<std::uint64_t>(buffer.data());
+  // Backed, so a read that asked for the data would copy it.
+  constexpr std::uint64_t kBytes = 64 << 10;
+  const std::uint64_t base = host.alloc(kBytes);
+  std::ranges::fill(host.bytes(base, kBytes), 0x5A);
   int done = 0;
   auto burst = [&] {
-    for (std::uint64_t off = 0; off < buffer.size(); off += 512)
+    for (std::uint64_t off = 0; off < kBytes; off += 512)
       fabric.read(card, base + off, 512, /*with_data=*/false,
                   [&done](pcie::Payload p) { done += p.data.empty(); });
     sim.run();
@@ -272,6 +281,75 @@ TEST(SteadyStateAllocs, TimingOnlyP2pRequestAllocatesOnlyItsDescriptor) {
   request();  // warm-up
   EXPECT_EQ(allocs_during(request), 1u);
   EXPECT_EQ(gpu.p2p_requests_served(), 2u);
+}
+
+TEST(PlacementIndependence, TwoClustersGetTheSameHostAddresses) {
+  // Both clusters alive at once, so no heap address can repeat.
+  sim::Simulator sim1, sim2;
+  auto c1 = cluster::Cluster::make_cluster_i(sim1, 2, hw::params(), false);
+  auto c2 = cluster::Cluster::make_cluster_i(sim2, 2, hw::params(), false);
+  auto sequence = [](cluster::Cluster& c) {
+    cluster::TwoNodeOptions opt;
+    const Time latency = cluster::pingpong_latency(c, 4096, 3, opt);
+    std::vector<std::uint64_t> addrs{static_cast<std::uint64_t>(latency)};
+    for (std::uint64_t n : {64u, 5000u, 1u << 20})
+      addrs.push_back(
+          cluster::make_buf(c.node(1), core::MemType::kHost, n));
+    return addrs;
+  };
+  EXPECT_EQ(sequence(*c1), sequence(*c2));
+}
+
+/// One Table IV point (APEnet+, NP=4): heap allocations made while the
+/// BFS is built and run, and its simulated TEPS.
+std::pair<std::uint64_t, double> table4_point() {
+  sim::Simulator sim;
+  auto c = cluster::Cluster::make_cluster_i(sim, 4, hw::params(), false);
+  apps::bfs::BfsConfig cfg;
+  cfg.scale = 12;
+  cfg.net = apps::bfs::BfsNet::kApenet;
+  double teps = 0;
+  const std::uint64_t allocs = allocs_during([&] {
+    apps::bfs::BfsRun run(*c, cfg);
+    teps = run.run().teps;
+  });
+  return {allocs, teps};
+}
+
+TEST(PlacementIndependence, RepeatedBfsPointAllocatesExactlyTheSame) {
+  const auto first = table4_point();
+  const auto second = table4_point();
+  const auto third = table4_point();
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(second.first, third.first);
+  EXPECT_EQ(first.second, second.second);
+  EXPECT_EQ(second.second, third.second);
+  EXPECT_GT(first.second, 0.0);
+}
+
+TEST(PlacementIndependence, TimingOnlyHsgBacksNoHostMemory) {
+  namespace hsg = apps::hsg;
+  for (hsg::CommMode mode : {hsg::CommMode::kP2pOn, hsg::CommMode::kP2pRx,
+                             hsg::CommMode::kP2pOff, hsg::CommMode::kIb}) {
+    sim::Simulator sim;
+    auto c = mode == hsg::CommMode::kIb
+                 ? cluster::Cluster::make_cluster_ii(sim, 2)
+                 : cluster::Cluster::make_cluster_i(sim, 2, hw::params(),
+                                                    false);
+    hsg::HsgConfig cfg;
+    cfg.L = 64;  // IB halos take the rendezvous path
+    cfg.steps = 1;
+    cfg.mode = mode;
+    cfg.functional = false;
+    hsg::HsgRun run(*c, cfg);
+    EXPECT_GT(run.run().wall, 0);
+    for (int n = 0; n < c->size(); ++n) {
+      pcie::HostMemory& host = c->node(n).hostmem();
+      EXPECT_EQ(host.backed_bytes(), 0u)
+          << "mode " << static_cast<int>(mode) << ", node " << n;
+      EXPECT_GT(host.alloc(1), pcie::HostMemory::kBase);  // halos allocated
+    }
+  }
 }
 
 }  // namespace

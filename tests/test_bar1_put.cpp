@@ -3,8 +3,12 @@
 // competitive on Kepler (paper §III / Table I).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
+#include "host_bytes.hpp"
 
 namespace apn::core {
 namespace {
@@ -33,9 +37,7 @@ TEST(Bar1Put, DataIntegrityEndToEnd) {
   std::vector<std::uint8_t> data(n);
   for (std::size_t i = 0; i < n; ++i)
     data[i] = static_cast<std::uint8_t>(i * 7 + 3);
-  c->node(0).cuda().move_bytes(src,
-                               reinterpret_cast<std::uint64_t>(data.data()),
-                               n);
+  c->node(0).cuda().upload(src, std::as_bytes(std::span(data)));
   [](Cluster* c, cuda::DevPtr src, cuda::DevPtr dst,
      std::uint64_t n) -> sim::Coro {
     co_await c->rdma(1).register_buffer(dst, n, MemType::kGpu);
@@ -44,8 +46,7 @@ TEST(Bar1Put, DataIntegrityEndToEnd) {
   }(c.get(), src, dst, n);
   sim.run();
   std::vector<std::uint8_t> out(n);
-  c->node(1).cuda().move_bytes(reinterpret_cast<std::uint64_t>(out.data()),
-                               dst, n);
+  c->node(1).cuda().download(dst, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out, data);
 }
 
@@ -108,9 +109,7 @@ TEST(Bar1Put, OffsetWithinMappedBufferWorks) {
   std::vector<std::uint8_t> data(n);
   for (std::size_t i = 0; i < n; ++i)
     data[i] = static_cast<std::uint8_t>(i % 211);
-  c->node(0).cuda().move_bytes(src,
-                               reinterpret_cast<std::uint64_t>(data.data()),
-                               n);
+  c->node(0).cuda().upload(src, std::as_bytes(std::span(data)));
   [](Cluster* c, cuda::DevPtr src, cuda::DevPtr dst,
      std::uint64_t n) -> sim::Coro {
     co_await c->rdma(1).register_buffer(dst, n, MemType::kGpu);
@@ -123,32 +122,30 @@ TEST(Bar1Put, OffsetWithinMappedBufferWorks) {
   }(c.get(), src, dst, n);
   sim.run();
   std::vector<std::uint8_t> out(8192);
-  c->node(1).cuda().move_bytes(reinterpret_cast<std::uint64_t>(out.data()),
-                               dst + 4096, 8192);
+  c->node(1).cuda().download(dst + 4096,
+                             std::as_writable_bytes(std::span(out)));
   EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 4096));
 }
 
 TEST(RdmaWaitEvent, ChargesPollCostAndDeliversEvent) {
   sim::Simulator sim;
   auto c = cluster::Cluster::make_cluster_i(sim, 2, ApenetParams{}, false);
-  std::vector<std::uint8_t> src(64, 0xAD), dst(64, 0);
+  const std::vector<std::uint8_t> data(64, 0xAD);
+  const std::uint64_t src = test_util::host_buf(c->node(0).hostmem(), data);
+  const std::uint64_t dst = c->node(1).hostmem().alloc(64);
   Time got_at = -1;
   RdmaEvent ev{};
-  [](cluster::Cluster* c, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst, Time* got_at,
-     RdmaEvent* out) -> sim::Coro {
-    co_await c->rdma(1).register_buffer(
-        reinterpret_cast<std::uint64_t>(dst->data()), 64, MemType::kHost);
-    c->rdma(0).put(c->coord(1), reinterpret_cast<std::uint64_t>(src->data()),
-                   64, reinterpret_cast<std::uint64_t>(dst->data()),
-                   MemType::kHost);
+  [](cluster::Cluster* c, std::uint64_t src, std::uint64_t dst,
+     Time* got_at, RdmaEvent* out) -> sim::Coro {
+    co_await c->rdma(1).register_buffer(dst, 64, MemType::kHost);
+    c->rdma(0).put(c->coord(1), src, 64, dst, MemType::kHost);
     *out = co_await c->rdma(1).wait_event();
     *got_at = c->simulator().now();
-  }(c.get(), &src, &dst, &got_at, &ev);
+  }(c.get(), src, dst, &got_at, &ev);
   sim.run();
   EXPECT_EQ(ev.bytes, 64u);
   EXPECT_GT(got_at, 0);
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(test_util::host_bytes(c->node(1).hostmem(), dst, 64), data);
 }
 
 }  // namespace

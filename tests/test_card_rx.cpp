@@ -2,13 +2,18 @@
 // P2P write-window management.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
+#include "host_bytes.hpp"
 
 namespace apn::core {
 namespace {
 
 using cluster::Cluster;
+using test_util::host_buf;
 using units::us;
 
 TEST(CardRx, HostLoopbackBandwidthIsRxBound) {
@@ -28,13 +33,10 @@ TEST(CardRx, BufListTraversalScalesWithRegisteredBuffers) {
     sim::Simulator sim;
     auto c = Cluster::make_cluster_i(sim, 1, ApenetParams{}, false);
     // Park a pile of extra registrations in the BUF_LIST.
-    static std::vector<std::unique_ptr<std::vector<std::uint8_t>>> keep;
     [](Cluster* c, int n) -> sim::Coro {
       for (int i = 0; i < n; ++i) {
-        keep.push_back(std::make_unique<std::vector<std::uint8_t>>(64));
-        co_await c->rdma(0).register_buffer(
-            reinterpret_cast<std::uint64_t>(keep.back()->data()), 64,
-            MemType::kHost);
+        co_await c->rdma(0).register_buffer(c->node(0).hostmem().alloc(64),
+                                            64, MemType::kHost);
       }
     }(c.get(), extra_buffers);
     sim.run();
@@ -51,14 +53,12 @@ TEST(CardRx, GpuDestinationPaysWindowSwitches) {
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 2, ApenetParams{}, false);
   cuda::DevPtr dst = c->node(1).cuda().malloc_device(0, 1 << 20);
-  std::vector<std::uint8_t> src(1 << 20);
-  [](Cluster* c, cuda::DevPtr dst, std::vector<std::uint8_t>* src)
-      -> sim::Coro {
+  const std::uint64_t src = c->node(0).hostmem().alloc(1 << 20);
+  [](Cluster* c, cuda::DevPtr dst, std::uint64_t src) -> sim::Coro {
     co_await c->rdma(1).register_buffer(dst, 1 << 20, MemType::kGpu);
-    c->rdma(0).put(c->coord(1), reinterpret_cast<std::uint64_t>(src->data()),
-                   1 << 20, dst, MemType::kHost);
+    c->rdma(0).put(c->coord(1), src, 1 << 20, dst, MemType::kHost);
     co_await c->rdma(1).events().pop();
-  }(c.get(), dst, &src);
+  }(c.get(), dst, src);
   sim.run();
   // 1 MiB spans 16 64-KB pages: at least 16 window switches.
   EXPECT_GE(c->node(1).gpu(0).window_switches(), 16u);
@@ -71,20 +71,19 @@ TEST(CardRx, PacketsSpanningWindowBoundaryAreSplit) {
   // Offset the destination so a 4 KB packet straddles a 64 KB page.
   cuda::DevPtr base = cu1.malloc_device(0, 3 * 64 * 1024);
   cuda::DevPtr dst = base + 64 * 1024 - 2048;
-  std::vector<std::uint8_t> src(4096);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i);
-  [](Cluster* c, cuda::DevPtr dst, std::vector<std::uint8_t>* src)
-      -> sim::Coro {
+  std::vector<std::uint8_t> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i);
+  const std::uint64_t src = host_buf(c->node(0).hostmem(), data);
+  [](Cluster* c, cuda::DevPtr dst, std::uint64_t src) -> sim::Coro {
     co_await c->rdma(1).register_buffer(dst, 4096, MemType::kGpu);
-    c->rdma(0).put(c->coord(1), reinterpret_cast<std::uint64_t>(src->data()),
-                   4096, dst, MemType::kHost);
+    c->rdma(0).put(c->coord(1), src, 4096, dst, MemType::kHost);
     co_await c->rdma(1).events().pop();
-  }(c.get(), dst, &src);
+  }(c.get(), dst, src);
   sim.run();
   std::vector<std::uint8_t> out(4096);
-  cu1.move_bytes(reinterpret_cast<std::uint64_t>(out.data()), dst, 4096);
-  EXPECT_EQ(out, src);
+  cu1.download(dst, std::as_writable_bytes(std::span(out)));
+  EXPECT_EQ(out, data);
   EXPECT_GE(c->node(1).gpu(0).window_switches(), 2u);
 }
 

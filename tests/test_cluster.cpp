@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 
 namespace apn::cluster {
@@ -65,15 +68,11 @@ TEST(Node, SeparateNodesHaveSeparateFabrics) {
   cuda::DevPtr b = c->node(1).cuda().malloc_device(0, 4096);
   EXPECT_EQ(a, b);  // identical allocation sequence => identical UVA
   std::vector<std::uint8_t> d0(16, 1), d1(16, 2), out(16);
-  c->node(0).cuda().move_bytes(a, reinterpret_cast<std::uint64_t>(d0.data()),
-                               16);
-  c->node(1).cuda().move_bytes(b, reinterpret_cast<std::uint64_t>(d1.data()),
-                               16);
-  c->node(0).cuda().move_bytes(reinterpret_cast<std::uint64_t>(out.data()),
-                               a, 16);
+  c->node(0).cuda().upload(a, std::as_bytes(std::span(d0)));
+  c->node(1).cuda().upload(b, std::as_bytes(std::span(d1)));
+  c->node(0).cuda().download(a, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out[0], 1);
-  c->node(1).cuda().move_bytes(reinterpret_cast<std::uint64_t>(out.data()),
-                               b, 16);
+  c->node(1).cuda().download(b, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out[0], 2);
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/collectives.hpp"
+#include "host_bytes.hpp"
 
 namespace apn::cluster {
 namespace {
@@ -97,18 +98,17 @@ TEST_F(CollFixture, AllreduceSequencesKeepEpochsSeparate) {
 
 TEST_F(CollFixture, NonCollectiveTrafficIsForwarded) {
   init(2);
-  std::vector<std::uint8_t> src(256, 0x5E), dst(256, 0);
+  const std::vector<std::uint8_t> data(256, 0x5E);
+  const std::uint64_t src = test_util::host_buf(c->node(0).hostmem(), data);
+  const std::uint64_t dst = c->node(1).hostmem().alloc(256);
   core::RdmaEvent got{};
-  [](Cluster* c, Collectives* coll, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst, core::RdmaEvent* got) -> sim::Coro {
-    co_await c->rdma(1).register_buffer(
-        reinterpret_cast<std::uint64_t>(dst->data()), 256, MemType::kHost);
+  [](Cluster* c, Collectives* coll, std::uint64_t src, std::uint64_t dst,
+     core::RdmaEvent* got) -> sim::Coro {
+    co_await c->rdma(1).register_buffer(dst, 256, MemType::kHost);
     // Interleave with a barrier to prove routing separates the streams.
-    c->rdma(0).put(c->coord(1), reinterpret_cast<std::uint64_t>(src->data()),
-                   256, reinterpret_cast<std::uint64_t>(dst->data()),
-                   MemType::kHost);
+    c->rdma(0).put(c->coord(1), src, 256, dst, MemType::kHost);
     *got = co_await coll->events(1).pop();
-  }(c.get(), coll.get(), &src, &dst, &got);
+  }(c.get(), coll.get(), src, dst, &got);
   [](Collectives* coll) -> sim::Coro {
     co_await coll->barrier(0);
   }(coll.get());
@@ -117,7 +117,7 @@ TEST_F(CollFixture, NonCollectiveTrafficIsForwarded) {
   }(coll.get());
   sim.run();
   EXPECT_EQ(got.bytes, 256u);
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(test_util::host_bytes(c->node(1).hostmem(), dst, 256), data);
 }
 
 TEST_F(CollFixture, BarrierCostMicroseconds) {

@@ -1,88 +1,104 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
+#include "host_bytes.hpp"
 
 namespace apn::mpi {
 namespace {
 
 using cluster::Cluster;
+using test_util::host_buf;
+using test_util::host_bytes;
 using units::us;
 
 struct MpiFixture : ::testing::Test {
   sim::Simulator sim;
   std::unique_ptr<Cluster> c;
   void SetUp() override { c = Cluster::make_cluster_ii(sim, 4); }
+  pcie::HostMemory& host(int node) { return c->node(node).hostmem(); }
 };
 
 TEST_F(MpiFixture, EagerHostSendRecv) {
-  std::vector<std::uint8_t> src(1000), dst(1000, 0);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i);
-  [](Cluster* c, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst) -> sim::Coro {
-    Signal s = c->mpi_rank(0).send(
-        1, reinterpret_cast<std::uint64_t>(src->data()), 1000, 9);
-    Signal r = c->mpi_rank(1).recv(
-        0, reinterpret_cast<std::uint64_t>(dst->data()), 1000, 9);
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i);
+  const std::uint64_t src = host_buf(host(0), data);
+  const std::uint64_t dst = host(1).alloc(1000);
+  [](Cluster* c, std::uint64_t src, std::uint64_t dst) -> sim::Coro {
+    Signal s = c->mpi_rank(0).send(1, src, 1000, 9);
+    Signal r = c->mpi_rank(1).recv(0, dst, 1000, 9);
     co_await s;
     co_await r;
-  }(c.get(), &src, &dst);
+  }(c.get(), src, dst);
   sim.run();
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(host_bytes(host(1), dst, 1000), data);
+}
+
+TEST_F(MpiFixture, EagerCopyOutsideAllocationsAborts) {
+  // The eager path copies the user buffer on the CPU: a host address
+  // outside every allocation is a program error, not a silent copy.
+  EXPECT_DEATH(
+      {
+        [](Cluster* c) -> sim::Coro {
+          co_await c->mpi_rank(0).send(1, 0x5000, 64, 1);
+        }(c.get());
+        sim.run();
+      },
+      "");
 }
 
 TEST_F(MpiFixture, RendezvousLargeHostTransfer) {
   const std::uint64_t n = 1 << 20;
-  std::vector<std::uint8_t> src(n), dst(n, 0);
+  std::vector<std::uint8_t> data(n);
   for (std::size_t i = 0; i < n; ++i)
-    src[i] = static_cast<std::uint8_t>(i * 31);
-  [](Cluster* c, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst, std::uint64_t n) -> sim::Coro {
-    Signal r = c->mpi_rank(1).recv(
-        0, reinterpret_cast<std::uint64_t>(dst->data()), n, 3);
-    Signal s = c->mpi_rank(0).send(
-        1, reinterpret_cast<std::uint64_t>(src->data()), n, 3);
+    data[i] = static_cast<std::uint8_t>(i * 31);
+  const std::uint64_t src = host_buf(host(0), data);
+  const std::uint64_t dst = host(1).alloc(n);
+  [](Cluster* c, std::uint64_t src, std::uint64_t dst,
+     std::uint64_t n) -> sim::Coro {
+    Signal r = c->mpi_rank(1).recv(0, dst, n, 3);
+    Signal s = c->mpi_rank(0).send(1, src, n, 3);
     co_await s;
     co_await r;
-  }(c.get(), &src, &dst, n);
+  }(c.get(), src, dst, n);
   sim.run();
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(host_bytes(host(1), dst, n), data);
 }
 
 TEST_F(MpiFixture, UnexpectedMessageMatchesLatePost) {
-  std::vector<std::uint8_t> src(128, 0x3D), dst(128, 0);
-  [](Cluster* c, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst) -> sim::Coro {
-    co_await c->mpi_rank(0).send(
-        1, reinterpret_cast<std::uint64_t>(src->data()), 128, 4);
+  const std::vector<std::uint8_t> data(128, 0x3D);
+  const std::uint64_t src = host_buf(host(0), data);
+  const std::uint64_t dst = host(1).alloc(128);
+  [](Cluster* c, std::uint64_t src, std::uint64_t dst) -> sim::Coro {
+    co_await c->mpi_rank(0).send(1, src, 128, 4);
     // recv posted long after the eager message arrived.
     co_await sim::delay(c->simulator(), us(100));
-    co_await c->mpi_rank(1).recv(
-        0, reinterpret_cast<std::uint64_t>(dst->data()), 128, 4);
-  }(c.get(), &src, &dst);
+    co_await c->mpi_rank(1).recv(0, dst, 128, 4);
+  }(c.get(), src, dst);
   sim.run();
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(host_bytes(host(1), dst, 128), data);
 }
 
 TEST_F(MpiFixture, TagsAndSourcesMatchIndependently) {
-  std::vector<std::uint8_t> a(64, 1), b(64, 2), out_a(64, 0), out_b(64, 0);
-  [](Cluster* c, std::vector<std::uint8_t>* a, std::vector<std::uint8_t>* b,
-     std::vector<std::uint8_t>* oa, std::vector<std::uint8_t>* ob)
-      -> sim::Coro {
+  const std::uint64_t a = host_buf(host(0), std::vector<std::uint8_t>(64, 1));
+  const std::uint64_t b = host_buf(host(0), std::vector<std::uint8_t>(64, 2));
+  const std::uint64_t out_a = host(1).alloc(64);
+  const std::uint64_t out_b = host(1).alloc(64);
+  [](Cluster* c, std::uint64_t a, std::uint64_t b, std::uint64_t oa,
+     std::uint64_t ob) -> sim::Coro {
     // Two sends with different tags, received in the opposite order.
-    co_await c->mpi_rank(0).send(1, reinterpret_cast<std::uint64_t>(a->data()),
-                                 64, 10);
-    co_await c->mpi_rank(0).send(1, reinterpret_cast<std::uint64_t>(b->data()),
-                                 64, 20);
-    co_await c->mpi_rank(1).recv(0, reinterpret_cast<std::uint64_t>(ob->data()),
-                                 64, 20);
-    co_await c->mpi_rank(1).recv(0, reinterpret_cast<std::uint64_t>(oa->data()),
-                                 64, 10);
-  }(c.get(), &a, &b, &out_a, &out_b);
+    co_await c->mpi_rank(0).send(1, a, 64, 10);
+    co_await c->mpi_rank(0).send(1, b, 64, 20);
+    co_await c->mpi_rank(1).recv(0, ob, 64, 20);
+    co_await c->mpi_rank(1).recv(0, oa, 64, 10);
+  }(c.get(), a, b, out_a, out_b);
   sim.run();
-  EXPECT_EQ(out_a[0], 1);
-  EXPECT_EQ(out_b[0], 2);
+  EXPECT_EQ(host_bytes(host(1), out_a, 1)[0], 1);
+  EXPECT_EQ(host_bytes(host(1), out_b, 1)[0], 2);
 }
 
 TEST_F(MpiFixture, DeviceToDeviceStagedTransfer) {
@@ -93,7 +109,7 @@ TEST_F(MpiFixture, DeviceToDeviceStagedTransfer) {
   std::vector<std::uint8_t> data(4096);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::uint8_t>(i % 127);
-  cu0.move_bytes(src, reinterpret_cast<std::uint64_t>(data.data()), 4096);
+  cu0.upload(src, std::as_bytes(std::span(data)));
 
   [](Cluster* c, cuda::DevPtr src, cuda::DevPtr dst) -> sim::Coro {
     Signal r = c->mpi_rank(1).recv(0, dst, 4096, 8);
@@ -104,7 +120,7 @@ TEST_F(MpiFixture, DeviceToDeviceStagedTransfer) {
   sim.run();
 
   std::vector<std::uint8_t> out(4096);
-  cu1.move_bytes(reinterpret_cast<std::uint64_t>(out.data()), dst, 4096);
+  cu1.download(dst, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out, data);
 }
 
@@ -117,7 +133,7 @@ TEST_F(MpiFixture, DeviceLargePipelinedTransfer) {
   std::vector<std::uint8_t> data(n);
   for (std::size_t i = 0; i < n; ++i)
     data[i] = static_cast<std::uint8_t>((i * 7) % 255);
-  cu0.move_bytes(src, reinterpret_cast<std::uint64_t>(data.data()), n);
+  cu0.upload(src, std::as_bytes(std::span(data)));
 
   [](Cluster* c, cuda::DevPtr src, cuda::DevPtr dst,
      std::uint64_t n) -> sim::Coro {
@@ -129,7 +145,7 @@ TEST_F(MpiFixture, DeviceLargePipelinedTransfer) {
   sim.run();
 
   std::vector<std::uint8_t> out(n);
-  cu1.move_bytes(reinterpret_cast<std::uint64_t>(out.data()), dst, n);
+  cu1.download(dst, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out, data);
 }
 

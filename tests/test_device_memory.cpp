@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/range_allocator.hpp"
 #include "gpu/device_memory.hpp"
 
 namespace apn::gpu {
@@ -50,16 +51,16 @@ TEST(DeviceMemory, OutOfRangeThrows) {
 }
 
 TEST(DeviceAllocator, AllocateAligned) {
-  DeviceAllocator alloc(1 << 20);
+  RangeAllocator alloc(0, 1 << 20, kAllocAlign);
   std::uint64_t a = alloc.allocate(100);
   std::uint64_t b = alloc.allocate(100);
-  EXPECT_EQ(a % DeviceAllocator::kAlign, 0u);
-  EXPECT_EQ(b % DeviceAllocator::kAlign, 0u);
+  EXPECT_EQ(a % kAllocAlign, 0u);
+  EXPECT_EQ(b % kAllocAlign, 0u);
   EXPECT_GE(b, a + 100);
 }
 
 TEST(DeviceAllocator, ReuseAfterFree) {
-  DeviceAllocator alloc(1 << 20);
+  RangeAllocator alloc(0, 1 << 20, kAllocAlign);
   std::uint64_t a = alloc.allocate(4096);
   alloc.allocate(4096);
   alloc.deallocate(a);
@@ -68,7 +69,7 @@ TEST(DeviceAllocator, ReuseAfterFree) {
 }
 
 TEST(DeviceAllocator, CoalescesNeighbors) {
-  DeviceAllocator alloc(1 << 20);
+  RangeAllocator alloc(0, 1 << 20, kAllocAlign);
   std::uint64_t a = alloc.allocate(512);
   std::uint64_t b = alloc.allocate(512);
   std::uint64_t c = alloc.allocate(512);
@@ -81,27 +82,42 @@ TEST(DeviceAllocator, CoalescesNeighbors) {
 }
 
 TEST(DeviceAllocator, ExhaustionThrows) {
-  DeviceAllocator alloc(1024);
+  RangeAllocator alloc(0, 1024, kAllocAlign);
   alloc.allocate(512);
   alloc.allocate(512);
   EXPECT_THROW(alloc.allocate(1), std::bad_alloc);
 }
 
 TEST(DeviceAllocator, DoubleFreeesAreRejected) {
-  DeviceAllocator alloc(1 << 16);
+  RangeAllocator alloc(0, 1 << 16, kAllocAlign);
   std::uint64_t a = alloc.allocate(256);
   alloc.deallocate(a);
   EXPECT_THROW(alloc.deallocate(a), std::invalid_argument);
 }
 
 TEST(DeviceAllocator, UsageAccounting) {
-  DeviceAllocator alloc(1 << 20);
+  RangeAllocator alloc(0, 1 << 20, kAllocAlign);
   EXPECT_EQ(alloc.used_bytes(), 0u);
   std::uint64_t a = alloc.allocate(1000);  // rounds to 1024
   EXPECT_EQ(alloc.used_bytes(), 1024u);
   EXPECT_EQ(alloc.live_blocks(), 1u);
   alloc.deallocate(a);
   EXPECT_EQ(alloc.used_bytes(), 0u);
+}
+
+TEST(DeviceAllocator, OwnerFindsTheLiveBlock) {
+  // The same allocator serves host memory at 4 KB pages above a base.
+  RangeAllocator alloc(1 << 20, 1 << 20, 4096);
+  std::uint64_t a = alloc.allocate(100);
+  std::uint64_t b = alloc.allocate(5000);
+  EXPECT_EQ(a, 1u << 20);
+  EXPECT_EQ(b, a + 4096);
+  EXPECT_EQ(alloc.owner(a + 99, 1), a);
+  EXPECT_FALSE(alloc.owner(a + 99, 2));  // past the requested size
+  EXPECT_EQ(alloc.owner(b + 4096, 904), b);
+  EXPECT_FALSE(alloc.owner(a - 1, 1));
+  alloc.deallocate(a);
+  EXPECT_FALSE(alloc.owner(a, 1));
 }
 
 }  // namespace

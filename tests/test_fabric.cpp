@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -350,16 +352,14 @@ TEST(HostMemoryFabric, DefaultTargetReceivesUnclaimedWrites) {
   fabric.attach(dev, root, gen2_x8());
   fabric.claim_range(dev, 0xF0000000, 0x1000);
 
-  std::vector<std::uint8_t> buffer(256, 0);
-  host.pin(buffer.data(), buffer.size());
+  const std::uint64_t buffer = host.alloc(256);
 
   std::vector<std::uint8_t> payload(256);
   for (std::size_t i = 0; i < payload.size(); ++i)
     payload[i] = static_cast<std::uint8_t>(255 - i);
-  fabric.post_write(dev, reinterpret_cast<std::uint64_t>(buffer.data()),
-                    Payload::of(payload));
+  fabric.post_write(dev, buffer, Payload::of(payload));
   sim.run();
-  EXPECT_EQ(buffer, payload);
+  EXPECT_TRUE(std::ranges::equal(host.bytes(buffer, 256), payload));
 }
 
 TEST(HostMemoryFabric, ReadFromPinnedMemoryReturnsBytes) {
@@ -373,21 +373,21 @@ TEST(HostMemoryFabric, ReadFromPinnedMemoryReturnsBytes) {
   fabric.attach(dev, root, gen2_x8());
   fabric.claim_range(dev, 0xF0000000, 0x1000);
 
-  std::vector<std::uint8_t> buffer(512);
-  for (std::size_t i = 0; i < buffer.size(); ++i)
-    buffer[i] = static_cast<std::uint8_t>(i * 3);
-  host.pin(buffer.data(), buffer.size());
+  const std::uint64_t buffer = host.alloc(512);
+  std::span<std::uint8_t> bytes = host.bytes(buffer, 512);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 3);
 
   std::vector<std::uint8_t> got;
-  fabric.read(dev, reinterpret_cast<std::uint64_t>(buffer.data()), 512, true,
+  fabric.read(dev, buffer, 512, true,
               [&](Payload p) { got = std::move(p.data); });
   sim.run();
-  EXPECT_EQ(got, buffer);
+  EXPECT_TRUE(std::ranges::equal(got, bytes));
 }
 
-/// One read of a pinned host buffer through a fresh fabric: when it
-/// completed, and what it returned.
-std::pair<Time, Payload> read_pinned(std::vector<std::uint8_t>& buffer,
+/// One read of a host buffer holding `buffer` through a fresh fabric:
+/// when it completed, and what it returned.
+std::pair<Time, Payload> read_pinned(const std::vector<std::uint8_t>& buffer,
                                      bool with_data) {
   sim::Simulator sim;
   Fabric fabric(sim);
@@ -397,10 +397,10 @@ std::pair<Time, Payload> read_pinned(std::vector<std::uint8_t>& buffer,
   fabric.set_default_target(host);
   ScratchDevice dev(sim);
   fabric.attach(dev, root, gen2_x8());
-  host.pin(buffer.data(), buffer.size());
+  const std::uint64_t addr = host.alloc(buffer.size());
+  std::ranges::copy(buffer, host.bytes(addr, buffer.size()).begin());
   std::pair<Time, Payload> out{-1, {}};
-  fabric.read(dev, reinterpret_cast<std::uint64_t>(buffer.data()),
-              static_cast<std::uint32_t>(buffer.size()), with_data,
+  fabric.read(dev, addr, static_cast<std::uint32_t>(buffer.size()), with_data,
               [&](Payload p) { out = {sim.now(), std::move(p)}; });
   sim.run();
   return out;

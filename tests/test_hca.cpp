@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "cluster/cluster.hpp"
 #include "ib/hca.hpp"
 
@@ -34,15 +37,13 @@ TEST_F(IbFixture, InlineSendDeliversPayload) {
 }
 
 TEST_F(IbFixture, RdmaWriteLandsInPinnedMemory) {
-  std::vector<std::uint8_t> src(8192), dst(8192, 0);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i * 3);
-  c->node(0).hostmem().pin(src.data(), src.size());
-  c->node(1).hostmem().pin(dst.data(), dst.size());
+  const std::uint64_t src = c->node(0).hostmem().alloc(8192);
+  const std::uint64_t dst = c->node(1).hostmem().alloc(8192);
+  std::span<std::uint8_t> in = c->node(0).hostmem().bytes(src, 8192);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    in[i] = static_cast<std::uint8_t>(i * 3);
   bool sent = false;
-  hca(0).post_send(1, reinterpret_cast<std::uint64_t>(src.data()), 8192,
-                   reinterpret_cast<std::uint64_t>(dst.data()), 42, true,
-                   [&] { sent = true; });
+  hca(0).post_send(1, src, 8192, dst, 42, true, [&] { sent = true; });
   IbRecvEvent got;
   [](Hca& h, IbRecvEvent* out) -> sim::Coro {
     *out = co_await h.recv_events().pop();
@@ -50,21 +51,35 @@ TEST_F(IbFixture, RdmaWriteLandsInPinnedMemory) {
   sim.run();
   EXPECT_TRUE(sent);
   EXPECT_EQ(got.wr_id, 42u);
-  EXPECT_EQ(dst, src);
+  EXPECT_TRUE(
+      std::ranges::equal(c->node(1).hostmem().bytes(dst, 8192), in));
+}
+
+TEST_F(IbFixture, StraySourceAddressSendsTimingOnly) {
+  // DMA keeps the bus contract: a source outside every allocation is read
+  // as timing-only, so nothing lands at the destination.
+  const std::uint64_t dst = c->node(1).hostmem().alloc(8192);
+  hca(0).post_send(1, 0x4000, 8192, dst, 7, true);
+  IbRecvEvent got;
+  [](Hca& h, IbRecvEvent* out) -> sim::Coro {
+    *out = co_await h.recv_events().pop();
+  }(hca(1), &got);
+  sim.run();
+  EXPECT_EQ(got.wr_id, 7u);
+  EXPECT_EQ(got.bytes, 8192u);
+  EXPECT_EQ(c->node(1).hostmem().backed_bytes(), 0u);
 }
 
 TEST_F(IbFixture, LargeTransferBandwidthNearLinkRate) {
   // x8 slot: DMA-read window and QDR wire allow ~3 GB/s.
   const std::uint64_t total = 8ull << 20;
-  std::vector<std::uint8_t> dst(1 << 20);
-  c->node(1).hostmem().pin(dst.data(), dst.size());
+  const std::uint64_t dst = c->node(1).hostmem().alloc(1 << 20);
   auto t = std::make_shared<std::pair<Time, Time>>(0, 0);
   const int count = 8;
   t->first = sim.now();
   for (int i = 0; i < count; ++i)
-    hca(0).post_send(1, 0x4000, 1 << 20,
-                     reinterpret_cast<std::uint64_t>(dst.data()),
-                     static_cast<std::uint64_t>(i), false);
+    hca(0).post_send(1, 0x4000, 1 << 20, dst, static_cast<std::uint64_t>(i),
+                     false);
   [](Hca& h, int count, std::shared_ptr<std::pair<Time, Time>> t,
      sim::Simulator* sim) -> sim::Coro {
     for (int i = 0; i < count; ++i) co_await h.recv_events().pop();
@@ -102,13 +117,11 @@ TEST(IbSlotWidth, X4SlotHalvesBandwidth) {
     cfg.mpi_ranks = false;
     cfg.ib_slot = slot;
     Cluster c(sim, core::TorusShape{2, 1, 1}, cfg);
-    std::vector<std::uint8_t> dst(1 << 20);
-    c.node(1).hostmem().pin(dst.data(), dst.size());
+    const std::uint64_t dst = c.node(1).hostmem().alloc(1 << 20);
     auto t = std::make_shared<Time>(0);
     const int count = 8;
     for (int i = 0; i < count; ++i)
-      c.node(0).hca().post_send(1, 0x4000, 1 << 20,
-                                reinterpret_cast<std::uint64_t>(dst.data()),
+      c.node(0).hca().post_send(1, 0x4000, 1 << 20, dst,
                                 static_cast<std::uint64_t>(i), false);
     [](Hca& h, int count, std::shared_ptr<Time> t,
        sim::Simulator* sim) -> sim::Coro {

@@ -1,52 +1,85 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "pcie/memory.hpp"
 
 namespace apn::pcie {
 namespace {
 
-TEST(HostMemory, PinUnpinTracking) {
+TEST(HostMemory, AllocFreeTracking) {
   sim::Simulator sim;
   HostMemory host(sim);
-  std::vector<std::uint8_t> buf(4096);
-  EXPECT_FALSE(host.is_pinned(reinterpret_cast<std::uint64_t>(buf.data()), 1));
-  host.pin(buf.data(), buf.size());
-  EXPECT_TRUE(
-      host.is_pinned(reinterpret_cast<std::uint64_t>(buf.data()), 4096));
+  const std::uint64_t buf = host.alloc(4096);
+  EXPECT_EQ(buf % HostMemory::kPageBytes, 0u);
+  EXPECT_EQ(host.bytes(buf, 4096).size(), 4096u);
   // Interior range.
-  EXPECT_TRUE(
-      host.is_pinned(reinterpret_cast<std::uint64_t>(buf.data()) + 100, 1000));
+  EXPECT_EQ(host.bytes(buf + 100, 1000).size(), 1000u);
   // Overrun past the end.
-  EXPECT_FALSE(
-      host.is_pinned(reinterpret_cast<std::uint64_t>(buf.data()) + 100, 4096));
-  host.unpin(buf.data());
-  EXPECT_FALSE(host.is_pinned(reinterpret_cast<std::uint64_t>(buf.data()), 1));
+  EXPECT_THROW(host.bytes(buf + 100, 4096), std::out_of_range);
+  host.free(buf);
+  EXPECT_THROW(host.bytes(buf, 1), std::out_of_range);
+  EXPECT_EQ(host.backed_bytes(), 0u);
 }
 
-TEST(HostMemory, MultipleRegionsIndependent) {
+TEST(HostMemory, MultipleAllocationsIndependent) {
   sim::Simulator sim;
   HostMemory host(sim);
-  std::vector<std::uint8_t> a(128), b(128);
-  host.pin(a.data(), a.size());
-  host.pin(b.data(), b.size());
-  EXPECT_TRUE(host.is_pinned(reinterpret_cast<std::uint64_t>(a.data()), 128));
-  EXPECT_TRUE(host.is_pinned(reinterpret_cast<std::uint64_t>(b.data()), 128));
-  host.unpin(a.data());
-  EXPECT_FALSE(host.is_pinned(reinterpret_cast<std::uint64_t>(a.data()), 1));
-  EXPECT_TRUE(host.is_pinned(reinterpret_cast<std::uint64_t>(b.data()), 128));
+  const std::uint64_t a = host.alloc(128);
+  const std::uint64_t b = host.alloc(128);
+  EXPECT_GE(b, a + HostMemory::kPageBytes);  // never share a page
+  // A range spanning both allocations lies in neither.
+  EXPECT_THROW(host.bytes(a, b - a + 1), std::out_of_range);
+  host.bytes(b, 128)[0] = 5;
+  host.free(a);
+  EXPECT_THROW(host.bytes(a, 1), std::out_of_range);
+  EXPECT_EQ(host.bytes(b, 128)[0], 5);
 }
 
-TEST(HostMemory, WriteOutsidePinnedIsDropped) {
+TEST(HostMemory, WriteOutsideAllocationsIsDropped) {
   sim::Simulator sim;
   HostMemory host(sim);
-  std::vector<std::uint8_t> buf(64, 7);
-  // Not pinned: a functional write must NOT touch the bytes.
+  const std::uint64_t buf = host.alloc(64);
+  std::ranges::fill(host.bytes(buf, 64), 7);
+  // Past the allocation: a functional write must NOT touch any bytes.
   Payload p;
   p.bytes = 64;
   p.data.assign(64, 9);
-  host.handle_write(reinterpret_cast<std::uint64_t>(buf.data()),
-                    std::move(p));
-  for (auto v : buf) EXPECT_EQ(v, 7);
+  host.handle_write(buf + 32, std::move(p));
+  for (auto v : host.bytes(buf, 64)) EXPECT_EQ(v, 7);
+  EXPECT_EQ(host.backed_bytes(), 64u);
+}
+
+TEST(HostMemory, BackingOnlyOnFirstDataUse) {
+  sim::Simulator sim;
+  HostMemory host(sim);
+  const std::uint64_t buf = host.alloc(1 << 20);
+  // Never written: a data read returns zeros and backs nothing.
+  Payload p = Payload::timing(512);
+  host.read(buf + 4096, p);
+  EXPECT_EQ(p.data, std::vector<std::uint8_t>(512, 0));
+  EXPECT_FALSE(host.has_backing(buf, 1));
+  EXPECT_EQ(host.backed_bytes(), 0u);
+  // The first data-carrying DMA write backs the whole allocation.
+  host.handle_write(buf + 8, Payload::of({1, 2, 3}));
+  EXPECT_TRUE(host.has_backing(buf, 1));
+  EXPECT_EQ(host.backed_bytes(), 1u << 20);
+  EXPECT_EQ(host.bytes(buf + 9, 1)[0], 2);
+  // A stray range is timing-only for DMA, but an error for the CPU.
+  Payload stray = Payload::timing(16);
+  host.read(0x5000, stray);
+  EXPECT_TRUE(stray.data.empty());
+  EXPECT_THROW(host.has_backing(0x5000, 16), std::out_of_range);
+}
+
+TEST(HostMemory, AddressesFollowCallOrderOnly) {
+  sim::Simulator sim;
+  HostMemory h1(sim), h2(sim);
+  for (std::uint64_t n : {64u, 10000u, 1u, 4096u})
+    EXPECT_EQ(h1.alloc(n), h2.alloc(n));
+  EXPECT_EQ(h1.alloc(1), HostMemory::kBase + 6 * HostMemory::kPageBytes);
 }
 
 TEST(HostMemory, ReadCompletionsSerializeAtMemoryRate) {

@@ -2,6 +2,8 @@
 // (fragmented blocking staging) — the paper's two reference middlewares.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
 
@@ -28,9 +30,7 @@ TEST(MpiPresets, FragmentedStagingPreservesData) {
   std::vector<std::uint8_t> data(n);
   for (std::size_t i = 0; i < n; ++i)
     data[i] = static_cast<std::uint8_t>((i * 37) % 251);
-  c->node(0).cuda().move_bytes(src,
-                               reinterpret_cast<std::uint64_t>(data.data()),
-                               n);
+  c->node(0).cuda().upload(src, std::as_bytes(std::span(data)));
   [](Cluster* c, cuda::DevPtr src, cuda::DevPtr dst,
      std::uint64_t n) -> sim::Coro {
     Signal r = c->mpi_rank(1).recv(0, dst, n, 1);
@@ -40,8 +40,7 @@ TEST(MpiPresets, FragmentedStagingPreservesData) {
   }(c.get(), src, dst, n);
   sim.run();
   std::vector<std::uint8_t> out(n);
-  c->node(1).cuda().move_bytes(reinterpret_cast<std::uint64_t>(out.data()),
-                               dst, n);
+  c->node(1).cuda().download(dst, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out, data);
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "pcie/memory.hpp"
 #include "simcuda/runtime.hpp"
 
@@ -11,6 +16,7 @@ using units::us;
 struct CudaFixture : ::testing::Test {
   sim::Simulator sim;
   pcie::Fabric fabric{sim};
+  pcie::HostMemory host{sim};
   std::unique_ptr<gpu::Gpu> gpu0, gpu1;
   std::unique_ptr<Runtime> rt;
 
@@ -22,9 +28,8 @@ struct CudaFixture : ::testing::Test {
                                       0xE00100000000ull);
     fabric.attach(*gpu0, root, pcie::gen2_x16());
     fabric.attach(*gpu1, root, pcie::gen2_x16());
-    rt = std::make_unique<Runtime>(sim,
-                                   std::vector<gpu::Gpu*>{gpu0.get(),
-                                                          gpu1.get()});
+    rt = std::make_unique<Runtime>(
+        sim, host, std::vector<gpu::Gpu*>{gpu0.get(), gpu1.get()});
   }
 };
 
@@ -42,9 +47,7 @@ TEST_F(CudaFixture, UvaAddressesAreDisjointPerDevice) {
 }
 
 TEST_F(CudaFixture, HostPointersClassifiedAsHost) {
-  int on_stack = 0;
-  PointerInfo info =
-      rt->pointer_info(reinterpret_cast<std::uint64_t>(&on_stack));
+  PointerInfo info = rt->pointer_info(host.alloc(64));
   EXPECT_FALSE(info.is_device);
 }
 
@@ -54,10 +57,7 @@ TEST_F(CudaFixture, P2pTokensMatchAllocation) {
   EXPECT_EQ(t.device, 1);
   EXPECT_EQ(t.size, 128u * 1024u);
   EXPECT_EQ(t.page_count(), 2u);
-  int host_var = 0;
-  EXPECT_THROW(rt->get_p2p_tokens(
-                   reinterpret_cast<std::uint64_t>(&host_var), 4),
-               std::invalid_argument);
+  EXPECT_THROW(rt->get_p2p_tokens(host.alloc(4), 4), std::invalid_argument);
 }
 
 TEST_F(CudaFixture, FreeReturnsMemory) {
@@ -70,39 +70,35 @@ TEST_F(CudaFixture, FreeReturnsMemory) {
 
 TEST_F(CudaFixture, MemcpySyncMovesBytesH2DAndBack) {
   DevPtr d = rt->malloc_device(0, 1024);
-  std::vector<std::uint8_t> src(1024);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i * 11);
-  std::vector<std::uint8_t> dst(1024, 0);
+  const std::uint64_t src = host.alloc(1024);
+  const std::uint64_t dst = host.alloc(1024);
+  std::span<std::uint8_t> in = host.bytes(src, 1024);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    in[i] = static_cast<std::uint8_t>(i * 11);
 
-  [](Runtime& rt, DevPtr d, std::vector<std::uint8_t>& src,
-     std::vector<std::uint8_t>& dst) -> sim::Coro {
-    co_await rt.memcpy_sync(d, reinterpret_cast<std::uint64_t>(src.data()),
-                            src.size());
-    co_await rt.memcpy_sync(reinterpret_cast<std::uint64_t>(dst.data()), d,
-                            dst.size());
+  [](Runtime& rt, DevPtr d, std::uint64_t src,
+     std::uint64_t dst) -> sim::Coro {
+    co_await rt.memcpy_sync(d, src, 1024);
+    co_await rt.memcpy_sync(dst, d, 1024);
   }(*rt, d, src, dst);
   sim.run();
-  EXPECT_EQ(dst, src);
+  EXPECT_TRUE(std::ranges::equal(host.bytes(dst, 1024), in));
 }
 
 TEST_F(CudaFixture, MemcpySyncCostsOverheadPlusTransfer) {
   DevPtr d = rt->malloc_device(0, 1 << 20);
-  std::vector<std::uint8_t> host(1 << 20);
+  const std::uint64_t buf = host.alloc(1 << 20);
   Time small_done = -1, large_done = -1;
 
-  [](Runtime& rt, sim::Simulator& sim, DevPtr d,
-     std::vector<std::uint8_t>& host, Time& small_done,
-     Time& large_done) -> sim::Coro {
+  [](Runtime& rt, sim::Simulator& sim, DevPtr d, std::uint64_t buf,
+     Time& small_done, Time& large_done) -> sim::Coro {
     Time t0 = sim.now();
-    co_await rt.memcpy_sync(reinterpret_cast<std::uint64_t>(host.data()), d,
-                            32);
+    co_await rt.memcpy_sync(buf, d, 32);
     small_done = sim.now() - t0;
     t0 = sim.now();
-    co_await rt.memcpy_sync(reinterpret_cast<std::uint64_t>(host.data()), d,
-                            1 << 20);
+    co_await rt.memcpy_sync(buf, d, 1 << 20);
     large_done = sim.now() - t0;
-  }(*rt, sim, d, host, small_done, large_done);
+  }(*rt, sim, d, buf, small_done, large_done);
   sim.run();
 
   // Small D2H copy: dominated by the ~9 us sync overhead (the paper's
@@ -118,21 +114,48 @@ TEST_F(CudaFixture, DeviceToDeviceCopy) {
   DevPtr a = rt->malloc_device(0, 4096);
   DevPtr b = rt->malloc_device(0, 4096);
   std::vector<std::uint8_t> src(4096, 0x42);
-  rt->move_bytes(a, reinterpret_cast<std::uint64_t>(src.data()), 4096);
+  rt->upload(a, std::as_bytes(std::span(src)));
   [](Runtime& rt, DevPtr a, DevPtr b) -> sim::Coro {
     co_await rt.memcpy_sync(b, a, 4096);
   }(*rt, a, b);
   sim.run();
   std::vector<std::uint8_t> out(4096);
-  rt->move_bytes(reinterpret_cast<std::uint64_t>(out.data()), b, 4096);
+  rt->download(b, std::as_writable_bytes(std::span(out)));
   EXPECT_EQ(out, src);
 }
 
 TEST_F(CudaFixture, HostToHostThroughCudaIsRejected) {
-  int a = 0, b = 0;
-  EXPECT_THROW(rt->classify(reinterpret_cast<std::uint64_t>(&a),
-                            reinterpret_cast<std::uint64_t>(&b)),
+  EXPECT_THROW(rt->classify(host.alloc(4), host.alloc(4)),
                std::invalid_argument);
+}
+
+TEST_F(CudaFixture, HostRangeOutsideAllocationsThrows) {
+  DevPtr d = rt->malloc_device(0, 4096);
+  const std::uint64_t buf = host.alloc(64);
+  // CPU-side copies (memcpy_sync/memcpy_async data and staged copies all
+  // go through move_bytes) are bounds-checked: a stray address, or a range
+  // running past its allocation, is an error rather than a silent write.
+  EXPECT_THROW(rt->move_bytes(0x5000, d, 64), std::out_of_range);
+  EXPECT_THROW(rt->move_bytes(buf, d, 65), std::out_of_range);
+  EXPECT_THROW(rt->move_bytes(d, buf + 32, 64), std::out_of_range);
+  host.free(buf);
+  EXPECT_THROW(rt->move_bytes(buf, d, 64), std::out_of_range);
+}
+
+TEST_F(CudaFixture, ZerosOverZerosMoveNothing) {
+  DevPtr d = rt->malloc_device(0, 1 << 20);
+  const std::uint64_t buf = host.alloc(1 << 20);
+  // Neither side was ever written: staging copies back nothing.
+  rt->move_bytes(buf, d, 1 << 20);
+  rt->move_bytes(d, buf, 1 << 20);
+  EXPECT_EQ(host.backed_bytes(), 0u);
+  EXPECT_EQ(rt->device(0).memory().resident_bytes(), 0u);
+  // Once the device side holds data, the copy lands.
+  std::vector<std::uint8_t> ones(16, 1);
+  rt->upload(d + 100, std::as_bytes(std::span(ones)));
+  rt->move_bytes(buf, d, 1 << 20);
+  EXPECT_EQ(host.bytes(buf + 100, 16)[15], 1);
+  EXPECT_EQ(host.bytes(buf, 1)[0], 0);
 }
 
 TEST_F(CudaFixture, Bar1MapChargesReconfigurationTime) {

@@ -5,6 +5,7 @@
 #include "apps/bfs/bfs.hpp"
 #include "apps/hsg/runner.hpp"
 #include "cluster/cluster.hpp"
+#include "host_bytes.hpp"
 
 namespace apn {
 namespace {
@@ -33,21 +34,20 @@ TEST(ScaleOut, ZRoutingWorksInThreeDimensions) {
   // Farthest node from (0,0,0) in the 4x2x2 torus: (2,1,1), 4 hops.
   int far = c->shape().index({2, 1, 1});
   EXPECT_EQ(c->shape().hop_count({0, 0, 0}, {2, 1, 1}), 4);
-  std::vector<std::uint8_t> src(5000), dst(5000, 0);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i * 3 + 1);
-  [](Cluster* c, int far, std::vector<std::uint8_t>* src,
-     std::vector<std::uint8_t>* dst) -> sim::Coro {
-    co_await c->rdma(far).register_buffer(
-        reinterpret_cast<std::uint64_t>(dst->data()), dst->size(),
-        MemType::kHost);
-    c->rdma(0).put(c->coord(far), reinterpret_cast<std::uint64_t>(src->data()),
-                   src->size(), reinterpret_cast<std::uint64_t>(dst->data()),
-                   MemType::kHost);
+  std::vector<std::uint8_t> data(5000);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  const std::uint64_t src = test_util::host_buf(c->node(0).hostmem(), data);
+  const std::uint64_t dst = c->node(far).hostmem().alloc(data.size());
+  [](Cluster* c, int far, std::uint64_t src, std::uint64_t dst,
+     std::uint64_t n) -> sim::Coro {
+    co_await c->rdma(far).register_buffer(dst, n, MemType::kHost);
+    c->rdma(0).put(c->coord(far), src, n, dst, MemType::kHost);
     co_await c->rdma(far).events().pop();
-  }(c.get(), far, &src, &dst);
+  }(c.get(), far, src, dst, data.size());
   sim.run();
-  EXPECT_EQ(dst, src);
+  EXPECT_EQ(test_util::host_bytes(c->node(far).hostmem(), dst, data.size()),
+            data);
 }
 
 TEST(ScaleOut, HsgSixteenNodesFunctionalEnergyConserved) {

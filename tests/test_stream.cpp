@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "pcie/memory.hpp"
 #include "simcuda/runtime.hpp"
 
 namespace apn::cuda {
@@ -10,6 +14,7 @@ using units::us;
 struct StreamFixture : ::testing::Test {
   sim::Simulator sim;
   pcie::Fabric fabric{sim};
+  pcie::HostMemory host{sim};
   std::unique_ptr<gpu::Gpu> g;
   std::unique_ptr<Runtime> rt;
 
@@ -18,7 +23,8 @@ struct StreamFixture : ::testing::Test {
     g = std::make_unique<gpu::Gpu>(sim, fabric, gpu::fermi_c2050(),
                                    0xE00000000000ull);
     fabric.attach(*g, 0, pcie::gen2_x16());
-    rt = std::make_unique<Runtime>(sim, std::vector<gpu::Gpu*>{g.get()});
+    rt = std::make_unique<Runtime>(sim, host,
+                                   std::vector<gpu::Gpu*>{g.get()});
   }
 };
 
@@ -63,11 +69,10 @@ TEST_F(StreamFixture, CopyAndComputeOverlapAcrossStreams) {
   // Kernel on one stream, async memcpy on another: the copy engine and
   // the compute engine are distinct units, so total time ~ max, not sum.
   DevPtr d = rt->malloc_device(0, 1 << 20);
-  std::vector<std::uint8_t> host(1 << 20);
+  const std::uint64_t buf = host.alloc(1 << 20);
   Stream compute(*rt, 0), copy(*rt, 0);
   Done k = compute.launch_kernel(us(200));
-  Done c = copy.memcpy_async(reinterpret_cast<std::uint64_t>(host.data()), d,
-                             1 << 20);
+  Done c = copy.memcpy_async(buf, d, 1 << 20);
   Time t_k = -1, t_c = -1;
   [](Done d, sim::Simulator& sim, Time& out) -> sim::Coro {
     co_await d;
@@ -83,14 +88,16 @@ TEST_F(StreamFixture, CopyAndComputeOverlapAcrossStreams) {
 
 TEST_F(StreamFixture, MemcpyAsyncMovesData) {
   DevPtr d = rt->malloc_device(0, 4096);
-  std::vector<std::uint8_t> src(4096, 0x5C), dst(4096, 0);
+  const std::uint64_t src = host.alloc(4096);
+  const std::uint64_t dst = host.alloc(4096);
+  std::ranges::fill(host.bytes(src, 4096), 0x5C);
   Stream s(*rt, 0);
-  s.memcpy_async(d, reinterpret_cast<std::uint64_t>(src.data()), 4096);
-  Done done =
-      s.memcpy_async(reinterpret_cast<std::uint64_t>(dst.data()), d, 4096);
+  s.memcpy_async(d, src, 4096);
+  Done done = s.memcpy_async(dst, d, 4096);
   sim.run();
   EXPECT_TRUE(done.ready());
-  EXPECT_EQ(dst, src);
+  EXPECT_TRUE(std::ranges::equal(host.bytes(dst, 4096),
+                                 std::vector<std::uint8_t>(4096, 0x5C)));
 }
 
 TEST_F(StreamFixture, RecordEventCompletesAfterPriorWork) {

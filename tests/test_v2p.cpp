@@ -4,6 +4,7 @@
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "core/v2p.hpp"
+#include "host_bytes.hpp"
 
 namespace apn::core {
 namespace {
@@ -106,20 +107,16 @@ TEST(PageTable, RandomizedMapLookupConsistency) {
 TEST(CardV2p, RegistrationPopulatesTables) {
   sim::Simulator sim;
   auto c = cluster::Cluster::make_cluster_i(sim, 1, ApenetParams{}, false);
-  std::vector<std::uint8_t> host_buf(3 * 4096);
+  const std::uint64_t haddr = c->node(0).hostmem().alloc(3 * 4096);
   cuda::DevPtr gpu_buf = c->node(0).cuda().malloc_device(0, 256 * 1024);
-  [](cluster::Cluster* c, std::vector<std::uint8_t>* hb,
-     cuda::DevPtr gb) -> sim::Coro {
-    co_await c->rdma(0).register_buffer(
-        reinterpret_cast<std::uint64_t>(hb->data()), hb->size(),
-        MemType::kHost);
+  [](cluster::Cluster* c, std::uint64_t hb, cuda::DevPtr gb) -> sim::Coro {
+    co_await c->rdma(0).register_buffer(hb, 3 * 4096, MemType::kHost);
     co_await c->rdma(0).register_buffer(gb, 256 * 1024, MemType::kGpu);
-  }(c.get(), &host_buf, gpu_buf);
+  }(c.get(), haddr, gpu_buf);
   sim.run();
 
   ApenetCard& card = c->node(0).card();
   // Host table: identity translation, 4 KB pages.
-  std::uint64_t haddr = reinterpret_cast<std::uint64_t>(host_buf.data());
   EXPECT_TRUE(card.host_v2p().is_mapped(haddr));
   EXPECT_EQ(*card.host_v2p().lookup(haddr + 100), haddr + 100);
   // GPU table: UVA -> device offset, 64 KB pages, 4 pages for 256 KB.
@@ -138,25 +135,24 @@ TEST(CardV2p, HostScatterSplitsWritesAtPageBoundaries) {
   // deliver every byte (two scatter entries on the real card).
   sim::Simulator sim;
   auto c = cluster::Cluster::make_cluster_i(sim, 2, ApenetParams{}, false);
-  std::vector<std::uint8_t> dst(3 * 4096, 0);
-  std::vector<std::uint8_t> src(4096);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = static_cast<std::uint8_t>(i * 13 + 1);
-  // Target straddles page boundaries inside the registered region.
-  std::uint64_t base = reinterpret_cast<std::uint64_t>(dst.data());
-  std::uint64_t target = ((base + 4095) & ~4095ull) + 4096 - 1000;
+  std::vector<std::uint8_t> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  const std::uint64_t src = test_util::host_buf(c->node(0).hostmem(), data);
+  // Target straddles a page boundary inside the registered region.
+  const std::uint64_t base = c->node(1).hostmem().alloc(3 * 4096);
+  const std::uint64_t target = base + 4096 - 1000;
   [](cluster::Cluster* c, std::uint64_t base, std::uint64_t target,
-     std::vector<std::uint8_t>* src, std::vector<std::uint8_t>* dst)
-      -> sim::Coro {
-    co_await c->rdma(1).register_buffer(base, dst->size(), MemType::kHost);
-    c->rdma(0).put(c->coord(1), reinterpret_cast<std::uint64_t>(src->data()),
-                   src->size(), target, MemType::kHost);
+     std::uint64_t src) -> sim::Coro {
+    co_await c->rdma(1).register_buffer(base, 3 * 4096, MemType::kHost);
+    c->rdma(0).put(c->coord(1), src, 4096, target, MemType::kHost);
     co_await c->rdma(1).events().pop();
-  }(c.get(), base, target, &src, &dst);
+  }(c.get(), base, target, src);
   sim.run();
-  const std::uint8_t* p = reinterpret_cast<const std::uint8_t*>(target);
-  for (std::size_t i = 0; i < src.size(); ++i)
-    ASSERT_EQ(p[i], src[i]) << "byte " << i;
+  const std::vector<std::uint8_t> got =
+      test_util::host_bytes(c->node(1).hostmem(), target, 4096);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    ASSERT_EQ(got[i], data[i]) << "byte " << i;
 }
 
 }  // namespace
