@@ -51,8 +51,7 @@ struct BfsRun::RankState {
 
 BfsRun::BfsRun(cluster::Cluster& cluster, BfsConfig config)
     : cluster_(cluster), cfg_(config), np_(cluster.size()) {
-  EdgeList el = rmat(cfg_.scale, cfg_.edge_factor, cfg_.seed);
-  graph_ = std::make_unique<Csr>(el);
+  graph_ = shared_graph(cfg_.scale, cfg_.edge_factor, cfg_.seed);
   root_ = pick_root(*graph_, cfg_.root_seed);
   per_rank_ = static_cast<Vertex>(
       (graph_->num_vertices() + static_cast<std::uint64_t>(np_) - 1) /
@@ -428,14 +427,14 @@ BfsMetrics BfsRun::run() {
   for (auto& st : ranks_) wall = std::max(wall, st->t_end - st->t_start);
   m.wall = wall;
   m.levels = max_level_ + 1;
-  std::vector<std::int64_t> levels = bfs_levels(*graph_, root_);
+  const std::vector<std::int64_t> levels = bfs_levels(*graph_, root_);
   m.edges_traversed = traversed_edges(*graph_, levels);
   m.teps = wall > 0 ? static_cast<double>(m.edges_traversed) /
                           units::to_sec(wall)
                     : 0.0;
   m.compute_time = ranks_[0]->compute_time;
   m.comm_time = ranks_[0]->comm_time;
-  m.validated = validate_parents(*graph_, root_, final_parents_);
+  m.validated = validate_parents(*graph_, root_, final_parents_, levels);
   return m;
 }
 

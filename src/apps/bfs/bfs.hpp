@@ -15,6 +15,11 @@
 // buffers (P2P=ON — how the paper's APEnet+ BFS [17] works), or minimpi
 // over IB (the MPI reference). Payloads are always real bytes: the
 // resulting parent tree is validated against a sequential reference.
+//
+// As in graph500, the graph is built once (kernel 1, untimed) and only the
+// searches are per run: every BfsRun with the same (scale, edge_factor,
+// seed) shares one read-only Csr from shared_graph(), and all per-run
+// state lives in the run's RankStates and parent array.
 #pragma once
 
 #include <memory>
@@ -55,7 +60,8 @@ struct BfsSummary {
 
 class BfsRun {
  public:
-  /// The graph is built once up front (it is the same on every node).
+  /// Takes the graph from shared_graph(): the first run of a key builds it,
+  /// later runs share it read-only (it is the same on every node).
   BfsRun(cluster::Cluster& cluster, BfsConfig config);
   ~BfsRun();
 
@@ -91,7 +97,7 @@ class BfsRun {
   BfsConfig cfg_;
   int np_;
   Vertex per_rank_ = 0;
-  std::unique_ptr<Csr> graph_;
+  std::shared_ptr<const Csr> graph_;
   Vertex root_ = 0;
   std::vector<std::unique_ptr<RankState>> ranks_;
   int ready_count_ = 0;

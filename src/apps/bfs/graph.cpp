@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -83,7 +84,35 @@ Csr::Csr(const EdgeList& el) : n_(el.n_vertices) {
   }
 }
 
+std::shared_ptr<const Csr> shared_graph(int scale, int edge_factor,
+                                        std::uint64_t seed) {
+  struct Slot {
+    std::mutex mu;
+    int scale = 0;
+    int edge_factor = 0;
+    std::uint64_t seed = 0;
+    std::shared_ptr<const Csr> graph;
+  };
+  static Slot slot;
+  std::lock_guard lock(slot.mu);
+  if (slot.graph == nullptr || slot.scale != scale ||
+      slot.edge_factor != edge_factor || slot.seed != seed) {
+    // Free the old graph before building the next (unless a run still
+    // holds it). The edge list is a temporary, freed once the Csr exists.
+    slot.graph.reset();
+    slot.graph = std::make_shared<Csr>(rmat(scale, edge_factor, seed));
+    slot.scale = scale;
+    slot.edge_factor = edge_factor;
+    slot.seed = seed;
+  }
+  return slot.graph;
+}
+
 std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root) {
+  if (root >= g.num_vertices())
+    throw std::out_of_range("bfs_levels: root " + std::to_string(root) +
+                            " outside a graph of " +
+                            std::to_string(g.num_vertices()) + " vertices");
   std::vector<std::int64_t> level(g.num_vertices(), kUnreached);
   std::deque<Vertex> q;
   level[root] = 0;
@@ -103,6 +132,7 @@ std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root) {
 
 bool validate_parents(const Csr& g, Vertex root,
                       std::span<const std::int64_t> parents,
+                      std::span<const std::int64_t> ref_levels,
                       std::string* error) {
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
@@ -113,6 +143,7 @@ bool validate_parents(const Csr& g, Vertex root,
   if (root >= n) return fail("root out of range");
   if (parents[root] != static_cast<std::int64_t>(root))
     return fail("root is not its own parent");
+  if (ref_levels.size() != n) return fail("reference levels size mismatch");
 
   // Derive levels by chasing parents with a path-length bound. Every
   // vertex that gets a level has had its parent range-checked here, so the
@@ -155,18 +186,32 @@ bool validate_parents(const Csr& g, Vertex root,
   }
 
   // Reachability must match the reference BFS exactly.
-  std::vector<std::int64_t> ref = bfs_levels(g, root);
   for (std::uint64_t v = 0; v < n; ++v) {
-    if ((ref[v] == kUnreached) != (parents[v] == kUnreached))
+    if ((ref_levels[v] == kUnreached) != (parents[v] == kUnreached))
       return fail("reachability mismatch");
-    if (ref[v] != kUnreached && level[v] != ref[v])
+    if (ref_levels[v] != kUnreached && level[v] != ref_levels[v])
       return fail("level differs from reference BFS");
   }
   return true;
 }
 
+bool validate_parents(const Csr& g, Vertex root,
+                      std::span<const std::int64_t> parents,
+                      std::string* error) {
+  // A root outside the graph has no reference BFS; the check reports it.
+  const std::vector<std::int64_t> ref =
+      root < g.num_vertices() ? bfs_levels(g, root)
+                              : std::vector<std::int64_t>{};
+  return validate_parents(g, root, parents, ref, error);
+}
+
 std::uint64_t traversed_edges(const Csr& g,
                               std::span<const std::int64_t> levels) {
+  if (levels.size() != g.num_vertices())
+    throw std::invalid_argument(
+        "traversed_edges: " + std::to_string(levels.size()) +
+        " levels for a graph of " + std::to_string(g.num_vertices()) +
+        " vertices");
   std::uint64_t e2 = 0;  // directed count within the component
   for (std::uint64_t v = 0; v < g.num_vertices(); ++v) {
     if (levels[v] == kUnreached) continue;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -54,19 +55,37 @@ class Csr {
   std::vector<Vertex> cols_;
 };
 
+/// `Csr(rmat(scale, edge_factor, seed))`, built once and shared read-only:
+/// graph500's kernel 1, untimed. A one-slot memo guarded by a mutex, so
+/// threads asking for one key concurrently wait for a single build; a
+/// different key replaces the slot (callers holding the old graph keep it).
+/// Throws what rmat throws.
+std::shared_ptr<const Csr> shared_graph(int scale, int edge_factor,
+                                        std::uint64_t seed);
+
 /// Sequential level-synchronous BFS: levels[v] = depth or kUnreached.
+/// Throws std::out_of_range unless root < g.num_vertices().
 std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root);
 
 /// graph500-style validation of a parent tree against the graph:
 /// root is its own parent; every reached vertex's parent edge exists and
-/// levels are consistent (level[v] == level[parent[v]] + 1). A root or
-/// parent entry outside [0, n) (other than kUnreached) fails validation.
+/// levels are consistent (level[v] == level[parent[v]] + 1), and they equal
+/// `ref_levels`, the reference `bfs_levels(g, root)` the caller already
+/// holds. A root or parent entry outside [0, n) (other than kUnreached), or
+/// a reference of the wrong size, fails validation.
+bool validate_parents(const Csr& g, Vertex root,
+                      std::span<const std::int64_t> parents,
+                      std::span<const std::int64_t> ref_levels,
+                      std::string* error = nullptr);
+
+/// The same check against a reference BFS it runs itself.
 bool validate_parents(const Csr& g, Vertex root,
                       std::span<const std::int64_t> parents,
                       std::string* error = nullptr);
 
 /// Edges within the traversed component (counted once per undirected
-/// edge), the TEPS numerator.
+/// edge), the TEPS numerator. Throws std::invalid_argument unless
+/// levels.size() == g.num_vertices().
 std::uint64_t traversed_edges(const Csr& g,
                               std::span<const std::int64_t> levels);
 

@@ -62,8 +62,7 @@ void Slab::update_plane(int z, int parity) {
   for (int y = 0; y < L_; ++y) {
     int yp = y + 1 == L_ ? 0 : y + 1;
     int ym = y == 0 ? L_ - 1 : y - 1;
-    for (int x = 0; x < L_; ++x) {
-      if (site_parity(z, y, x) != parity) continue;
+    for (int x = first_x(z, y, parity); x < L_; x += 2) {
       int xp = x + 1 == L_ ? 0 : x + 1;
       int xm = x == 0 ? L_ - 1 : x - 1;
       const Spin& a = at(z, y, xp);
@@ -121,8 +120,7 @@ void Slab::pack_parity_plane(int z, int parity,
   out.clear();
   out.reserve(parity_plane_bytes());
   for (int y = 0; y < L_; ++y)
-    for (int x = 0; x < L_; ++x) {
-      if (site_parity(z, y, x) != parity) continue;
+    for (int x = first_x(z, y, parity); x < L_; x += 2) {
       const Spin& s = at(z, y, x);
       const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
       out.insert(out.end(), p, p + sizeof(Spin));
@@ -133,8 +131,7 @@ void Slab::unpack_parity_plane(int z, int parity,
                                std::span<const std::uint8_t> in) {
   std::size_t pos = 0;
   for (int y = 0; y < L_; ++y)
-    for (int x = 0; x < L_; ++x) {
-      if (site_parity(z, y, x) != parity) continue;
+    for (int x = first_x(z, y, parity); x < L_; x += 2) {
       if (pos + sizeof(Spin) > in.size())
         throw std::runtime_error("halo payload too short");
       Spin s;

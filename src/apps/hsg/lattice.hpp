@@ -88,9 +88,10 @@ class Slab {
     // Halo planes map to the neighbor's global coordinate (periodic).
     return local_plane + z_offset_ - 1;
   }
-  int site_parity(int z, int y, int x) const {
-    int gz = global_z(z);
-    return ((gz % 2 + 2) + y + x) % 2;
+  /// Site (z, y, x) has parity (global z + y + x) mod 2, so row (z, y)'s
+  /// sites of `parity` (0 or 1) are x = first_x, first_x + 2, ...
+  int first_x(int z, int y, int parity) const {
+    return ((global_z(z) % 2 + 2) + y + parity) % 2;
   }
 
   int L_;

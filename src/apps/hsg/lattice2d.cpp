@@ -47,8 +47,8 @@ void Slab2d::update_site(int z, int y, int x) {
 void Slab2d::update_range(int z0, int z1, int y0, int y1, int parity) {
   for (int z = z0; z <= z1; ++z)
     for (int y = y0; y <= y1; ++y)
-      for (int x = 0; x < L_; ++x)
-        if (site_parity(z, y, x) == parity) update_site(z, y, x);
+      for (int x = first_x(z, y, parity); x < L_; x += 2)
+        update_site(z, y, x);
 }
 
 void Slab2d::update_interior(int parity) {
@@ -112,8 +112,7 @@ void Slab2d::pack_face(Face face, int parity,
   out.reserve(face_parity_bytes(face));
   for (int z = it.z0; z <= it.z1; ++z)
     for (int y = it.y0; y <= it.y1; ++y)
-      for (int x = 0; x < L_; ++x) {
-        if (site_parity(z, y, x) != parity) continue;
+      for (int x = first_x(z, y, parity); x < L_; x += 2) {
         const Spin& s = at(z, y, x);
         const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
         out.insert(out.end(), p, p + sizeof(Spin));
@@ -132,8 +131,7 @@ void Slab2d::unpack_face(Face face, int parity,
   std::size_t pos = 0;
   for (int z = it.z0; z <= it.z1; ++z)
     for (int y = it.y0; y <= it.y1; ++y)
-      for (int x = 0; x < L_; ++x) {
-        if (site_parity(z, y, x) != parity) continue;
+      for (int x = first_x(z, y, parity); x < L_; x += 2) {
         if (pos + sizeof(Spin) > in.size())
           throw std::runtime_error("face payload too short");
         Spin s;

@@ -74,8 +74,10 @@ class Slab2d {
   }
   int gz(int z) const { return z + z_offset_ - 1; }
   int gy(int y) const { return y + y_offset_ - 1; }
-  int site_parity(int z, int y, int x) const {
-    return (((gz(z) % 2 + 2) + (gy(y) % 2 + 2) + x) % 2);
+  /// Site (z, y, x) has parity (global z + global y + x) mod 2, so row
+  /// (z, y)'s sites of `parity` (0 or 1) are x = first_x, first_x + 2, ...
+  int first_x(int z, int y, int parity) const {
+    return ((gz(z) % 2 + 2) + (gy(y) % 2 + 2) + parity) % 2;
   }
   void update_site(int z, int y, int x);
   void update_range(int z0, int z1, int y0, int y1, int parity);

@@ -316,7 +316,18 @@ std::pair<std::uint64_t, double> table4_point() {
   return {allocs, teps};
 }
 
+TEST(SteadyStateAllocs, BfsRunOnACachedGraphAllocatesNothing) {
+  sim::Simulator sim;
+  auto c = cluster::Cluster::make_cluster_i(sim, 4, hw::params(), false);
+  apps::bfs::BfsConfig cfg;
+  cfg.scale = 12;
+  const apps::bfs::BfsRun warm(*c, cfg);  // builds the graph
+  EXPECT_EQ(allocs_during([&] { const apps::bfs::BfsRun run(*c, cfg); }),
+            0u);
+}
+
 TEST(PlacementIndependence, RepeatedBfsPointAllocatesExactlyTheSame) {
+  table4_point();  // the first point of a process also builds the graph
   const auto first = table4_point();
   const auto second = table4_point();
   const auto third = table4_point();

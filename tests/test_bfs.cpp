@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 
 #include "apps/bfs/bfs.hpp"
 
@@ -213,6 +214,117 @@ TEST(TraversedEdges, CountsComponentEdgesOnce) {
   Csr g(el);
   auto lv = bfs_levels(g, 0);
   EXPECT_EQ(traversed_edges(g, lv), 2u);
+}
+
+TEST(SequentialBfs, RootOutsideGraphThrows) {
+  Csr g = star_plus_one();
+  EXPECT_THROW(bfs_levels(g, 7), std::out_of_range);
+  EXPECT_THROW(bfs_levels(g, 1000), std::out_of_range);
+}
+
+TEST(TraversedEdges, LevelsOfWrongSizeThrow) {
+  Csr g = star_plus_one();
+  const std::vector<std::int64_t> shorter(6, 0), longer(8, 0);
+  EXPECT_THROW(traversed_edges(g, shorter), std::invalid_argument);
+  EXPECT_THROW(traversed_edges(g, longer), std::invalid_argument);
+}
+
+TEST(ValidateParents, GivenReferenceLevelsMatchesOwnReference) {
+  Csr g = star_plus_one();
+  const auto ref = bfs_levels(g, 0);
+  const std::vector<std::int64_t> good = {0, 0, 0, 0, 0, 0, 1};
+  const std::vector<std::int64_t> bad = {0, 0, 0, 0, 0, 0, 0};
+  std::string err;
+  EXPECT_TRUE(validate_parents(g, 0, good, ref, &err)) << err;
+  EXPECT_FALSE(validate_parents(g, 0, bad, ref, &err));
+  EXPECT_EQ(err, "parent edge not present in graph");
+  // A consistent tree checked against another root's BFS.
+  EXPECT_FALSE(validate_parents(g, 0, good, bfs_levels(g, 1), &err));
+  EXPECT_EQ(err, "level differs from reference BFS");
+}
+
+TEST(ValidateParents, ReferenceLevelsOfWrongSizeFail) {
+  Csr g = star_plus_one();
+  const std::vector<std::int64_t> parents = {0, 0, 0, 0, 0, 0, 1};
+  const auto ref = bfs_levels(g, 0);
+  const std::span<const std::int64_t> shorter(ref.data(), ref.size() - 1);
+  std::string err;
+  EXPECT_FALSE(validate_parents(g, 0, parents, shorter, &err));
+  EXPECT_EQ(err, "reference levels size mismatch");
+  EXPECT_FALSE(validate_parents(g, 0, parents, {}, &err));
+  EXPECT_EQ(err, "reference levels size mismatch");
+}
+
+// ---------------------------------------------------------------------------
+// Shared graphs
+// ---------------------------------------------------------------------------
+
+/// Same vertex count, degrees and neighbour lists, in order.
+void expect_same_graph(const Csr& a, const Csr& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.num_directed_edges(), b.num_directed_edges());
+  EXPECT_EQ(a.num_input_edges(), b.num_input_edges());
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    ASSERT_EQ(a.degree(v), b.degree(v)) << "vertex " << v;
+    const auto na = a.neighbors(v), nb = b.neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin())) << "vertex " << v;
+  }
+}
+
+TEST(SharedGraph, RunsOfOneKeyShareOneGraph) {
+  sim::Simulator sim;
+  auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
+  BfsConfig cfg;
+  cfg.scale = 9;
+  cfg.edge_factor = 8;
+  cfg.seed = 21;
+  BfsRun a(*c, cfg);
+  cfg.root_seed = 3;  // per-run state, not part of the key
+  BfsRun b(*c, cfg);
+  EXPECT_EQ(&a.graph(), &b.graph());
+  EXPECT_EQ(&a.graph(), shared_graph(9, 8, 21).get());
+  expect_same_graph(a.graph(), Csr(rmat(9, 8, 21)));
+}
+
+TEST(SharedGraph, OtherKeyGetsItsOwnFreshlyBuiltGraph) {
+  sim::Simulator sim;
+  auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
+  BfsConfig cfg;
+  cfg.scale = 9;
+  cfg.edge_factor = 8;
+  cfg.seed = 21;
+  BfsRun base(*c, cfg);
+  cfg.seed = 22;
+  BfsRun other_seed(*c, cfg);
+  cfg.scale = 10;
+  BfsRun other_scale(*c, cfg);
+  EXPECT_NE(&base.graph(), &other_seed.graph());
+  EXPECT_NE(&other_seed.graph(), &other_scale.graph());
+  expect_same_graph(base.graph(), Csr(rmat(9, 8, 21)));
+  expect_same_graph(other_seed.graph(), Csr(rmat(9, 8, 22)));
+  expect_same_graph(other_scale.graph(), Csr(rmat(10, 8, 22)));
+  // Going back to the first key rebuilds it: equal, not the held object.
+  const auto again = shared_graph(9, 8, 21);
+  EXPECT_NE(again.get(), &base.graph());
+  expect_same_graph(*again, base.graph());
+}
+
+TEST(SharedGraph, ConcurrentCallersWaitForOneBuild) {
+  shared_graph(4, 4, 1);  // some other key in the slot
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const Csr>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&got, i] { got[i] = shared_graph(12, 16, 5); });
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
+  expect_same_graph(*got[0], Csr(rmat(12, 16, 5)));
+}
+
+TEST(SharedGraph, BadKeyThrowsAndTheNextCallStillBuilds) {
+  EXPECT_THROW(shared_graph(0, 16, 1), std::invalid_argument);
+  EXPECT_THROW(shared_graph(4, 0, 1), std::invalid_argument);
+  expect_same_graph(*shared_graph(4, 4, 1), Csr(rmat(4, 4, 1)));
 }
 
 // ---------------------------------------------------------------------------
