@@ -9,7 +9,6 @@
 // advantage. Each (L, decomposition, mode) run is an independent
 // simulation declared as a runner point.
 #include "apps/hsg/runner.hpp"
-#include "apps/hsg/runner2d.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -17,7 +16,9 @@ namespace {
 using namespace apn;
 using apps::hsg::CommMode;
 
-apps::hsg::HsgMetrics run_1d(int L, int np, CommMode mode) {
+/// One timing run on an (np / py) x py grid; py = 1 is the 1-D slab run.
+apps::hsg::HsgMetrics run_grid(int L, int np, int py, CommMode mode,
+                               std::uint64_t* halo_bytes) {
   sim::Simulator sim;
   core::ApenetParams p = hw::params();
   p.p2p_tx_version = core::P2pTxVersion::kV2;
@@ -26,27 +27,10 @@ apps::hsg::HsgMetrics run_1d(int L, int np, CommMode mode) {
   apps::hsg::HsgConfig cfg;
   cfg.L = L;
   cfg.steps = 2;
-  cfg.mode = mode;
-  cfg.functional = false;
-  apps::hsg::HsgRun run(*c, cfg);
-  return run.run();
-}
-
-apps::hsg::HsgMetrics run_2d(int L, int np, int pz, int py, CommMode mode,
-                             std::uint64_t* halo_bytes) {
-  sim::Simulator sim;
-  core::ApenetParams p = hw::params();
-  p.p2p_tx_version = core::P2pTxVersion::kV2;
-  p.p2p_prefetch_window = 32 * 1024;
-  auto c = cluster::Cluster::make_cluster_i(sim, np, p, false);
-  apps::hsg::Hsg2dConfig cfg;
-  cfg.L = L;
-  cfg.steps = 2;
-  cfg.pz = pz;
   cfg.py = py;
   cfg.mode = mode;
   cfg.functional = false;
-  apps::hsg::Hsg2dRun run(*c, cfg);
+  apps::hsg::HsgRun run(*c, cfg);
   if (halo_bytes != nullptr) *halo_bytes = run.halo_bytes_per_phase();
   return run.run();
 }
@@ -62,31 +46,36 @@ int main(int argc, char** argv) {
   const int np = 8;
   const int sides[] = {64, 128, 256};
   // tnet[L][0..3] = 1-D ON, 1-D OFF, 2-D ON, 2-D OFF.
+  struct Column {
+    const char* dec;  ///< decomposition, as in point and record names
+    int py;
+    CommMode mode;
+  };
+  const Column cols[4] = {{"1d", 1, CommMode::kP2pOn},
+                          {"1d", 1, CommMode::kP2pOff},
+                          {"2d", 2, CommMode::kP2pOn},
+                          {"2d", 2, CommMode::kP2pOff}};
   bench::Cell tnet[3][4];
   std::uint64_t halo2d[3] = {0, 0, 0};
 
   for (std::size_t li = 0; li < 3; ++li) {
     const int L = sides[li];
-    runner.add(strf("hsg2d/L%d/1d/P2P=ON", L), [&tnet, li, L] {
-      tnet[li][0] = run_1d(L, np, CommMode::kP2pOn).tnet_ps;
-      bench::JsonSink::global().record("ext_hsg2d",
-                                       strf("1d_on/L%d", L), tnet[li][0].v);
-    });
-    runner.add(strf("hsg2d/L%d/1d/P2P=OFF", L), [&tnet, li, L] {
-      tnet[li][1] = run_1d(L, np, CommMode::kP2pOff).tnet_ps;
-      bench::JsonSink::global().record("ext_hsg2d",
-                                       strf("1d_off/L%d", L), tnet[li][1].v);
-    });
-    runner.add(strf("hsg2d/L%d/2d/P2P=ON", L), [&tnet, &halo2d, li, L] {
-      tnet[li][2] = run_2d(L, np, 4, 2, CommMode::kP2pOn, &halo2d[li]).tnet_ps;
-      bench::JsonSink::global().record("ext_hsg2d",
-                                       strf("2d_on/L%d", L), tnet[li][2].v);
-    });
-    runner.add(strf("hsg2d/L%d/2d/P2P=OFF", L), [&tnet, li, L] {
-      tnet[li][3] = run_2d(L, np, 4, 2, CommMode::kP2pOff, nullptr).tnet_ps;
-      bench::JsonSink::global().record("ext_hsg2d",
-                                       strf("2d_off/L%d", L), tnet[li][3].v);
-    });
+    for (std::size_t ci = 0; ci < 4; ++ci) {
+      const Column col = cols[ci];
+      const bool on = col.mode == CommMode::kP2pOn;
+      // The 2-D P2P=ON point also reports the 2-D halo volume.
+      std::uint64_t* halo = ci == 2 ? &halo2d[li] : nullptr;
+      runner.add(strf("hsg2d/L%d/%s/%s", L, col.dec,
+                      apps::hsg::comm_mode_name(col.mode)),
+                 [&tnet, li, ci, L, col, on, halo] {
+                   tnet[li][ci] = run_grid(L, np, col.py, col.mode, halo)
+                                      .tnet_ps;
+                   bench::JsonSink::global().record(
+                       "ext_hsg2d",
+                       strf("%s_%s/L%d", col.dec, on ? "on" : "off", L),
+                       tnet[li][ci].v);
+                 });
+    }
   }
   runner.run();
 

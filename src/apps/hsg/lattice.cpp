@@ -6,21 +6,6 @@
 
 namespace apn::apps::hsg {
 
-namespace {
-
-/// Reflect s about h: s' = 2 (s.h) h / (h.h) - s. h == 0 leaves s fixed.
-inline Spin over_relax(const Spin& s, double hx, double hy, double hz) {
-  double hh = hx * hx + hy * hy + hz * hz;
-  if (hh == 0.0) return s;
-  double sh = s.x * hx + s.y * hy + s.z * hz;
-  double f = 2.0 * sh / hh;
-  return Spin{static_cast<float>(f * hx - s.x),
-              static_cast<float>(f * hy - s.y),
-              static_cast<float>(f * hz - s.z)};
-}
-
-}  // namespace
-
 Spin deterministic_spin(std::uint64_t seed, int z, int y, int x) {
   std::uint64_t key = seed;
   key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(z) + 1;
@@ -139,6 +124,31 @@ void Slab::unpack_parity_plane(int z, int parity,
       at(z, y, x) = s;
       pos += sizeof(Spin);
     }
+}
+
+int Slab::face_plane(Face face, bool halo) const {
+  switch (face) {
+    case Face::kZlow: return halo ? 0 : 1;
+    case Face::kZhigh: return halo ? local_z_ + 1 : local_z_;
+    case Face::kYlow:
+    case Face::kYhigh: break;
+  }
+  throw std::invalid_argument("a Z slab has no Y faces");
+}
+
+void Slab::pack_face(Face face, int parity,
+                     std::vector<std::uint8_t>& out) const {
+  pack_parity_plane(face_plane(face, false), parity, out);
+}
+
+void Slab::unpack_face(Face face, int parity,
+                       std::span<const std::uint8_t> in) {
+  unpack_parity_plane(face_plane(face, true), parity, in);
+}
+
+std::size_t Slab::face_parity_bytes(Face face) const {
+  face_plane(face, false);  // throws for a Y face
+  return parity_plane_bytes();
 }
 
 // ---------------------------------------------------------------------------

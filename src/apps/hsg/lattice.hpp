@@ -10,9 +10,12 @@
 //
 // Slab decomposition along Z (single-dimension decomposition, as in the
 // paper): each rank owns `local_z` interior planes plus two halo planes.
+// `Subdomain` is what the distributed runner needs of a rank's part of the
+// lattice; Slab2d (lattice2d.hpp) is the Z x Y brick behind the same API.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -25,9 +28,60 @@ struct Spin {
 };
 static_assert(sizeof(Spin) == 12, "paper message sizes assume 12 B spins");
 
+/// Reflect s about h: s' = 2 (s.h) h / (h.h) - s. h == 0 leaves s fixed.
+inline Spin over_relax(const Spin& s, double hx, double hy, double hz) {
+  double hh = hx * hx + hy * hy + hz * hz;
+  if (hh == 0.0) return s;
+  double sh = s.x * hx + s.y * hy + s.z * hz;
+  double f = 2.0 * sh / hh;
+  return Spin{static_cast<float>(f * hx - s.x),
+              static_cast<float>(f * hy - s.y),
+              static_cast<float>(f * hz - s.z)};
+}
+
+/// A face of a rank's sub-lattice, across which it exchanges one halo.
+/// A slab has the two Z faces; a Z x Y brick has all four.
+enum class Face { kZlow = 0, kZhigh = 1, kYlow = 2, kYhigh = 3 };
+constexpr int kFaces = 4;
+
+/// The face of the neighbor that a payload packed from `face` fills.
+inline Face opposite(Face face) {
+  switch (face) {
+    case Face::kZlow: return Face::kZhigh;
+    case Face::kZhigh: return Face::kZlow;
+    case Face::kYlow: return Face::kYhigh;
+    case Face::kYhigh: return Face::kYlow;
+  }
+  std::abort();  // unreachable: no default, so -Wswitch guards enum growth
+}
+
+/// One rank's part of the lattice, as the distributed runner drives it:
+/// checkerboard updates split into boundary and bulk, the owned energy,
+/// and one parity of a face packed for (or unpacked from) a neighbor.
+class Subdomain {
+ public:
+  virtual ~Subdomain() = default;
+
+  virtual void randomize(std::uint64_t seed) = 0;
+  /// Sites under the faces (the halo producers), then the rest.
+  virtual void update_boundary(int parity) = 0;
+  virtual void update_bulk(int parity) = 0;
+  /// Summed over a complete decomposition: the exact lattice energy.
+  virtual double owned_energy() const = 0;
+
+  /// Spins of `parity` on the interior layer adjacent to `face`.
+  virtual void pack_face(Face face, int parity,
+                         std::vector<std::uint8_t>& out) const = 0;
+  /// Unpack a neighbor's payload into the halo beyond `face`.
+  virtual void unpack_face(Face face, int parity,
+                           std::span<const std::uint8_t> in) = 0;
+  virtual std::size_t face_parity_bytes(Face face) const = 0;
+};
+
 /// One rank's slab: planes are indexed z in [0, local_z+1], where 0 and
-/// local_z+1 are halos owned by the neighbor ranks.
-class Slab {
+/// local_z+1 are halos owned by the neighbor ranks. Its faces are the two
+/// Z faces; asking it for a Y face throws std::invalid_argument.
+class Slab final : public Subdomain {
  public:
   /// `z_offset`: global z of local plane 1 (for parity and validation).
   Slab(int L, int local_z, int z_offset);
@@ -39,7 +93,7 @@ class Slab {
   /// Deterministic random unit spins for the *global* lattice: the value
   /// of a site depends only on its global coordinates and the seed, so
   /// different decompositions produce identical initial states.
-  void randomize(std::uint64_t seed);
+  void randomize(std::uint64_t seed) override;
 
   Spin& at(int z, int y, int x) {
     return spins_[static_cast<std::size_t>((z * L_ + y) * L_ + x)];
@@ -55,16 +109,16 @@ class Slab {
   /// Over-relax every interior site of the given parity.
   void update_interior(int parity);
   /// Boundary planes only (z = 1 and z = local_z).
-  void update_boundary(int parity);
+  void update_boundary(int parity) override;
   /// Bulk = interior minus boundary planes.
-  void update_bulk(int parity);
+  void update_bulk(int parity) override;
 
   /// Energy of all bonds owned by this slab: +x, +y bonds of interior
   /// sites and the z bonds from each interior site to its z+1 neighbor
   /// (halo plane included), plus z bonds from the lower halo into plane 1
   /// are NOT counted (they belong to the neighbor below). Summing over
   /// ranks yields the exact total lattice energy.
-  double owned_energy() const;
+  double owned_energy() const override;
 
   /// Pack the spins of one parity of local plane z into `out` (the halo
   /// payload: L*L/2 spins, 12 B each).
@@ -81,6 +135,14 @@ class Slab {
     return parity_plane_count() * sizeof(Spin);
   }
 
+  /// The face API: kZlow is plane 1 (halo 0), kZhigh plane local_z (halo
+  /// local_z+1).
+  void pack_face(Face face, int parity,
+                 std::vector<std::uint8_t>& out) const override;
+  void unpack_face(Face face, int parity,
+                   std::span<const std::uint8_t> in) override;
+  std::size_t face_parity_bytes(Face face) const override;
+
   const std::vector<Spin>& raw() const { return spins_; }
 
  private:
@@ -93,6 +155,8 @@ class Slab {
   int first_x(int z, int y, int parity) const {
     return ((global_z(z) % 2 + 2) + y + parity) % 2;
   }
+  /// Interior plane next to a Z face, or its halo plane.
+  int face_plane(Face face, bool halo) const;
 
   int L_;
   int local_z_;

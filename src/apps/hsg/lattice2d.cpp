@@ -34,14 +34,7 @@ void Slab2d::update_site(int z, int y, int x) {
   double hx = static_cast<double>(a.x) + b.x + c.x + d.x + e.x + f.x;
   double hy = static_cast<double>(a.y) + b.y + c.y + d.y + e.y + f.y;
   double hz = static_cast<double>(a.z) + b.z + c.z + d.z + e.z + f.z;
-  Spin& s = at(z, y, x);
-  double hh = hx * hx + hy * hy + hz * hz;
-  if (hh == 0.0) return;
-  double sh = s.x * hx + s.y * hy + s.z * hz;
-  double fac = 2.0 * sh / hh;
-  s = Spin{static_cast<float>(fac * hx - s.x),
-           static_cast<float>(fac * hy - s.y),
-           static_cast<float>(fac * hz - s.z)};
+  at(z, y, x) = over_relax(at(z, y, x), hx, hy, hz);
 }
 
 void Slab2d::update_range(int z0, int z1, int y0, int y1, int parity) {

@@ -18,10 +18,7 @@
 
 namespace apn::apps::hsg {
 
-enum class Face { kZlow = 0, kZhigh = 1, kYlow = 2, kYhigh = 3 };
-constexpr int kFaces = 4;
-
-class Slab2d {
+class Slab2d final : public Subdomain {
  public:
   /// Local brick of `lz` planes and `ly` rows (full X extent `L`),
   /// positioned at global (z_offset, y_offset).
@@ -39,32 +36,34 @@ class Slab2d {
   }
   const Spin& at(int z, int y, int x) const { return spins_[idx(z, y, x)]; }
 
-  void randomize(std::uint64_t seed);
+  void randomize(std::uint64_t seed) override;
 
   /// Over-relax every interior site of the given (global) parity.
   void update_interior(int parity);
   /// Sites on the four faces of the interior (the halo producers).
-  void update_boundary(int parity);
+  void update_boundary(int parity) override;
   /// Interior minus the boundary faces.
-  void update_bulk(int parity);
+  void update_bulk(int parity) override;
 
   /// Bonds owned by this brick: +x, and +y/+z from every interior site
   /// (the high-side neighbor may live in a halo). Summed over a complete
   /// decomposition this is the exact lattice energy.
-  double owned_energy() const;
+  double owned_energy() const override;
 
   // ---- halo packing ---------------------------------------------------------
   /// Spins of `parity` on the interior face adjacent to `face`.
-  void pack_face(Face face, int parity, std::vector<std::uint8_t>& out) const;
+  void pack_face(Face face, int parity,
+                 std::vector<std::uint8_t>& out) const override;
   /// Unpack a neighbor's face payload into the matching halo shell.
-  void unpack_face(Face face, int parity, std::span<const std::uint8_t> in);
+  void unpack_face(Face face, int parity,
+                   std::span<const std::uint8_t> in) override;
 
   std::size_t face_parity_count(Face face) const {
     int cells = (face == Face::kZlow || face == Face::kZhigh) ? ly_ * L_
                                                               : lz_ * L_;
     return static_cast<std::size_t>(cells) / 2;
   }
-  std::size_t face_parity_bytes(Face face) const {
+  std::size_t face_parity_bytes(Face face) const override {
     return face_parity_count(face) * sizeof(Spin);
   }
 

@@ -1,25 +1,46 @@
 #include "apps/hsg/runner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
 namespace apn::apps::hsg {
 
 namespace {
-constexpr int kDown = 0;  // toward rank-1 (lower z)
-constexpr int kUp = 1;    // toward rank+1 (higher z)
+/// PUT fragmentation of a halo face.
+constexpr std::uint32_t kHaloChunkBytes = 128 * 1024;
+/// GPU-cache efficiency model: local working set above this derates the
+/// per-spin update time (paper: 1471 ps vs 921 ps at L=512 on one GPU,
+/// the source of the observed super-linear speedup).
+constexpr std::uint64_t kCachePressureBytes = 2500ull << 20;
+constexpr double kCachePressureFactor = 1.6;
+/// Ceiling of the small-kernel occupancy derating (see
+/// HsgConfig::occupancy_knee_sites).
+constexpr double kOccupancyCap = 3.0;
 }  // namespace
 
-struct HsgRun::RankState {
-  std::unique_ptr<Slab> slab;  // functional mode only
-  // Device halo buffers (one per direction).
-  cuda::DevPtr send_dev[2] = {0, 0};
-  cuda::DevPtr recv_dev[2] = {0, 0};
+/// One halo face of a rank's brick and the buffers its exchange uses.
+struct HsgRun::HaloFace {
+  Face face = Face::kZlow;
+  int peer = 0;             ///< neighbor across the face (may be this rank)
+  int peer_slot = 0;        ///< index of opposite(face) in the peer's list
+  std::uint64_t bytes = 0;  ///< one parity of the face
+  cuda::DevPtr send_dev = 0;
+  cuda::DevPtr recv_dev = 0;
   // Host bounces (staging modes), in the node's host memory.
-  std::uint64_t send_host[2] = {0, 0};
-  std::uint64_t recv_host[2] = {0, 0};
-  std::vector<std::uint8_t> pack_buf[2];
+  std::uint64_t send_host = 0;
+  std::uint64_t recv_host = 0;
+  std::vector<std::uint8_t> pack_buf;
+};
+
+struct HsgRun::RankState {
+  std::unique_ptr<Subdomain> lattice;  // functional mode only
+  std::array<HaloFace, kFaces> face_storage;
+  std::span<HaloFace> faces;   ///< the brick's faces, remote ones first
+  std::span<HaloFace> remote;  ///< faces toward another rank
 
   Time t_start = 0;
   Time t_end = 0;
@@ -31,9 +52,15 @@ struct HsgRun::RankState {
 HsgRun::HsgRun(cluster::Cluster& cluster, HsgConfig config)
     : cluster_(cluster), cfg_(config), np_(cluster.size()) {
   if (cfg_.L % 2 != 0) throw std::invalid_argument("HSG: L must be even");
-  if (cfg_.L % np_ != 0)
-    throw std::invalid_argument("HSG: L must be divisible by NP");
-  local_z_ = cfg_.L / np_;
+  if (cfg_.py < 1 || np_ % cfg_.py != 0)
+    throw std::invalid_argument("HSG: py must divide NP");
+  pz_ = np_ / cfg_.py;
+  if (cfg_.L % pz_ != 0 || cfg_.L % cfg_.py != 0)
+    throw std::invalid_argument("HSG: L must be divisible by pz and py");
+  lz_ = cfg_.L / pz_;
+  ly_ = cfg_.L / cfg_.py;
+  nfaces_ = cfg_.py > 1 ? 4 : 2;
+  nremote_ = pz_ > 1 ? nfaces_ : nfaces_ - 2;
   if (cfg_.mode == CommMode::kIb && !cluster_.has_mpi())
     throw std::invalid_argument("HSG: IB mode requires an IB cluster");
   if (cfg_.mode != CommMode::kIb && !cluster_.has_apenet())
@@ -43,18 +70,51 @@ HsgRun::HsgRun(cluster::Cluster& cluster, HsgConfig config)
 HsgRun::~HsgRun() = default;
 
 const Slab& HsgRun::slab(int rank) const {
-  return *ranks_.at(static_cast<std::size_t>(rank))->slab;
+  return dynamic_cast<const Slab&>(
+      *ranks_.at(static_cast<std::size_t>(rank))->lattice);
+}
+
+const Slab2d& HsgRun::brick(int rank) const {
+  return dynamic_cast<const Slab2d&>(
+      *ranks_.at(static_cast<std::size_t>(rank))->lattice);
+}
+
+int HsgRun::neighbor(int rank, Face face) const {
+  int iz = rank / cfg_.py;
+  int iy = rank % cfg_.py;
+  switch (face) {
+    case Face::kZlow: iz = (iz + pz_ - 1) % pz_; break;
+    case Face::kZhigh: iz = (iz + 1) % pz_; break;
+    case Face::kYlow: iy = (iy + cfg_.py - 1) % cfg_.py; break;
+    case Face::kYhigh: iy = (iy + 1) % cfg_.py; break;
+  }
+  return iz * cfg_.py + iy;
+}
+
+std::uint64_t HsgRun::face_bytes(Face face) const {
+  const int rows =
+      face == Face::kZlow || face == Face::kZhigh ? ly_ : lz_;
+  return static_cast<std::uint64_t>(rows) * cfg_.L / 2 * sizeof(Spin);
+}
+
+std::uint64_t HsgRun::halo_bytes_per_phase() const {
+  std::uint64_t bytes = 0;
+  if (pz_ > 1) bytes += 2 * face_bytes(Face::kZlow);
+  if (cfg_.py > 1) bytes += 2 * face_bytes(Face::kYlow);
+  return bytes;
 }
 
 Time HsgRun::spin_time(int rank) const {
   const gpu::GpuArch& arch = cluster_.node(rank).gpu(0).arch();
-  const std::uint64_t local_bytes =
-      static_cast<std::uint64_t>(cfg_.L) * cfg_.L * (local_z_ + 2) *
-      sizeof(Spin) * 2;  // double-buffered layout
+  // The brick plus its halo faces, double-buffered.
+  std::uint64_t local_bytes =
+      static_cast<std::uint64_t>(cfg_.L) * lz_ * ly_ * sizeof(Spin);
+  for (int f = 0; f < nfaces_; ++f)
+    local_bytes += 2 * face_bytes(static_cast<Face>(f));
+  local_bytes *= 2;
   Time t = arch.spin_update_time;
-  if (local_bytes > cfg_.cache_pressure_bytes)
-    t = static_cast<Time>(static_cast<double>(t) *
-                          cfg_.cache_pressure_factor);
+  if (local_bytes > kCachePressureBytes)
+    t = static_cast<Time>(static_cast<double>(t) * kCachePressureFactor);
   return t;
 }
 
@@ -62,7 +122,7 @@ Time HsgRun::kernel_time(int rank, std::uint64_t sites) const {
   const gpu::GpuArch& arch = cluster_.node(rank).gpu(0).arch();
   double occ = 1.0;
   if (sites > 0 && sites < cfg_.occupancy_knee_sites) {
-    occ = std::min(cfg_.occupancy_cap,
+    occ = std::min(kOccupancyCap,
                    std::sqrt(static_cast<double>(cfg_.occupancy_knee_sites) /
                              static_cast<double>(sites)));
   }
@@ -74,30 +134,31 @@ Time HsgRun::kernel_time(int rank, std::uint64_t sites) const {
 void HsgRun::unpack_halos(int rank, int parity) {
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
   cuda::Runtime& cuda = cluster_.node(rank).cuda();
-  std::vector<std::uint8_t> tmp(static_cast<std::uint64_t>(cfg_.L) * cfg_.L /
-                                2 * sizeof(Spin));
-  cuda.download(st.recv_dev[kDown], std::as_writable_bytes(std::span(tmp)));
-  st.slab->unpack_parity_plane(0, parity, tmp);
-  cuda.download(st.recv_dev[kUp], std::as_writable_bytes(std::span(tmp)));
-  st.slab->unpack_parity_plane(local_z_ + 1, parity, tmp);
+  // A face's pack buffer has the face's size and is free once uploaded.
+  for (HaloFace& f : st.remote) {
+    cuda.download(f.recv_dev, std::as_writable_bytes(std::span(f.pack_buf)));
+    st.lattice->unpack_face(f.face, parity, f.pack_buf);
+  }
 }
 
 sim::Coro HsgRun::exchange_phase(int rank, int parity,
                                  std::shared_ptr<sim::Gate> done) {
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
-  const std::uint64_t plane_bytes =
-      static_cast<std::uint64_t>(cfg_.L) * cfg_.L / 2 * sizeof(Spin);
-  const int down = (rank + np_ - 1) % np_;
-  const int up = (rank + 1) % np_;
+  cuda::Runtime& cuda = cluster_.node(rank).cuda();
 
-  if (np_ == 1) {
-    // Periodic wrap within the single slab: free on-device copies.
-    if (cfg_.functional && st.slab) {
-      st.slab->pack_parity_plane(local_z_, parity, st.pack_buf[kDown]);
-      st.slab->unpack_parity_plane(0, parity, st.pack_buf[kDown]);
-      st.slab->pack_parity_plane(1, parity, st.pack_buf[kUp]);
-      st.slab->unpack_parity_plane(local_z_ + 1, parity, st.pack_buf[kUp]);
+  // Pack every face (on-GPU pack, folded into the boundary kernel's
+  // cost). A face whose neighbor is this rank is the periodic wrap of a
+  // one-rank axis: a free on-device copy.
+  if (st.lattice) {
+    for (HaloFace& f : st.faces) {
+      st.lattice->pack_face(f.face, parity, f.pack_buf);
+      if (f.peer == rank)
+        st.lattice->unpack_face(opposite(f.face), parity, f.pack_buf);
+      else
+        cuda.upload(f.send_dev, std::as_bytes(std::span(f.pack_buf)));
     }
+  }
+  if (st.remote.empty()) {
     done->open();
     co_return;
   }
@@ -105,104 +166,78 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
   // ---- IB / minimpi path ---------------------------------------------------
   if (cfg_.mode == CommMode::kIb) {
     mpi::Rank& mr = cluster_.mpi_rank(rank);
-    cuda::Runtime& cuda = cluster_.node(rank).cuda();
-    if (cfg_.functional && st.slab) {
-      st.slab->pack_parity_plane(1, parity, st.pack_buf[kDown]);
-      cuda.upload(st.send_dev[kDown],
-                  std::as_bytes(std::span(st.pack_buf[kDown])));
-      st.slab->pack_parity_plane(local_z_, parity, st.pack_buf[kUp]);
-      cuda.upload(st.send_dev[kUp],
-                  std::as_bytes(std::span(st.pack_buf[kUp])));
+    // A payload's tag names its parity and the face it leaves by; our
+    // halo beyond `face` left the neighbor by opposite(face).
+    auto tag = [&](Face face) {
+      return parity * nfaces_ + static_cast<int>(face);
+    };
+    std::array<std::optional<mpi::Signal>, kFaces> sent, got;
+    for (std::size_t i = 0; i < st.remote.size(); ++i) {
+      const HaloFace& f = st.remote[i];
+      sent[i] = mr.send(f.peer, f.send_dev, f.bytes, tag(f.face));
     }
-    const int tag_down = parity * 2 + 0;  // plane heading to lower z
-    const int tag_up = parity * 2 + 1;
-    mpi::Signal s1 = mr.send(down, st.send_dev[kDown], plane_bytes, tag_down);
-    mpi::Signal s2 = mr.send(up, st.send_dev[kUp], plane_bytes, tag_up);
-    // Our lower halo (plane 0) arrives from `down`, who sent it "up".
-    mpi::Signal r1 = mr.recv(down, st.recv_dev[kDown], plane_bytes, tag_up);
-    mpi::Signal r2 = mr.recv(up, st.recv_dev[kUp], plane_bytes, tag_down);
-    co_await s1;
-    co_await s2;
-    co_await r1;
-    co_await r2;
-    if (cfg_.functional && st.slab) unpack_halos(rank, parity);
+    for (std::size_t i = 0; i < st.remote.size(); ++i) {
+      const HaloFace& f = st.remote[i];
+      got[i] = mr.recv(f.peer, f.recv_dev, f.bytes, tag(opposite(f.face)));
+    }
+    for (std::size_t i = 0; i < st.remote.size(); ++i) co_await *sent[i];
+    for (std::size_t i = 0; i < st.remote.size(); ++i) co_await *got[i];
+    if (st.lattice) unpack_halos(rank, parity);
     done->open();
     co_return;
   }
 
   // ---- APEnet+ RDMA paths -----------------------------------------------------
   core::RdmaDevice& rdma = cluster_.rdma(rank);
-  cuda::Runtime& cuda = cluster_.node(rank).cuda();
-  RankState& dst_down = *ranks_[static_cast<std::size_t>(down)];
-  RankState& dst_up = *ranks_[static_cast<std::size_t>(up)];
-
-  // Pack both outgoing parity planes (on-GPU pack, folded into the
-  // boundary kernel's cost).
-  const int src_plane[2] = {1, local_z_};
-  RankState* peers[2] = {&dst_down, &dst_up};
-  const int peer_rank[2] = {down, up};
-  // Our plane heading down lands in the down-neighbor's *upper* halo slot.
-  const int remote_slot[2] = {kUp, kDown};
-
   std::vector<std::shared_ptr<sim::Gate>> tx_gates;
-  const std::uint32_t chunk = cfg_.halo_chunk_bytes;
-  const std::uint64_t chunks_per_plane =
-      (plane_bytes + chunk - 1) / chunk;
-  // Staged TX copies ride an independent stream: the D2H of one plane
+  std::uint64_t expected = 0;
+  // Staged TX copies ride an independent stream: the D2H of one face
   // overlaps the PUTs of the other (the application-level pipelining the
   // paper's code used, which is why P2P=RX slightly beats P2P=ON for
   // these 128 KB-class halos).
   cuda::Stream staging_stream(cuda, 0);
 
-  for (int dir = 0; dir < 2; ++dir) {
-    if (cfg_.functional && st.slab)
-      st.slab->pack_parity_plane(src_plane[dir], parity, st.pack_buf[dir]);
-
-    std::uint64_t src_addr = 0;
-    core::MemType src_type;
-    if (cfg_.functional && st.slab)
-      cuda.upload(st.send_dev[dir],
-                  std::as_bytes(std::span(st.pack_buf[dir])));
-    if (cfg_.mode == CommMode::kP2pOn) {
-      src_addr = st.send_dev[dir];
-      src_type = core::MemType::kGpu;
-    } else {
-      // Staging for TX: asynchronous cudaMemcpy D2H of the plane.
-      co_await staging_stream.memcpy_async(st.send_host[dir],
-                                           st.send_dev[dir], plane_bytes);
-      src_addr = st.send_host[dir];
+  for (HaloFace& f : st.remote) {
+    std::uint64_t src_addr = f.send_dev;
+    core::MemType src_type = core::MemType::kGpu;
+    if (cfg_.mode != CommMode::kP2pOn) {
+      // Staging for TX: asynchronous cudaMemcpy D2H of the face.
+      co_await staging_stream.memcpy_async(f.send_host, f.send_dev,
+                                           f.bytes);
+      src_addr = f.send_host;
       src_type = core::MemType::kHost;
     }
 
     // Remote target: GPU halo buffer (ON/RX) or host bounce (OFF).
-    std::uint64_t remote = cfg_.mode == CommMode::kP2pOff
-                               ? peers[dir]->recv_host[remote_slot[dir]]
-                               : peers[dir]->recv_dev[remote_slot[dir]];
+    const HaloFace& dst =
+        ranks_[static_cast<std::size_t>(f.peer)]->faces[f.peer_slot];
+    const std::uint64_t remote =
+        cfg_.mode == CommMode::kP2pOff ? dst.recv_host : dst.recv_dev;
 
-    for (std::uint64_t off = 0; off < plane_bytes; off += chunk) {
-      const std::uint64_t n = std::min<std::uint64_t>(chunk, plane_bytes - off);
-      core::RdmaDevice::Put p = rdma.put(
-          cluster_.coord(peer_rank[dir]), src_addr + off, n, remote + off,
-          src_type, cfg_.functional);
+    for (std::uint64_t off = 0; off < f.bytes; off += kHaloChunkBytes) {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(kHaloChunkBytes, f.bytes - off);
+      core::RdmaDevice::Put p =
+          rdma.put(cluster_.coord(f.peer), src_addr + off, n, remote + off,
+                   src_type, cfg_.functional);
       tx_gates.push_back(p.tx_done);
     }
+    // Opposite faces have equal sizes, so the neighbor sends us as many.
+    expected += (f.bytes + kHaloChunkBytes - 1) / kHaloChunkBytes;
   }
 
-  // Receive: one RX event per inbound chunk (both neighbors).
-  const std::uint64_t expected = 2 * chunks_per_plane;
+  // Receive: one RX event per inbound chunk (all neighbors).
   for (std::uint64_t i = 0; i < expected; ++i) {
     co_await rdma.events().pop();
   }
 
   // Staged RX: copy the landed halos up to the GPU.
   if (cfg_.mode == CommMode::kP2pOff) {
-    for (int dir = 0; dir < 2; ++dir) {
-      co_await cuda.memcpy_sync(st.recv_dev[dir], st.recv_host[dir],
-                                plane_bytes);
-    }
+    for (HaloFace& f : st.remote)
+      co_await cuda.memcpy_sync(f.recv_dev, f.recv_host, f.bytes);
   }
 
-  if (cfg_.functional && st.slab) unpack_halos(rank, parity);
+  if (st.lattice) unpack_halos(rank, parity);
 
   // Drain local sends before the buffers are reused next phase.
   for (auto& g : tx_gates) co_await g->wait();
@@ -212,24 +247,20 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
 sim::Coro HsgRun::rank_main(int rank) {
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
   sim::Simulator& sim = cluster_.simulator();
-  const std::uint64_t plane_bytes =
-      static_cast<std::uint64_t>(cfg_.L) * cfg_.L / 2 * sizeof(Spin);
 
   // ---- setup: register halo buffers ------------------------------------
-  if (cfg_.mode != CommMode::kIb && np_ > 1) {
+  if (cfg_.mode != CommMode::kIb && !st.remote.empty()) {
     core::RdmaDevice& rdma = cluster_.rdma(rank);
     const bool host_rx = cfg_.mode == CommMode::kP2pOff;
     const bool host_tx = cfg_.mode != CommMode::kP2pOn;
     auto type = [](bool host) {
       return host ? core::MemType::kHost : core::MemType::kGpu;
     };
-    for (int dir = 0; dir < 2; ++dir) {
-      co_await rdma.register_buffer(
-          host_rx ? st.recv_host[dir] : st.recv_dev[dir], plane_bytes,
-          type(host_rx));
-      co_await rdma.register_buffer(
-          host_tx ? st.send_host[dir] : st.send_dev[dir], plane_bytes,
-          type(host_tx));
+    for (HaloFace& f : st.remote) {
+      co_await rdma.register_buffer(host_rx ? f.recv_host : f.recv_dev,
+                                    f.bytes, type(host_rx));
+      co_await rdma.register_buffer(host_tx ? f.send_host : f.send_dev,
+                                    f.bytes, type(host_tx));
     }
   }
 
@@ -240,11 +271,14 @@ sim::Coro HsgRun::rank_main(int rank) {
   co_await st.ready->wait();
   st.t_start = sim.now();
 
-  const std::uint64_t l2 = static_cast<std::uint64_t>(cfg_.L) * cfg_.L;
+  // Sites of one parity for the kernel timing model: the layers under the
+  // faces (a Z layer and a Y layer share their edge rows), and the rest.
+  const std::uint64_t z_layers = std::min(2, lz_);
+  const std::uint64_t y_layers = std::min(nfaces_ - 2, ly_);
   const std::uint64_t boundary_sites =
-      (local_z_ == 1 ? 1 : 2) * l2 / 2;
+      (z_layers * ly_ + (lz_ - z_layers) * y_layers) * cfg_.L / 2;
   const std::uint64_t bulk_sites =
-      local_z_ > 2 ? static_cast<std::uint64_t>(local_z_ - 2) * l2 / 2 : 0;
+      static_cast<std::uint64_t>(lz_) * ly_ * cfg_.L / 2 - boundary_sites;
 
   cuda::Stream compute(cluster_.node(rank).cuda(), 0);
   cuda::Stream boundary(cluster_.node(rank).cuda(), 0);
@@ -255,7 +289,7 @@ sim::Coro HsgRun::rank_main(int rank) {
       Time tb0 = sim.now();
       cuda::Done bnd = boundary.launch_kernel(
           kernel_time(rank, boundary_sites));
-      if (cfg_.functional && st.slab) st.slab->update_boundary(parity);
+      if (st.lattice) st.lattice->update_boundary(parity);
       co_await bnd;
       st.boundary_time += sim.now() - tb0;
 
@@ -266,7 +300,7 @@ sim::Coro HsgRun::rank_main(int rank) {
       } else {
         blk.set({});
       }
-      if (cfg_.functional && st.slab) st.slab->update_bulk(parity);
+      if (st.lattice) st.lattice->update_bulk(parity);
 
       Time tc0 = sim.now();
       auto comm_done = std::make_shared<sim::Gate>(sim);
@@ -281,41 +315,58 @@ sim::Coro HsgRun::rank_main(int rank) {
 
 HsgMetrics HsgRun::run() {
   sim::Simulator& sim = cluster_.simulator();
-  const std::uint64_t plane_bytes =
-      static_cast<std::uint64_t>(cfg_.L) * cfg_.L / 2 * sizeof(Spin);
+
+  // Every rank lists its faces in one order, each beside its opposite, so
+  // a face's slot on the peer is its own index ^ 1. Faces toward another
+  // rank lead: with pz = 1 the Z faces wrap onto the rank itself.
+  Face order[kFaces] = {Face::kZlow, Face::kZhigh, Face::kYlow, Face::kYhigh};
+  if (pz_ == 1) std::rotate(order, order + 2, order + nfaces_);
 
   ranks_.clear();
   finished_ = 0;
   for (int r = 0; r < np_; ++r) {
     auto st = std::make_unique<RankState>();
     st->ready = std::make_shared<sim::Gate>(sim);
+    const int z_offset = r / cfg_.py * lz_;
     if (cfg_.functional) {
-      st->slab = std::make_unique<Slab>(cfg_.L, local_z_, r * local_z_);
-      st->slab->randomize(cfg_.seed);
+      if (cfg_.py == 1)
+        st->lattice = std::make_unique<Slab>(cfg_.L, lz_, z_offset);
+      else
+        st->lattice = std::make_unique<Slab2d>(cfg_.L, lz_, ly_, z_offset,
+                                               r % cfg_.py * ly_);
+      st->lattice->randomize(cfg_.seed);
     }
+    st->faces = std::span(st->face_storage).first(
+        static_cast<std::size_t>(nfaces_));
+    st->remote = st->faces.first(static_cast<std::size_t>(nremote_));
     cuda::Runtime& cuda = cluster_.node(r).cuda();
     pcie::HostMemory& host = cluster_.node(r).hostmem();
-    for (int dir = 0; dir < 2; ++dir) {
-      st->send_dev[dir] = cuda.malloc_device(0, plane_bytes);
-      st->recv_dev[dir] = cuda.malloc_device(0, plane_bytes);
-      st->send_host[dir] = host.alloc(plane_bytes);
-      st->recv_host[dir] = host.alloc(plane_bytes);
+    for (int i = 0; i < nfaces_; ++i) {
+      HaloFace& f = st->faces[static_cast<std::size_t>(i)];
+      f.face = order[i];
+      f.peer = neighbor(r, f.face);
+      f.peer_slot = i ^ 1;
+      f.bytes = face_bytes(f.face);
+      f.send_dev = cuda.malloc_device(0, f.bytes);
+      f.recv_dev = cuda.malloc_device(0, f.bytes);
+      f.send_host = host.alloc(f.bytes);
+      f.recv_host = host.alloc(f.bytes);
     }
     ranks_.push_back(std::move(st));
   }
 
-  // Functional warm-up: fill halos (both parities) from the neighbors.
+  // Functional warm-up: fill every halo (both parities) from the neighbor
+  // face that produces it.
   if (cfg_.functional) {
     std::vector<std::uint8_t> tmp;
-    for (int r = 0; r < np_; ++r) {
-      Slab& s = *ranks_[static_cast<std::size_t>(r)]->slab;
-      Slab& below = *ranks_[static_cast<std::size_t>((r + np_ - 1) % np_)]->slab;
-      Slab& above = *ranks_[static_cast<std::size_t>((r + 1) % np_)]->slab;
-      for (int parity = 0; parity < 2; ++parity) {
-        below.pack_parity_plane(below.local_z(), parity, tmp);
-        s.unpack_parity_plane(0, parity, tmp);
-        above.pack_parity_plane(1, parity, tmp);
-        s.unpack_parity_plane(s.local_z() + 1, parity, tmp);
+    for (auto& st : ranks_) {
+      for (const HaloFace& f : st->faces) {
+        const Subdomain& theirs =
+            *ranks_[static_cast<std::size_t>(f.peer)]->lattice;
+        for (int parity = 0; parity < 2; ++parity) {
+          theirs.pack_face(opposite(f.face), parity, tmp);
+          st->lattice->unpack_face(f.face, parity, tmp);
+        }
       }
     }
   }
@@ -324,7 +375,7 @@ HsgMetrics HsgRun::run() {
   m.functional = cfg_.functional;
   if (cfg_.functional) {
     double e = 0;
-    for (auto& st : ranks_) e += st->slab->owned_energy();
+    for (auto& st : ranks_) e += st->lattice->owned_energy();
     m.energy_initial = e;
   }
 
@@ -343,7 +394,7 @@ HsgMetrics HsgRun::run() {
       updates;
   if (cfg_.functional) {
     double e = 0;
-    for (auto& st : ranks_) e += st->slab->owned_energy();
+    for (auto& st : ranks_) e += st->lattice->owned_energy();
     m.energy_final = e;
   }
   return m;

@@ -1,11 +1,17 @@
 // Distributed Heisenberg-spin-glass runner (paper §V-D).
 //
-// 1-D slab decomposition along Z over the nodes of a Cluster; each
-// over-relaxation step runs two checkerboard phases. Per phase:
+// The L^3 lattice is split over a pz x py process grid (Z x Y, NP = pz *
+// py); rank r sits at grid position (r / py, r % py) and owns an
+// (L/pz) x (L/py) x L brick. py = 1, the default, is the paper's 1-D slab
+// decomposition along Z; py > 1 tests its multi-dimensional conjecture. A
+// rank's halo faces are Z low/high, plus Y low/high when py > 1; a face
+// whose neighbor is the rank itself (a one-rank Z axis) is a local copy.
+//
+// Each over-relaxation step runs two checkerboard phases. Per phase:
 //   boundary kernel -> (halo exchange || bulk kernel) -> sync.
-// The halo of one phase is the updated parity of the boundary planes,
-// fragmented into 128 KB PUTs (6 outgoing + 6 incoming messages per phase
-// at L=256, matching the paper's description).
+// The halo of one phase is the updated parity of each face, fragmented
+// into 128 KB PUTs (6 outgoing + 6 incoming messages per phase at L=256
+// on the slab grid, matching the paper's description).
 //
 // Communication modes (Table III / Fig. 11):
 //   kP2pOn  — GPU source and GPU destination buffers (P2P both ways)
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "apps/hsg/lattice.hpp"
+#include "apps/hsg/lattice2d.hpp"
 #include "cluster/cluster.hpp"
 
 namespace apn::apps::hsg {
@@ -45,21 +52,16 @@ inline const char* comm_mode_name(CommMode m) {
 struct HsgConfig {
   int L = 32;
   int steps = 2;
+  /// Ranks along Y; pz = NP / py along Z. 1 is the paper's slab grid.
+  int py = 1;
   CommMode mode = CommMode::kP2pOn;
   bool functional = true;  ///< real math + real halo bytes
   std::uint64_t seed = 42;
-  std::uint32_t halo_chunk_bytes = 128 * 1024;  ///< PUT fragmentation
-  /// GPU-cache efficiency model: local working set above this derates the
-  /// per-spin update time (paper: 1471 ps vs 921 ps at L=512 on one GPU,
-  /// the source of the observed super-linear speedup).
-  std::uint64_t cache_pressure_bytes = 2500ull << 20;
-  double cache_pressure_factor = 1.6;
   /// Small-kernel occupancy model: kernels below the knee run at reduced
   /// efficiency (occ = min(cap, sqrt(knee/sites))). Calibrated from the
   /// paper's NP=1 boundary time (11 ps/spin for 2x65K-site planes implies
   /// ~1.5x at 65K sites) — this is what stops L=128 from scaling far.
   std::uint64_t occupancy_knee_sites = 150000;
-  double occupancy_cap = 3.0;
 };
 
 struct HsgMetrics {
@@ -80,23 +82,35 @@ class HsgRun {
   /// Execute the full simulation (drives the Simulator until completion).
   HsgMetrics run();
 
-  /// Functional-mode slab access for validation against the reference.
+  /// Functional-mode sub-lattice access for validation against the
+  /// reference: a Slab when py = 1, a Slab2d brick otherwise (the other
+  /// accessor throws std::bad_cast).
   const Slab& slab(int rank) const;
+  const Slab2d& brick(int rank) const;
+
+  /// Halo bytes one rank sends per phase, summed over its faces.
+  std::uint64_t halo_bytes_per_phase() const;
 
  private:
+  struct HaloFace;
   struct RankState;
   sim::Coro rank_main(int rank);
   sim::Coro exchange_phase(int rank, int parity,
                            std::shared_ptr<sim::Gate> done);
-  /// Functional mode: the two received halo planes, device to slab.
+  /// Functional mode: the received halos, device to sub-lattice.
   void unpack_halos(int rank, int parity);
+  int neighbor(int rank, Face face) const;
+  std::uint64_t face_bytes(Face face) const;
   Time kernel_time(int rank, std::uint64_t sites) const;
   Time spin_time(int rank) const;
 
   cluster::Cluster& cluster_;
   HsgConfig cfg_;
   int np_;
-  int local_z_;
+  int pz_;
+  int lz_, ly_;  ///< brick extent along Z and Y
+  int nfaces_;   ///< 2 (slab grid) or 4
+  int nremote_;  ///< faces toward another rank; they lead each face list
   std::vector<std::unique_ptr<RankState>> ranks_;
   int finished_ = 0;
 };

@@ -181,6 +181,41 @@ TEST_P(HsgModeTest, TwoNodeMatchesReferenceSiteExact) {
   }
 }
 
+TEST_P(HsgModeTest, TwoByTwoGridMatchesReferenceSiteExact) {
+  // A 2 x 2 (Z x Y) grid: four faces per rank, each exchanged through the
+  // same face loop as the slab grid's two.
+  sim::Simulator sim;
+  std::unique_ptr<Cluster> c =
+      Cluster::make_cluster_i(sim, 4, core::ApenetParams{},
+                              GetParam() == CommMode::kIb);
+  HsgConfig cfg;
+  cfg.L = 8;
+  cfg.steps = 2;
+  cfg.py = 2;
+  cfg.mode = GetParam();
+  cfg.functional = true;
+  HsgRun run(*c, cfg);
+  HsgMetrics m = run.run();
+  EXPECT_NEAR(m.energy_final, m.energy_initial,
+              std::abs(m.energy_initial) * 1e-4 + 1e-3);
+
+  ReferenceLattice ref(cfg.L);
+  ref.randomize(cfg.seed);
+  for (int i = 0; i < cfg.steps; ++i) ref.sweep();
+  for (int rank = 0; rank < 4; ++rank) {
+    const Slab2d& s = run.brick(rank);
+    for (int z = 1; z <= s.lz(); ++z)
+      for (int y = 1; y <= s.ly(); ++y)
+        for (int x = 0; x < cfg.L; ++x) {
+          const Spin& a = s.at(z, y, x);
+          const Spin& b =
+              ref.at(s.z_offset() + z - 1, s.y_offset() + y - 1, x);
+          ASSERT_TRUE(a.x == b.x && a.y == b.y && a.z == b.z)
+              << "rank " << rank << " site " << z << "," << y << "," << x;
+        }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, HsgModeTest,
                          ::testing::Values(CommMode::kP2pOn,
                                            CommMode::kP2pRx,
@@ -229,13 +264,12 @@ TEST(HsgRun, TimingModeP2pBeatsStagingAtL64) {
 
 TEST(HsgRun, RejectsBadGeometry) {
   sim::Simulator sim;
-  auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
+  auto c = Cluster::make_cluster_i(sim, 4, core::ApenetParams{}, false);
   HsgConfig cfg;
   cfg.L = 7;  // odd
   EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
-  cfg.L = 10;  // not divisible by np=2... it is; use np mismatch instead
-  cfg.L = 6;   // 6 % 2 == 0 fine; use L=4 with np=8 in another cluster
-  SUCCEED();
+  cfg.L = 6;  // even, but 4 slabs do not divide it
+  EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
 }
 
 }  // namespace

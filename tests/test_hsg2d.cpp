@@ -1,8 +1,10 @@
-// 2-D decomposed Heisenberg spin glass: face-halo correctness against the
-// reference lattice and the paper's multi-dimensional conjecture.
+// 2-D (Z x Y) decomposed Heisenberg spin glass: the brick's face halos,
+// HsgRun on grids with py > 1, and the paper's multi-dimensional
+// conjecture. The all-modes 2 x 2 grid test sits with the slab grid's in
+// test_hsg.cpp.
 #include <gtest/gtest.h>
 
-#include "apps/hsg/runner2d.hpp"
+#include "apps/hsg/runner.hpp"
 
 namespace apn::apps::hsg {
 namespace {
@@ -89,16 +91,35 @@ TEST(Slab2d, BoundaryPlusBulkEqualsInterior) {
       }
 }
 
+TEST(HsgSlab, FaceApiIsTheZParityPlanes) {
+  Slab s(8, 4, 0);
+  s.randomize(3);
+  std::vector<std::uint8_t> face, plane;
+  for (int parity = 0; parity < 2; ++parity) {
+    s.pack_face(Face::kZlow, parity, face);
+    s.pack_parity_plane(1, parity, plane);
+    EXPECT_EQ(face, plane);
+    s.pack_face(Face::kZhigh, parity, face);
+    s.pack_parity_plane(4, parity, plane);
+    EXPECT_EQ(face, plane);
+    EXPECT_EQ(face.size(), s.face_parity_bytes(Face::kZhigh));
+  }
+  s.unpack_face(Face::kZlow, 0, face);
+  s.pack_parity_plane(0, 0, plane);
+  EXPECT_EQ(plane, face);
+  EXPECT_THROW(s.pack_face(Face::kYlow, 0, face), std::invalid_argument);
+  EXPECT_THROW(s.face_parity_bytes(Face::kYhigh), std::invalid_argument);
+}
+
 TEST(Hsg2dRun, FourRankFunctionalMatchesReference) {
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 4, core::ApenetParams{}, false);
-  Hsg2dConfig cfg;
+  HsgConfig cfg;
   cfg.L = 8;
   cfg.steps = 2;
-  cfg.pz = 2;
-  cfg.py = 2;
+  cfg.py = 2;  // 2 x 2
   cfg.functional = true;
-  Hsg2dRun run(*c, cfg);
+  HsgRun run(*c, cfg);
   HsgMetrics m = run.run();
   EXPECT_NEAR(m.energy_final, m.energy_initial,
               std::abs(m.energy_initial) * 1e-4 + 1e-3);
@@ -107,7 +128,7 @@ TEST(Hsg2dRun, FourRankFunctionalMatchesReference) {
   ref.randomize(cfg.seed);
   for (int i = 0; i < cfg.steps; ++i) ref.sweep();
   for (int r = 0; r < 4; ++r) {
-    const Slab2d& s = run.slab(r);
+    const Slab2d& s = run.brick(r);
     for (int z = 1; z <= s.lz(); ++z)
       for (int y = 1; y <= s.ly(); ++y)
         for (int x = 0; x < cfg.L; ++x)
@@ -117,60 +138,90 @@ TEST(Hsg2dRun, FourRankFunctionalMatchesReference) {
   }
 }
 
-TEST(Hsg2dRun, EightRankGridFunctional) {
-  sim::Simulator sim;
-  auto c = Cluster::make_cluster_i(sim, 8, core::ApenetParams{}, false);
-  Hsg2dConfig cfg;
-  cfg.L = 8;
-  cfg.steps = 2;
-  cfg.pz = 4;
-  cfg.py = 2;
-  cfg.functional = true;
-  Hsg2dRun run(*c, cfg);
-  HsgMetrics m = run.run();
-  EXPECT_NEAR(m.energy_final, m.energy_initial,
-              std::abs(m.energy_initial) * 1e-4 + 1e-3);
-}
-
 TEST(Hsg2dRun, StagedModeFunctional) {
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 4, core::ApenetParams{}, false);
-  Hsg2dConfig cfg;
+  HsgConfig cfg;
   cfg.L = 8;
   cfg.steps = 2;
-  cfg.pz = 2;
-  cfg.py = 2;
+  cfg.py = 2;  // 2 x 2
   cfg.mode = CommMode::kP2pOff;
   cfg.functional = true;
-  Hsg2dRun run(*c, cfg);
+  HsgRun run(*c, cfg);
   HsgMetrics m = run.run();
   EXPECT_NEAR(m.energy_final, m.energy_initial,
               std::abs(m.energy_initial) * 1e-4 + 1e-3);
 }
 
-TEST(Hsg2dRun, HaloVolumeSmallerThan1d) {
+TEST(HsgRun, EightRankGridFunctional) {
+  sim::Simulator sim;
+  auto c = Cluster::make_cluster_i(sim, 8, core::ApenetParams{}, false);
+  HsgConfig cfg;
+  cfg.L = 8;
+  cfg.steps = 2;
+  cfg.py = 2;  // 4 x 2
+  cfg.functional = true;
+  HsgRun run(*c, cfg);
+  HsgMetrics m = run.run();
+  EXPECT_NEAR(m.energy_final, m.energy_initial,
+              std::abs(m.energy_initial) * 1e-4 + 1e-3);
+}
+
+TEST(HsgRun, OneRankZAxisWrapsLocally) {
+  // A 1 x 2 grid: each rank's Z faces are its own periodic wrap (a local
+  // copy), its Y faces cross the network. Both must match the reference.
+  sim::Simulator sim;
+  auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
+  HsgConfig cfg;
+  cfg.L = 8;
+  cfg.steps = 2;
+  cfg.py = 2;
+  cfg.functional = true;
+  HsgRun run(*c, cfg);
+  EXPECT_EQ(run.halo_bytes_per_phase(), 2u * 8 * 8 / 2 * sizeof(Spin));
+  run.run();
+
+  ReferenceLattice ref(cfg.L);
+  ref.randomize(cfg.seed);
+  for (int i = 0; i < cfg.steps; ++i) ref.sweep();
+  for (int rank = 0; rank < 2; ++rank) {
+    const Slab2d& s = run.brick(rank);
+    ASSERT_EQ(s.lz(), cfg.L);
+    for (int z = 1; z <= s.lz(); ++z)
+      for (int y = 1; y <= s.ly(); ++y)
+        for (int x = 0; x < cfg.L; ++x)
+          ASSERT_EQ(s.at(z, y, x).x,
+                    ref.at(z - 1, s.y_offset() + y - 1, x).x)
+              << "rank " << rank << " @ " << z << "," << y << "," << x;
+  }
+}
+
+TEST(HsgRun, HaloVolumeSmallerThan1d) {
   // The conjecture's premise: at NP=8, the 2-D decomposition exchanges
   // less halo data per rank than the 1-D one.
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 8, core::ApenetParams{}, false);
-  Hsg2dConfig cfg;
+  HsgConfig cfg;
   cfg.L = 64;
-  cfg.pz = 4;
-  cfg.py = 2;
   cfg.functional = false;
-  Hsg2dRun run(*c, cfg);
-  // 1-D at NP=8 sends 2 * L^2/2 spins per phase regardless of NP.
-  std::uint64_t halo_1d = 2ull * 64 * 64 / 2 * sizeof(Spin);
-  EXPECT_LT(run.halo_bytes_per_phase(), halo_1d);
+  const std::uint64_t halo_1d = HsgRun(*c, cfg).halo_bytes_per_phase();
+  // 1-D sends 2 * L^2/2 spins per phase regardless of NP.
+  EXPECT_EQ(halo_1d, 2ull * 64 * 64 / 2 * sizeof(Spin));
+  cfg.py = 2;  // 4 x 2
+  EXPECT_LT(HsgRun(*c, cfg).halo_bytes_per_phase(), halo_1d);
 }
 
-TEST(Hsg2dRun, RejectsBadGrid) {
+TEST(HsgRun, RejectsBadGrid) {
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 4, core::ApenetParams{}, false);
-  Hsg2dConfig cfg;
-  cfg.pz = 3;
-  cfg.py = 1;  // 3 != 4
-  EXPECT_THROW(Hsg2dRun(*c, cfg), std::invalid_argument);
+  HsgConfig cfg;
+  cfg.py = 3;  // does not divide NP = 4
+  EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
+  cfg.py = 0;
+  EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
+  cfg.L = 6;
+  cfg.py = 4;  // 1 x 4: 4 does not divide L = 6
+  EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
 }
 
 }  // namespace
