@@ -2,24 +2,83 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <mutex>
 #include <stdexcept>
 
 namespace apn::apps::hsg {
 
 Spin deterministic_spin(std::uint64_t seed, int z, int y, int x) {
-  std::uint64_t key = seed;
-  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(z) + 1;
-  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(y) + 1;
-  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(x) + 1;
-  SplitMix64 sm(key);
+  auto [u, sm] = detail::site_draw(seed, z, y, x);
   // Marsaglia: uniform point on the sphere.
-  double u = 2.0 * (static_cast<double>(sm.next() >> 11) * 0x1.0p-53) - 1.0;
   double phi =
       2.0 * 3.14159265358979323846 *
       (static_cast<double>(sm.next() >> 11) * 0x1.0p-53);
   double r = std::sqrt(std::max(0.0, 1.0 - u * u));
   return Spin{static_cast<float>(r * std::cos(phi)),
               static_cast<float>(r * std::sin(phi)), static_cast<float>(u)};
+}
+
+// ---------------------------------------------------------------------------
+// InitialLattice
+// ---------------------------------------------------------------------------
+
+InitialLattice::InitialLattice(int L, std::uint64_t seed)
+    : L_(L), seed_(seed) {
+  if (L < 2) throw std::invalid_argument("bad lattice side");
+  xy_.reserve(static_cast<std::size_t>(L) * static_cast<std::size_t>(L) *
+              static_cast<std::size_t>(L));
+  for (int z = 0; z < L; ++z)
+    for (int y = 0; y < L; ++y)
+      for (int x = 0; x < L; ++x) {
+        const Spin s = deterministic_spin(seed, z, y, x);
+        xy_.push_back(Xy{s.x, s.y});
+      }
+}
+
+void InitialLattice::append_row(int z, int y, std::vector<Spin>& out) const {
+  // The row's spins, computed as they are read: a forward range, so
+  // vector::insert sizes it once and constructs each spin in place, with
+  // no fill to overwrite and no capacity check per site.
+  struct Sites {
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Spin;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Spin;
+    const InitialLattice* table;
+    int z, y, x;
+    Spin operator*() const { return table->spin(z, y, x); }
+    Sites& operator++() {
+      ++x;
+      return *this;
+    }
+    Sites operator++(int) {
+      Sites old = *this;
+      ++x;
+      return old;
+    }
+    bool operator==(const Sites& o) const { return x == o.x; }
+  };
+  out.insert(out.end(), Sites{this, z, y, 0}, Sites{this, z, y, L_});
+}
+
+std::shared_ptr<const InitialLattice> shared_lattice(int L,
+                                                     std::uint64_t seed) {
+  struct Slot {
+    std::mutex mu;
+    std::shared_ptr<const InitialLattice> table;
+  };
+  static Slot slot;
+  std::lock_guard lock(slot.mu);
+  if (slot.table == nullptr || slot.table->L() != L ||
+      slot.table->seed() != seed) {
+    // Free the old table before building the next (unless a run still
+    // holds it).
+    slot.table.reset();
+    slot.table = std::make_shared<InitialLattice>(L, seed);
+  }
+  return slot.table;
 }
 
 // ---------------------------------------------------------------------------
@@ -33,14 +92,26 @@ Slab::Slab(int L, int local_z, int z_offset)
                 static_cast<std::size_t>(L) * static_cast<std::size_t>(L));
 }
 
+Slab::Slab(const InitialLattice& init, int local_z, int z_offset)
+    : L_(init.L()), local_z_(local_z), z_offset_(z_offset) {
+  if (local_z < 1) throw std::invalid_argument("bad slab shape");
+  const std::size_t plane =
+      static_cast<std::size_t>(L_) * static_cast<std::size_t>(L_);
+  spins_.reserve(static_cast<std::size_t>(local_z + 2) * plane);
+  spins_.resize(plane);  // halo plane 0
+  for (int z = 1; z <= local_z_; ++z)
+    for (int y = 0; y < L_; ++y) init.append_row(lattice_z(z), y, spins_);
+  spins_.resize(spins_.size() + plane);  // halo plane local_z + 1
+}
+
 void Slab::randomize(std::uint64_t seed) {
   // Interior planes from global coordinates; halos are filled by the first
   // exchange (or locally for single-rank runs).
+  const std::shared_ptr<const InitialLattice> init = shared_lattice(L_, seed);
   for (int z = 1; z <= local_z_; ++z)
     for (int y = 0; y < L_; ++y)
       for (int x = 0; x < L_; ++x)
-        at(z, y, x) = deterministic_spin(
-            seed, (global_z(z) % L_ + L_) % L_, y, x);
+        at(z, y, x) = init->spin(lattice_z(z), y, x);
 }
 
 void Slab::update_plane(int z, int parity) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -55,6 +56,68 @@ inline Face opposite(Face face) {
   std::abort();  // unreachable: no default, so -Wswitch guards enum growth
 }
 
+namespace detail {
+/// Site (z, y, x)'s draw under `seed`: u, the z component of its spin
+/// (uniform on [-1, 1), Marsaglia), and the site's SplitMix64 stream after
+/// that first draw, from which `deterministic_spin` draws the azimuth.
+/// `InitialLattice::spin` rebuilds z from u alone.
+struct SiteDraw {
+  double u;
+  SplitMix64 rest;
+};
+inline SiteDraw site_draw(std::uint64_t seed, int z, int y, int x) {
+  std::uint64_t key = seed;
+  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(z) + 1;
+  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(y) + 1;
+  key = key * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(x) + 1;
+  SplitMix64 sm(key);
+  const double u =
+      2.0 * (static_cast<double>(sm.next() >> 11) * 0x1.0p-53) - 1.0;
+  return SiteDraw{u, sm};
+}
+}  // namespace detail
+
+/// The spin of global site (z,y,x) under `seed`: the one definition that
+/// `InitialLattice` and every `randomize` follow.
+Spin deterministic_spin(std::uint64_t seed, int z, int y, int x);
+
+/// The initial lattice of one (L, seed): the x and y of every global
+/// site's `deterministic_spin`, 8 B per site. Its z needs no libm call,
+/// so `spin` rebuilds it from the site's first draw instead of storing it.
+class InitialLattice {
+ public:
+  /// Throws std::invalid_argument unless L >= 2.
+  InitialLattice(int L, std::uint64_t seed);
+
+  int L() const { return L_; }
+  std::uint64_t seed() const { return seed_; }
+
+  /// deterministic_spin(seed, z, y, x), bit for bit; each coordinate in
+  /// [0, L).
+  Spin spin(int z, int y, int x) const {
+    const Xy& p = xy_[static_cast<std::size_t>((z * L_ + y) * L_ + x)];
+    return Spin{p.x, p.y,
+                static_cast<float>(detail::site_draw(seed_, z, y, x).u)};
+  }
+  /// Append row (z, y)'s L spins to `out`, each constructed in place.
+  void append_row(int z, int y, std::vector<Spin>& out) const;
+
+ private:
+  struct Xy {
+    float x, y;
+  };
+  int L_;
+  std::uint64_t seed_;
+  std::vector<Xy> xy_;
+};
+
+/// `InitialLattice(L, seed)`, built once and shared read-only. A one-slot
+/// memo guarded by a mutex, so threads asking for one key concurrently wait
+/// for a single build; a different key replaces the slot (callers holding
+/// the old table keep it). Throws what InitialLattice throws.
+std::shared_ptr<const InitialLattice> shared_lattice(int L,
+                                                     std::uint64_t seed);
+
 /// One rank's part of the lattice, as the distributed runner drives it:
 /// checkerboard updates split into boundary and bulk, the owned energy,
 /// and one parity of a face packed for (or unpacked from) a neighbor.
@@ -62,7 +125,6 @@ class Subdomain {
  public:
   virtual ~Subdomain() = default;
 
-  virtual void randomize(std::uint64_t seed) = 0;
   /// Sites under the faces (the halo producers), then the rest.
   virtual void update_boundary(int parity) = 0;
   virtual void update_bulk(int parity) = 0;
@@ -84,7 +146,12 @@ class Subdomain {
 class Slab final : public Subdomain {
  public:
   /// `z_offset`: global z of local plane 1 (for parity and validation).
+  /// Every site starts at {0, 0, 1}.
   Slab(int L, int local_z, int z_offset);
+  /// The slab of `init`'s lattice: interior sites written once from the
+  /// table (as `randomize(init.seed())` would set them), halo planes at
+  /// {0, 0, 1}.
+  Slab(const InitialLattice& init, int local_z, int z_offset);
 
   int L() const { return L_; }
   int local_z() const { return local_z_; }
@@ -92,8 +159,9 @@ class Slab final : public Subdomain {
 
   /// Deterministic random unit spins for the *global* lattice: the value
   /// of a site depends only on its global coordinates and the seed, so
-  /// different decompositions produce identical initial states.
-  void randomize(std::uint64_t seed) override;
+  /// different decompositions produce identical initial states. Copied
+  /// from `shared_lattice(L, seed)`.
+  void randomize(std::uint64_t seed);
 
   Spin& at(int z, int y, int x) {
     return spins_[static_cast<std::size_t>((z * L_ + y) * L_ + x)];
@@ -150,6 +218,10 @@ class Slab final : public Subdomain {
     // Halo planes map to the neighbor's global coordinate (periodic).
     return local_plane + z_offset_ - 1;
   }
+  /// global_z wrapped into [0, L).
+  int lattice_z(int local_plane) const {
+    return (global_z(local_plane) % L_ + L_) % L_;
+  }
   /// Site (z, y, x) has parity (global z + y + x) mod 2, so row (z, y)'s
   /// sites of `parity` (0 or 1) are x = first_x, first_x + 2, ...
   int first_x(int z, int y, int parity) const {
@@ -165,7 +237,8 @@ class Slab final : public Subdomain {
 };
 
 /// Whole-lattice reference implementation used to validate the
-/// decomposed/overlapped version site-by-site.
+/// decomposed/overlapped version site-by-site. Its `randomize` calls
+/// `deterministic_spin` per site, independent of `shared_lattice`.
 class ReferenceLattice {
  public:
   explicit ReferenceLattice(int L);
@@ -181,8 +254,5 @@ class ReferenceLattice {
   int L_;
   std::vector<Spin> spins_;
 };
-
-/// The spin value assigned to global site (z,y,x) by `randomize(seed)`.
-Spin deterministic_spin(std::uint64_t seed, int z, int y, int x);
 
 }  // namespace apn::apps::hsg

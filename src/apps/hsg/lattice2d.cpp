@@ -14,12 +14,30 @@ Slab2d::Slab2d(int L, int lz, int ly, int z_offset, int y_offset)
                 static_cast<std::size_t>(L));
 }
 
+Slab2d::Slab2d(const InitialLattice& init, int lz, int ly, int z_offset,
+               int y_offset)
+    : L_(init.L()), lz_(lz), ly_(ly), z_offset_(z_offset),
+      y_offset_(y_offset) {
+  if (lz < 1 || ly < 1) throw std::invalid_argument("bad 2-D slab shape");
+  const std::size_t row = static_cast<std::size_t>(L_);
+  const std::size_t plane = static_cast<std::size_t>(ly + 2) * row;
+  spins_.reserve(static_cast<std::size_t>(lz + 2) * plane);
+  spins_.resize(plane);  // halo plane 0
+  for (int z = 1; z <= lz_; ++z) {
+    spins_.resize(spins_.size() + row);  // halo row 0
+    for (int y = 1; y <= ly_; ++y)
+      init.append_row(lattice_z(z), lattice_y(y), spins_);
+    spins_.resize(spins_.size() + row);  // halo row ly + 1
+  }
+  spins_.resize(spins_.size() + plane);  // halo plane lz + 1
+}
+
 void Slab2d::randomize(std::uint64_t seed) {
+  const std::shared_ptr<const InitialLattice> init = shared_lattice(L_, seed);
   for (int z = 1; z <= lz_; ++z)
     for (int y = 1; y <= ly_; ++y)
       for (int x = 0; x < L_; ++x)
-        at(z, y, x) = deterministic_spin(seed, (gz(z) % L_ + L_) % L_,
-                                         (gy(y) % L_ + L_) % L_, x);
+        at(z, y, x) = init->spin(lattice_z(z), lattice_y(y), x);
 }
 
 void Slab2d::update_site(int z, int y, int x) {

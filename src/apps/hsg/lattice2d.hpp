@@ -21,8 +21,14 @@ namespace apn::apps::hsg {
 class Slab2d final : public Subdomain {
  public:
   /// Local brick of `lz` planes and `ly` rows (full X extent `L`),
-  /// positioned at global (z_offset, y_offset).
+  /// positioned at global (z_offset, y_offset). Every site starts at
+  /// {0, 0, 1}.
   Slab2d(int L, int lz, int ly, int z_offset, int y_offset);
+  /// The brick of `init`'s lattice: interior sites written once from the
+  /// table (as `randomize(init.seed())` would set them), halo shells at
+  /// {0, 0, 1}.
+  Slab2d(const InitialLattice& init, int lz, int ly, int z_offset,
+         int y_offset);
 
   int L() const { return L_; }
   int lz() const { return lz_; }
@@ -36,7 +42,8 @@ class Slab2d final : public Subdomain {
   }
   const Spin& at(int z, int y, int x) const { return spins_[idx(z, y, x)]; }
 
-  void randomize(std::uint64_t seed) override;
+  /// Interior sites from `shared_lattice(L, seed)`, as Slab::randomize.
+  void randomize(std::uint64_t seed);
 
   /// Over-relax every interior site of the given (global) parity.
   void update_interior(int parity);
@@ -73,6 +80,9 @@ class Slab2d final : public Subdomain {
   }
   int gz(int z) const { return z + z_offset_ - 1; }
   int gy(int y) const { return y + y_offset_ - 1; }
+  /// gz / gy wrapped into [0, L).
+  int lattice_z(int z) const { return (gz(z) % L_ + L_) % L_; }
+  int lattice_y(int y) const { return (gy(y) % L_ + L_) % L_; }
   /// Site (z, y, x) has parity (global z + global y + x) mod 2, so row
   /// (z, y)'s sites of `parity` (0 or 1) are x = first_x, first_x + 2, ...
   int first_x(int z, int y, int parity) const {

@@ -322,19 +322,22 @@ HsgMetrics HsgRun::run() {
   Face order[kFaces] = {Face::kZlow, Face::kZhigh, Face::kYlow, Face::kYhigh};
   if (pz_ == 1) std::rotate(order, order + 2, order + nfaces_);
 
+  // Functional mode: each sub-lattice is built straight from the
+  // process's one initial lattice of (L, seed).
+  const std::shared_ptr<const InitialLattice> init =
+      cfg_.functional ? shared_lattice(cfg_.L, cfg_.seed) : nullptr;
   ranks_.clear();
   finished_ = 0;
   for (int r = 0; r < np_; ++r) {
     auto st = std::make_unique<RankState>();
     st->ready = std::make_shared<sim::Gate>(sim);
     const int z_offset = r / cfg_.py * lz_;
-    if (cfg_.functional) {
+    if (init) {
       if (cfg_.py == 1)
-        st->lattice = std::make_unique<Slab>(cfg_.L, lz_, z_offset);
+        st->lattice = std::make_unique<Slab>(*init, lz_, z_offset);
       else
-        st->lattice = std::make_unique<Slab2d>(cfg_.L, lz_, ly_, z_offset,
+        st->lattice = std::make_unique<Slab2d>(*init, lz_, ly_, z_offset,
                                                r % cfg_.py * ly_);
-      st->lattice->randomize(cfg_.seed);
     }
     st->faces = std::span(st->face_storage).first(
         static_cast<std::size_t>(nfaces_));

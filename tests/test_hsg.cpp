@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <thread>
+
 #include "apps/hsg/runner.hpp"
 
 namespace apn::apps::hsg {
@@ -115,6 +119,135 @@ TEST(HsgSlab, DecompositionMatchesReferenceAfterWarmup) {
             << "site " << z << "," << y << "," << x;
         ASSERT_EQ(s1.at(z, y, x).x, ref.at(L / 2 + z - 1, y, x).x);
       }
+}
+
+// ---------------------------------------------------------------------------
+// Initial lattice: one shared table per (L, seed), bit-exact spins
+// ---------------------------------------------------------------------------
+
+bool same_bits(const Spin& a, const Spin& b) {
+  return std::memcmp(&a, &b, sizeof(Spin)) == 0;
+}
+
+// Every site of the table, bit for bit against deterministic_spin.
+void expect_table_is_deterministic_spin(const InitialLattice& t) {
+  for (int z = 0; z < t.L(); ++z)
+    for (int y = 0; y < t.L(); ++y)
+      for (int x = 0; x < t.L(); ++x)
+        ASSERT_TRUE(same_bits(t.spin(z, y, x),
+                              deterministic_spin(t.seed(), z, y, x)))
+            << "site " << z << "," << y << "," << x;
+}
+
+TEST(SharedLattice, OneKeyReturnsOnePointer) {
+  const auto a = shared_lattice(8, 42);
+  const auto b = shared_lattice(8, 42);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a->L(), 8);
+  EXPECT_EQ(a->seed(), 42u);
+  expect_table_is_deterministic_spin(*a);
+}
+
+TEST(SharedLattice, NewKeyBuildsAFreshTableAndAnOldHolderKeepsItsOwn) {
+  const auto base = shared_lattice(8, 42);
+  const auto other_seed = shared_lattice(8, 43);
+  const auto other_side = shared_lattice(10, 43);
+  EXPECT_NE(base.get(), other_seed.get());
+  EXPECT_NE(other_seed.get(), other_side.get());
+  // The replaced tables are still whole and still their own keys'.
+  EXPECT_EQ(base->seed(), 42u);
+  expect_table_is_deterministic_spin(*base);
+  expect_table_is_deterministic_spin(*other_seed);
+  EXPECT_EQ(other_side->L(), 10);
+  expect_table_is_deterministic_spin(*other_side);
+  // Going back to the first key rebuilds it: equal, not the held object.
+  const auto again = shared_lattice(8, 42);
+  EXPECT_NE(again.get(), base.get());
+  expect_table_is_deterministic_spin(*again);
+}
+
+TEST(SharedLattice, ConcurrentCallersWaitForOneBuild) {
+  shared_lattice(4, 1);  // some other key in the slot
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const InitialLattice>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&got, i] { got[i] = shared_lattice(16, 5); });
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
+  expect_table_is_deterministic_spin(*got[0]);
+}
+
+TEST(SharedLattice, BadSideThrowsAndTheNextCallStillBuilds) {
+  EXPECT_THROW(shared_lattice(1, 7), std::invalid_argument);
+  EXPECT_THROW(shared_lattice(0, 7), std::invalid_argument);
+  EXPECT_THROW(shared_lattice(-4, 7), std::invalid_argument);
+  const auto t = shared_lattice(4, 7);
+  ASSERT_NE(t, nullptr);
+  expect_table_is_deterministic_spin(*t);
+}
+
+constexpr std::uint64_t kSeeds[] = {0, 42,
+                                    std::numeric_limits<std::uint64_t>::max()};
+
+TEST(InitialLattice, SlabGridSitesAreDeterministicSpinBitwise) {
+  // Both slabs of a 2-rank grid, filled by randomize and built from the
+  // table: every interior site equals deterministic_spin bit for bit, and
+  // a table-built slab's halo planes hold the default spin.
+  const int L = 8, lz = L / 2;
+  for (std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    for (int z_offset : {0, lz}) {
+      Slab randomized(L, lz, z_offset);
+      randomized.randomize(seed);
+      const Slab built(*shared_lattice(L, seed), lz, z_offset);
+      for (int z = 0; z <= lz + 1; ++z)
+        for (int y = 0; y < L; ++y)
+          for (int x = 0; x < L; ++x) {
+            if (z == 0 || z == lz + 1) {
+              ASSERT_TRUE(same_bits(built.at(z, y, x), Spin{}));
+              continue;
+            }
+            const Spin want = deterministic_spin(seed, z_offset + z - 1, y, x);
+            ASSERT_TRUE(same_bits(randomized.at(z, y, x), want))
+                << "slab at z " << z_offset << ", site " << z << "," << y
+                << "," << x;
+            ASSERT_TRUE(same_bits(built.at(z, y, x), want))
+                << "slab at z " << z_offset << ", site " << z << "," << y
+                << "," << x;
+          }
+    }
+  }
+}
+
+TEST(InitialLattice, TwoByTwoGridSitesAreDeterministicSpinBitwise) {
+  const int L = 8, lz = L / 2, ly = L / 2;
+  for (std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    for (int z_offset : {0, lz})
+      for (int y_offset : {0, ly}) {
+        Slab2d randomized(L, lz, ly, z_offset, y_offset);
+        randomized.randomize(seed);
+        const Slab2d built(*shared_lattice(L, seed), lz, ly, z_offset,
+                           y_offset);
+        for (int z = 0; z <= lz + 1; ++z)
+          for (int y = 0; y <= ly + 1; ++y)
+            for (int x = 0; x < L; ++x) {
+              if (z == 0 || z == lz + 1 || y == 0 || y == ly + 1) {
+                ASSERT_TRUE(same_bits(built.at(z, y, x), Spin{}));
+                continue;
+              }
+              const Spin want = deterministic_spin(
+                  seed, z_offset + z - 1, y_offset + y - 1, x);
+              ASSERT_TRUE(same_bits(randomized.at(z, y, x), want))
+                  << "brick at " << z_offset << "," << y_offset << ", site "
+                  << z << "," << y << "," << x;
+              ASSERT_TRUE(same_bits(built.at(z, y, x), want))
+                  << "brick at " << z_offset << "," << y_offset << ", site "
+                  << z << "," << y << "," << x;
+            }
+      }
+  }
 }
 
 // ---------------------------------------------------------------------------
