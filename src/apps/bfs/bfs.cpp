@@ -1,8 +1,8 @@
 #include "apps/bfs/bfs.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
+#include <stdexcept>
 
 namespace apn::apps::bfs {
 
@@ -46,7 +46,6 @@ struct BfsRun::RankState {
   Time t_start = 0, t_end = 0;
   Time compute_time = 0, comm_time = 0;
   std::shared_ptr<sim::Gate> ready;
-  bool transport_ready = false;  ///< buffers registered + event pump live
 };
 
 BfsRun::BfsRun(cluster::Cluster& cluster, BfsConfig config)
@@ -172,8 +171,8 @@ sim::Coro BfsRun::rank_main(int rank) {
   const Vertex vlo = lo(rank), vhi = hi(rank);
   const gpu::GpuArch& arch = cluster_.node(rank).gpu(0).arch();
 
-  // ---- setup: register transport buffers (first traversal only) --------
-  if (cfg_.net == BfsNet::kApenet && !st.transport_ready) {
+  // ---- setup: register transport buffers ---------------------------------
+  if (cfg_.net == BfsNet::kApenet) {
     core::RdmaDevice& rdma = cluster_.rdma(rank);
     for (int p = 0; p < np_; ++p) {
       if (p == rank) continue;
@@ -217,7 +216,6 @@ sim::Coro BfsRun::rank_main(int rank) {
         if (st.event_check) st.event_check();
       }
     }(this, rank);
-    st.transport_ready = true;
   }
 
   if (++ready_count_ == np_)
@@ -364,59 +362,43 @@ sim::Coro BfsRun::rank_main(int rank) {
 
 BfsMetrics BfsRun::run() {
   sim::Simulator& sim = cluster_.simulator();
-  ready_count_ = 0;
+  if (!ranks_.empty())
+    throw std::logic_error("BfsRun::run: a BfsRun runs one traversal");
   final_parents_.assign(graph_->num_vertices(), kUnreached);
 
-  if (ranks_.empty()) {
-    for (int r = 0; r < np_; ++r) {
-      auto st = std::make_unique<RankState>();
-      st->outbox.resize(static_cast<std::size_t>(np_));
-      st->out_dev.resize(static_cast<std::size_t>(np_));
-      st->in_dev.resize(static_cast<std::size_t>(np_));
-      cuda::Runtime& cuda = cluster_.node(r).cuda();
-      for (int p = 0; p < np_; ++p) {
-        if (p == r) continue;
-        const std::uint64_t out_cap = std::max<std::uint64_t>(
-            static_cast<std::uint64_t>(hi(p) - lo(p)) *
-                sizeof(std::pair<Vertex, Vertex>),
-            64);
-        const std::uint64_t in_cap = std::max<std::uint64_t>(
-            static_cast<std::uint64_t>(hi(r) - lo(r)) *
-                sizeof(std::pair<Vertex, Vertex>),
-            64);
-        st->out_dev[static_cast<std::size_t>(p)] =
-            cuda.malloc_device(0, out_cap);
-        st->in_dev[static_cast<std::size_t>(p)] =
-            cuda.malloc_device(0, in_cap);
-      }
-      st->count_out_dev = cuda.malloc_device(
-          0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
-      st->count_in_dev = cuda.malloc_device(
-          0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
-      pcie::HostMemory& host = cluster_.node(r).hostmem();
-      st->reduce_slots = host.alloc(cell(0, np_));
-      st->counts_out = host.alloc(cell(0, np_));
-      st->counts_in = host.alloc(cell(0, np_));
-      ranks_.push_back(std::move(st));
-    }
-  }
-
-  // Per-traversal reset (states persist across run_roots iterations so the
-  // registrations and the event pump survive; every event of the previous
-  // traversal has been consumed by its completion).
+  // Host allocations come with zeroed backing, so the count and reduction
+  // slots start at 0.
   for (int r = 0; r < np_; ++r) {
-    RankState& st = *ranks_[static_cast<std::size_t>(r)];
+    auto st = std::make_unique<RankState>();
+    st->outbox.resize(static_cast<std::size_t>(np_));
+    st->out_dev.resize(static_cast<std::size_t>(np_));
+    st->in_dev.resize(static_cast<std::size_t>(np_));
+    cuda::Runtime& cuda = cluster_.node(r).cuda();
+    for (int p = 0; p < np_; ++p) {
+      if (p == r) continue;
+      const std::uint64_t out_cap = std::max<std::uint64_t>(
+          static_cast<std::uint64_t>(hi(p) - lo(p)) *
+              sizeof(std::pair<Vertex, Vertex>),
+          64);
+      const std::uint64_t in_cap = std::max<std::uint64_t>(
+          static_cast<std::uint64_t>(hi(r) - lo(r)) *
+              sizeof(std::pair<Vertex, Vertex>),
+          64);
+      st->out_dev[static_cast<std::size_t>(p)] =
+          cuda.malloc_device(0, out_cap);
+      st->in_dev[static_cast<std::size_t>(p)] =
+          cuda.malloc_device(0, in_cap);
+    }
+    st->count_out_dev = cuda.malloc_device(
+        0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
+    st->count_in_dev = cuda.malloc_device(
+        0, sizeof(CountSlot) * static_cast<std::uint64_t>(np_));
     pcie::HostMemory& host = cluster_.node(r).hostmem();
-    st.ready = std::make_shared<sim::Gate>(sim);
-    for (std::uint64_t slots : {st.reduce_slots, st.counts_out, st.counts_in})
-      std::ranges::fill(host.bytes(slots, cell(0, np_)), 0);
-    st.frontier.clear();
-    st.next_frontier.clear();
-    st.count_events = 0;
-    st.reduce_events = 0;
-    st.event_check = nullptr;
-    st.t_start = st.t_end = 0;
-    st.compute_time = st.comm_time = 0;
+    st->reduce_slots = host.alloc(cell(0, np_));
+    st->counts_out = host.alloc(cell(0, np_));
+    st->counts_in = host.alloc(cell(0, np_));
+    st->ready = std::make_shared<sim::Gate>(sim);
+    ranks_.push_back(std::move(st));
   }
 
   for (int r = 0; r < np_; ++r) rank_main(r);
@@ -427,34 +409,17 @@ BfsMetrics BfsRun::run() {
   for (auto& st : ranks_) wall = std::max(wall, st->t_end - st->t_start);
   m.wall = wall;
   m.levels = max_level_ + 1;
-  const std::vector<std::int64_t> levels = bfs_levels(*graph_, root_);
-  m.edges_traversed = traversed_edges(*graph_, levels);
+  const std::shared_ptr<const Reference> ref =
+      shared_reference(graph_, root_);
+  m.edges_traversed = ref->traversed_edges;
   m.teps = wall > 0 ? static_cast<double>(m.edges_traversed) /
                           units::to_sec(wall)
                     : 0.0;
   m.compute_time = ranks_[0]->compute_time;
   m.comm_time = ranks_[0]->comm_time;
-  m.validated = validate_parents(*graph_, root_, final_parents_, levels);
+  m.validated =
+      validate_parents(*graph_, root_, final_parents_, ref->levels);
   return m;
-}
-
-BfsSummary BfsRun::run_roots(int n) {
-  BfsSummary s;
-  s.roots = n;
-  s.all_validated = true;
-  double inv_sum = 0;
-  s.min_teps = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < n; ++i) {
-    root_ =
-        pick_root(*graph_, cfg_.root_seed + static_cast<std::uint64_t>(i));
-    BfsMetrics m = run();
-    s.all_validated = s.all_validated && m.validated;
-    inv_sum += 1.0 / m.teps;
-    s.min_teps = std::min(s.min_teps, m.teps);
-    s.max_teps = std::max(s.max_teps, m.teps);
-  }
-  s.harmonic_mean_teps = static_cast<double>(n) / inv_sum;
-  return s;
 }
 
 }  // namespace apn::apps::bfs

@@ -18,8 +18,9 @@
 //
 // As in graph500, the graph is built once (kernel 1, untimed) and only the
 // searches are per run: every BfsRun with the same (scale, edge_factor,
-// seed) shares one read-only Csr from shared_graph(), and all per-run
-// state lives in the run's RankStates and parent array.
+// seed) shares one read-only Csr from shared_graph(), every run of one
+// (graph, root) shares one reference search from shared_reference(), and
+// all per-run state lives in the run's RankStates and parent array.
 #pragma once
 
 #include <memory>
@@ -49,15 +50,6 @@ struct BfsMetrics {
   bool validated = false;
 };
 
-/// Aggregate over several search keys, as graph500 reports them.
-struct BfsSummary {
-  int roots = 0;
-  double harmonic_mean_teps = 0;  ///< the official graph500 statistic
-  double min_teps = 0;
-  double max_teps = 0;
-  bool all_validated = false;
-};
-
 class BfsRun {
  public:
   /// Takes the graph from shared_graph(): the first run of a key builds it,
@@ -65,11 +57,9 @@ class BfsRun {
   BfsRun(cluster::Cluster& cluster, BfsConfig config);
   ~BfsRun();
 
+  /// One traversal from root(), validated against the reference BFS.
+  /// Call it once: a second call throws std::logic_error.
   BfsMetrics run();
-
-  /// graph500-style multi-root evaluation: `n` distinct search keys over
-  /// the same graph, each a full timed traversal, harmonic-mean TEPS.
-  BfsSummary run_roots(int n);
 
   const Csr& graph() const { return *graph_; }
   Vertex root() const { return root_; }

@@ -130,6 +130,30 @@ std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root) {
   return level;
 }
 
+std::shared_ptr<const Reference> shared_reference(
+    const std::shared_ptr<const Csr>& g, Vertex root) {
+  struct Slot {
+    std::mutex mu;
+    std::weak_ptr<const Csr> graph;
+    Vertex root = 0;
+    std::shared_ptr<const Reference> ref;
+  };
+  static Slot slot;
+  std::lock_guard lock(slot.mu);
+  if (slot.ref == nullptr || slot.root != root || slot.graph.lock() != g) {
+    // Free the old levels before computing the next (unless a run still
+    // holds them).
+    slot.ref.reset();
+    auto ref = std::make_shared<Reference>();
+    ref->levels = bfs_levels(*g, root);
+    ref->traversed_edges = traversed_edges(*g, ref->levels);
+    slot.ref = std::move(ref);
+    slot.graph = g;
+    slot.root = root;
+  }
+  return slot.ref;
+}
+
 bool validate_parents(const Csr& g, Vertex root,
                       std::span<const std::int64_t> parents,
                       std::span<const std::int64_t> ref_levels,
@@ -144,52 +168,28 @@ bool validate_parents(const Csr& g, Vertex root,
   if (parents[root] != static_cast<std::int64_t>(root))
     return fail("root is not its own parent");
   if (ref_levels.size() != n) return fail("reference levels size mismatch");
+  if (ref_levels[root] != 0) return fail("level differs from reference BFS");
 
-  // Derive levels by chasing parents with a path-length bound. Every
-  // vertex that gets a level has had its parent range-checked here, so the
-  // edge loop below may index by parent freely.
-  std::vector<std::int64_t> level(n, kUnreached);
-  level[root] = 0;
-  std::vector<Vertex> chain;
   for (std::uint64_t v = 0; v < n; ++v) {
-    if (parents[v] == kUnreached || level[v] != kUnreached) continue;
-    // Walk up to the root or a vertex with a known level.
-    chain.clear();
-    Vertex cur = static_cast<Vertex>(v);
-    while (level[cur] == kUnreached) {
-      chain.push_back(cur);
-      std::int64_t p = parents[cur];
-      if (p == kUnreached) return fail("reached vertex with unreached parent");
-      if (p < 0 || static_cast<std::uint64_t>(p) >= n)
-        return fail("parent out of range");
-      if (chain.size() > n) return fail("parent cycle detected");
-      cur = static_cast<Vertex>(p);
-    }
-    std::int64_t base = level[cur];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-      level[*it] = ++base;
-  }
-
-  // Every tree edge must exist, and BFS levels differ by exactly 1. The
-  // Csr holds both directions of every edge, so scanning the endpoint with
-  // the shorter adjacency list is exact, and avoids walking a hub's list
-  // once per child.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (parents[v] == kUnreached || v == root) continue;
-    Vertex p = static_cast<Vertex>(parents[v]);
-    Vertex from = p, to = static_cast<Vertex>(v);
+    const std::int64_t p = parents[v];
+    if ((p == kUnreached) != (ref_levels[v] == kUnreached))
+      return fail("reachability mismatch");
+    if (p == kUnreached || v == root) continue;
+    if (p < 0 || static_cast<std::uint64_t>(p) >= n)
+      return fail("parent out of range");
+    // The Csr holds both directions of every edge, so scanning the
+    // endpoint with the shorter adjacency list is exact, and avoids
+    // walking a hub's list once per child.
+    const auto parent = static_cast<Vertex>(p);
+    Vertex from = parent, to = static_cast<Vertex>(v);
     if (g.degree(to) < g.degree(from)) std::swap(from, to);
     auto adj = g.neighbors(from);
     if (std::find(adj.begin(), adj.end(), to) == adj.end())
       return fail("parent edge not present in graph");
-    if (level[v] != level[p] + 1) return fail("level inconsistency");
-  }
-
-  // Reachability must match the reference BFS exactly.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if ((ref_levels[v] == kUnreached) != (parents[v] == kUnreached))
-      return fail("reachability mismatch");
-    if (ref_levels[v] != kUnreached && level[v] != ref_levels[v])
+    // A parent the reference leaves unreached fails even where v's level
+    // is 0 (kUnreached + 1 == 0), so every parent that passes is reached.
+    if (ref_levels[parent] == kUnreached ||
+        ref_levels[v] != ref_levels[parent] + 1)
       return fail("level differs from reference BFS");
   }
   return true;

@@ -67,12 +67,31 @@ std::shared_ptr<const Csr> shared_graph(int scale, int edge_factor,
 /// Throws std::out_of_range unless root < g.num_vertices().
 std::vector<std::int64_t> bfs_levels(const Csr& g, Vertex root);
 
-/// graph500-style validation of a parent tree against the graph:
-/// root is its own parent; every reached vertex's parent edge exists and
-/// levels are consistent (level[v] == level[parent[v]] + 1), and they equal
-/// `ref_levels`, the reference `bfs_levels(g, root)` the caller already
-/// holds. A root or parent entry outside [0, n) (other than kUnreached), or
-/// a reference of the wrong size, fails validation.
+/// The reference search of one (graph, root), computed from the graph
+/// alone: `bfs_levels` and its `traversed_edges`.
+struct Reference {
+  std::vector<std::int64_t> levels;
+  std::uint64_t traversed_edges = 0;
+};
+
+/// The Reference of (*g, root), computed once and shared read-only: a
+/// one-slot memo like shared_graph's. It is keyed on the graph object,
+/// not its address (the slot holds a weak_ptr, so a freed graph's recycled
+/// address never matches), and on the root; a new key replaces the slot
+/// (callers holding the old reference keep it). g must not be null.
+/// Throws what bfs_levels throws.
+std::shared_ptr<const Reference> shared_reference(
+    const std::shared_ptr<const Csr>& g, Vertex root);
+
+/// graph500-style validation of a parent tree against `ref_levels`, the
+/// reference `bfs_levels(g, root)` the caller already holds: root is its
+/// own parent at reference level 0, reachability equals the reference, and
+/// every other reached vertex has an in-range parent, joined to it by a
+/// graph edge, exactly one reference level lower. Levels then fall by 1
+/// along every parent chain, so each chain ends at the root without a
+/// cycle and the tree's depths are the reference levels. A root or parent
+/// entry outside [0, n) (other than kUnreached), or a reference of the
+/// wrong size, fails validation.
 bool validate_parents(const Csr& g, Vertex root,
                       std::span<const std::int64_t> parents,
                       std::span<const std::int64_t> ref_levels,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -120,22 +121,28 @@ TEST(SequentialBfs, LevelsOnKnownGraph) {
   EXPECT_EQ(lv[5], kUnreached);
 }
 
-TEST(ValidateParents, AcceptsCorrectTree) {
-  EdgeList el = rmat(8, 8, 2);
-  Csr g(el);
-  Vertex root = pick_root(g, 1);
-  auto lv = bfs_levels(g, root);
-  // Build a parent tree from levels.
+/// A parent tree consistent with `levels`: each reached vertex other than
+/// the root picks its first neighbour one level up.
+std::vector<std::int64_t> tree_from_levels(
+    const Csr& g, Vertex root, const std::vector<std::int64_t>& levels) {
   std::vector<std::int64_t> parents(g.num_vertices(), kUnreached);
   parents[root] = root;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (lv[v] <= 0) continue;
+    if (levels[v] <= 0) continue;
     for (Vertex w : g.neighbors(v))
-      if (lv[w] == lv[v] - 1) {
+      if (levels[w] == levels[v] - 1) {
         parents[v] = w;
         break;
       }
   }
+  return parents;
+}
+
+TEST(ValidateParents, AcceptsCorrectTree) {
+  EdgeList el = rmat(8, 8, 2);
+  Csr g(el);
+  Vertex root = pick_root(g, 1);
+  const auto parents = tree_from_levels(g, root, bfs_levels(g, root));
   std::string err;
   EXPECT_TRUE(validate_parents(g, root, parents, &err)) << err;
 }
@@ -255,8 +262,90 @@ TEST(ValidateParents, ReferenceLevelsOfWrongSizeFail) {
   EXPECT_EQ(err, "reference levels size mismatch");
 }
 
+TEST(ValidateParents, RejectsParentCycleAmongReachedVertices) {
+  // 0 - 1 - 2 - 3 - 1: vertices 1, 2 and 3 are reached, and every edge a
+  // cycle below uses exists.
+  EdgeList el;
+  el.n_vertices = 4;
+  el.edges = {{0, 1}, {1, 2}, {2, 3}, {3, 1}};
+  Csr g(el);
+  const auto ref = bfs_levels(g, 0);
+  ASSERT_TRUE(validate_parents(g, 0, std::vector<std::int64_t>{0, 0, 1, 1},
+                               ref));
+  // A two-cycle 2 <-> 3, and a three-cycle 1 -> 3 -> 2 -> 1: neither
+  // reaches the root.
+  for (const std::vector<std::int64_t>& cyclic :
+       {std::vector<std::int64_t>{0, 0, 3, 2},
+        std::vector<std::int64_t>{0, 3, 1, 2}}) {
+    std::string err;
+    EXPECT_FALSE(validate_parents(g, 0, cyclic, ref, &err));
+    EXPECT_FALSE(validate_parents(g, 0, cyclic, &err));
+  }
+}
+
+TEST(ValidateParents, SingleEntryMutationsAcceptedIffParentIsOneLevelUp) {
+  const Csr g(rmat(10, 8, 5));
+  const Vertex root = pick_root(g, 2);
+  const auto ref = bfs_levels(g, root);
+  const std::vector<std::int64_t> tree = tree_from_levels(g, root, ref);
+  std::string err;
+  ASSERT_TRUE(validate_parents(g, root, tree, ref, &err)) << err;
+  const auto n = static_cast<std::int64_t>(g.num_vertices());
+  auto adjacent = [&](Vertex v, std::int64_t p) {
+    if (p < 0 || p >= n) return false;
+    const auto adj = g.neighbors(v);
+    return std::find(adj.begin(), adj.end(), static_cast<Vertex>(p)) !=
+           adj.end();
+  };
+
+  Rng rng(11);
+  int accepted = 0, rejected = 0;
+  std::vector<std::int64_t> parents = tree;
+  for (int i = 0; i < 4000; ++i) {
+    const auto v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
+    std::int64_t p = 0;
+    switch (rng.next_below(6)) {
+      case 0:  // any vertex
+        p = static_cast<std::int64_t>(rng.next_below(g.num_vertices()));
+        break;
+      case 1: {  // a neighbour, one level up or not
+        const auto adj = g.neighbors(v);
+        p = adj.empty() ? kUnreached
+                        : adj[rng.next_below(adj.size())];
+        break;
+      }
+      case 2:
+        p = kUnreached;
+        break;
+      case 3:  // outside [0, n)
+        p = rng.next_below(2) == 0 ? n + static_cast<std::int64_t>(
+                                             rng.next_below(4))
+                                   : -2;
+        break;
+      case 4:
+        p = v;
+        break;
+      default:  // the tree's own entry: no change
+        p = tree[v];
+        break;
+    }
+    parents[v] = p;
+    const bool expected =
+        p == tree[v] ||
+        (adjacent(v, p) && ref[static_cast<Vertex>(p)] == ref[v] - 1);
+    EXPECT_EQ(validate_parents(g, root, parents, ref, &err), expected)
+        << "parents[" << v << "] = " << p << " (tree " << tree[v]
+        << ", level " << ref[v] << "): " << err;
+    (expected ? accepted : rejected) += 1;
+    parents[v] = tree[v];
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
+}
+
 // ---------------------------------------------------------------------------
-// Shared graphs
+// Shared graphs and references
 // ---------------------------------------------------------------------------
 
 /// Same vertex count, degrees and neighbour lists, in order.
@@ -327,6 +416,84 @@ TEST(SharedGraph, BadKeyThrowsAndTheNextCallStillBuilds) {
   expect_same_graph(*shared_graph(4, 4, 1), Csr(rmat(4, 4, 1)));
 }
 
+TEST(SharedReference, OneReferencePerGraphAndRoot) {
+  const auto g = shared_graph(10, 8, 31);
+  const Vertex root = pick_root(*g, 1);
+  const auto a = shared_reference(g, root);
+  const auto b = shared_reference(g, root);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a->levels, bfs_levels(*g, root));
+  EXPECT_EQ(a->traversed_edges, traversed_edges(*g, a->levels));
+}
+
+TEST(SharedReference, NewRootReplacesTheSlotAndOldHoldersKeepTheirLevels) {
+  const auto g = shared_graph(10, 8, 31);
+  const Vertex r1 = pick_root(*g, 1), r2 = pick_root(*g, 2);
+  ASSERT_NE(r1, r2);
+  const auto first = shared_reference(g, r1);
+  const auto second = shared_reference(g, r2);
+  EXPECT_NE(first.get(), second.get());
+  EXPECT_EQ(first->levels, bfs_levels(*g, r1));
+  EXPECT_EQ(second->levels, bfs_levels(*g, r2));
+  // Going back to the first root rebuilds it: equal, not the held object.
+  const auto again = shared_reference(g, r1);
+  EXPECT_NE(again.get(), first.get());
+  EXPECT_EQ(again->levels, first->levels);
+  EXPECT_EQ(again->traversed_edges, first->traversed_edges);
+}
+
+TEST(SharedReference, ConcurrentCallersWaitForOneBuild) {
+  const auto g = shared_graph(12, 16, 5);
+  const Vertex root = pick_root(*g, 3);
+  shared_reference(g, pick_root(*g, 4));  // some other key in the slot
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const Reference>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&got, &g, root, i] {
+      got[i] = shared_reference(g, root);
+    });
+  for (auto& t : threads) t.join();
+  for (const auto& r : got) EXPECT_EQ(r.get(), got[0].get());
+  EXPECT_EQ(got[0]->levels, bfs_levels(*g, root));
+}
+
+TEST(SharedReference, FreedGraphNeverReturnsStaleLevels) {
+  // Graphs of one size built and freed in turn, searched from one root: a
+  // new graph may land where the freed one was, and must still get its
+  // own levels.
+  const EdgeList a = rmat(10, 8, 41), b = rmat(10, 8, 42);
+  Vertex root = 0;
+  const Csr ga(a), gb(b);
+  while (ga.degree(root) == 0 || gb.degree(root) == 0) ++root;
+  ASSERT_NE(bfs_levels(ga, root), bfs_levels(gb, root));
+  for (int i = 0; i < 6; ++i) {
+    auto g = std::make_shared<const Csr>(i % 2 == 0 ? a : b);
+    const auto ref = shared_reference(g, root);
+    EXPECT_EQ(ref->levels, bfs_levels(*g, root)) << "graph " << i;
+    EXPECT_EQ(ref->traversed_edges, traversed_edges(*g, ref->levels));
+  }
+}
+
+TEST(SharedReference, LevelsEqualSequentialBfs) {
+  for (int scale : {10, 11, 12}) {
+    const auto g = shared_graph(scale, 16, 9);
+    for (std::uint64_t seed : {1, 2, 3}) {
+      const Vertex root = pick_root(*g, seed);
+      const auto levels = bfs_levels(*g, root);
+      const auto ref = shared_reference(g, root);
+      EXPECT_EQ(ref->levels, levels) << "scale " << scale << " root " << root;
+      EXPECT_EQ(ref->traversed_edges, traversed_edges(*g, levels));
+    }
+  }
+}
+
+TEST(SharedReference, RootOutsideGraphThrowsAndTheNextCallStillBuilds) {
+  const auto g = shared_graph(4, 4, 1);
+  EXPECT_THROW(shared_reference(g, 16), std::out_of_range);
+  EXPECT_EQ(shared_reference(g, 1)->levels, bfs_levels(*g, 1));
+}
+
 // ---------------------------------------------------------------------------
 // Distributed BFS through the full stack
 // ---------------------------------------------------------------------------
@@ -380,35 +547,15 @@ TEST(BfsRun, EdgesTraversedMatchesSequentialReference) {
   EXPECT_EQ(m.levels, max_level + 1);
 }
 
-TEST(BfsRun, MultiRootHarmonicMean) {
+TEST(BfsRun, RunsOneTraversal) {
   sim::Simulator sim;
   auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
   BfsConfig cfg;
-  cfg.scale = 9;
+  cfg.scale = 8;
   cfg.edge_factor = 8;
   BfsRun run(*c, cfg);
-  BfsSummary s = run.run_roots(4);
-  EXPECT_EQ(s.roots, 4);
-  EXPECT_TRUE(s.all_validated);
-  EXPECT_GT(s.min_teps, 0.0);
-  EXPECT_LE(s.min_teps, s.harmonic_mean_teps);
-  EXPECT_LE(s.harmonic_mean_teps, s.max_teps);
-  // Harmonic mean never exceeds the arithmetic mean.
-  EXPECT_LE(s.harmonic_mean_teps, (s.min_teps + s.max_teps));
-}
-
-TEST(BfsRun, DifferentRootsGiveDifferentTraversals) {
-  sim::Simulator sim;
-  auto c = Cluster::make_cluster_i(sim, 2, core::ApenetParams{}, false);
-  BfsConfig cfg;
-  cfg.scale = 9;
-  cfg.edge_factor = 8;
-  cfg.root_seed = 1;
-  BfsRun run(*c, cfg);
-  BfsMetrics a = run.run();
-  BfsSummary s = run.run_roots(3);
-  EXPECT_TRUE(s.all_validated);
-  (void)a;
+  EXPECT_TRUE(run.run().validated);
+  EXPECT_THROW(run.run(), std::logic_error);
 }
 
 TEST(BfsRun, CommTimeGrowsWithRanks) {
