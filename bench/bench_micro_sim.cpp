@@ -1,11 +1,13 @@
 // google-benchmark micro-benchmarks of the simulation substrate itself:
-// event-queue throughput, coroutine scheduling, channel pipelining, and a
-// full RDMA PUT round trip. These guard the simulator's real-time cost,
-// which bounds how large the paper-scale experiments can be.
+// event-queue throughput (dense near-future and sparse far-future
+// events), coroutine scheduling, channel pipelining, and a full RDMA PUT
+// round trip. These guard the simulator's real-time cost, which bounds
+// how large the paper-scale experiments can be.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
+#include "common/rng.hpp"
 #include "sim/channel.hpp"
 #include "sim/coro.hpp"
 #include "sim/resource.hpp"
@@ -27,6 +29,35 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
+
+void BM_FarFutureStream(benchmark::State& state) {
+  // The shape of p2p_stream's queue: ten chains of events, each firing
+  // 64 ns-2 us after it was scheduled and scheduling its successor, so
+  // about ten events are pending at any time, all beyond the 1 ns tick
+  // wheel. range(0) events in all.
+  for (auto _ : state) {
+    sim::Simulator sim;
+    Rng rng(static_cast<std::uint64_t>(state.range(0)));
+    std::int64_t left = state.range(0);
+    struct Hop {
+      sim::Simulator& sim;
+      Rng& rng;
+      std::int64_t& left;
+      void operator()() const {
+        if (--left < 10) return;  // the ten chains' last events
+        sim.after(units::ns(64) + static_cast<Time>(rng.next_below(
+                                      units::ns(2000) - units::ns(64))),
+                  *this);
+      }
+    };
+    for (int i = 0; i < 10; ++i)
+      sim.after(units::ns(64) * (i + 1), Hop{sim, rng, left});
+    sim.run();
+    benchmark::DoNotOptimize(left);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FarFutureStream)->Arg(100000);
 
 void BM_SameTickChain(benchmark::State& state) {
   // Zero-delay self-rescheduling event: the pure same-tick ready-ring

@@ -232,7 +232,7 @@ void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
   };
   static_assert(sim::Simulator::stores_inline<decltype(arrived)>(),
                 "the per-hop callback must not heap-allocate");
-  ch.send(e.link.wire_bytes(Bytes(chunk)), std::move(arrived));
+  ch.send(e.wire_bytes(chunk), std::move(arrived));
 }
 
 void Fabric::finish(Xfer* x) {

@@ -226,6 +226,18 @@ class Fabric {
     sim::Channel down;  // up_node -> down_node
     BusAnalyzer* analyzer = nullptr;
     trace::Track trace;  ///< per-edge lane; inert when tracing is off
+    /// link.wire_bytes of the last chunk size sent either way, which
+    /// chunks of one size mostly repeat.
+    std::uint32_t memo_chunk = 0;
+    Bytes memo_wire = link.wire_bytes(Bytes(0));
+
+    Bytes wire_bytes(std::uint32_t chunk) {
+      if (chunk != memo_chunk) {
+        memo_chunk = chunk;
+        memo_wire = link.wire_bytes(Bytes(chunk));
+      }
+      return memo_wire;
+    }
   };
   struct Range {
     std::uint64_t base, size;

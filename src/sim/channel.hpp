@@ -38,7 +38,7 @@ struct ChannelParams {
 class Channel {
  public:
   Channel(Simulator& sim, ChannelParams params)
-      : sim_(&sim), params_(params) {}
+      : sim_(&sim), params_(params), memo_ser_(serialization_time(Bytes(0))) {}
 
   const ChannelParams& params() const { return params_; }
 
@@ -106,7 +106,12 @@ class Channel {
   /// Claim the wire for a send of `bytes` queued now; returns the time its
   /// last byte leaves the sender.
   Time occupy(Bytes bytes) {
-    const Time ser = serialization_time(bytes);
+    // Senders mostly repeat one size, so the last size's time is kept.
+    if (bytes != memo_bytes_) {
+      memo_bytes_ = bytes;
+      memo_ser_ = serialization_time(bytes);
+    }
+    const Time ser = memo_ser_;
     bytes_sent_ += bytes;
     busy_time_ += ser;
     busy_until_ = std::max(sim_->now(), busy_until_) + ser;
@@ -118,6 +123,8 @@ class Channel {
   Time busy_until_ = 0;  ///< when the last queued send finishes serializing
   Time busy_time_ = 0;
   Bytes bytes_sent_;
+  Bytes memo_bytes_;  ///< size of the last send; its time is memo_ser_
+  Time memo_ser_;
 };
 
 }  // namespace apn::sim

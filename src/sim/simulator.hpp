@@ -16,21 +16,30 @@
 //    (schedule_resume, after(0, ...)). Same-tick wakeups — the dominant
 //    event class, every Gate/Semaphore/Queue wakeup is one — bypass every
 //    ordered structure: O(1) push, O(1) pop.
-//  * timing wheel: 1024 one-picosecond FIFO slots covering the window
-//    [base, base + 1024). Near-future events — chunked DMA trains, bus
-//    beats — are O(1) push/pop; an occupancy bitmap finds the next
-//    non-empty slot with a couple of count-trailing-zero steps.
-//  * heap_: a 4-ary heap of slim (time, seq, node*) entries for events
-//    beyond the wheel window. Sifting compares and moves 24-byte
-//    trivially-copyable entries, never the payloads. When ring and wheel
-//    drain, the window advances to the heap top and near events migrate
-//    into the wheel.
+//  * tick wheel: 1024 one-picosecond FIFO slots covering the current
+//    epoch [base, base + 1024), base aligned to 1024 ps. An occupancy
+//    bitmap finds the next non-empty slot with a couple of
+//    count-trailing-zero steps.
+//  * epoch buckets: a circular wheel of 4096 buckets, one per 1024 ps
+//    epoch, for the epochs after the current one (about 4.2 µs ahead:
+//    chunk hops, head latencies and completions). A bucket is an unsorted
+//    LIFO list, O(1) push; a bitmap plus a summary word finds the next
+//    occupied one. Opening an epoch spills its bucket into the tick wheel;
+//    a bucket holding a single event pops straight out.
+//  * heap_: a 4-ary heap of slim (time, seq, node*) entries for epochs
+//    beyond the bucket window. Sifting compares and moves 24-byte
+//    trivially-copyable entries, never the payloads. Opening an epoch
+//    first moves the heap entries the window now reaches into their
+//    buckets (or, for the opened epoch, the tick wheel).
 //
 // Determinism contract: every event receives a global sequence number, and
 // the dispatcher always fires the (time, seq)-minimum event. Each slot
 // FIFO and the ring are seq-ordered by construction (appends happen in
-// allocation order), heap pops for equal times come out in seq order, and
-// migration appends into empty slots only — so the merged order is the
+// allocation order). A bucket's list runs in descending seq for each fire
+// time: heap entries enter a bucket in (time, seq) order before any direct
+// push can reach it, and later pushes carry later seqs. Spilling prepends
+// each node to its slot, which restores ascending seq; a bucket and the
+// heap never both hold events of one epoch. So the merged order is the
 // exact total order a single (time, seq) priority queue would produce:
 // bit-identical simulated time, regardless of the internal structure.
 #pragma once
@@ -86,6 +95,16 @@ class Simulator {
     if (wheel_size_ > 0) {
       for (Slot& s : slots_)
         for (EventNode* n = s.head; n != nullptr; n = n->next) n->drop(n);
+    }
+    if (bucket_size_ > 0) {
+      for (std::size_t w = 0; w < kBuckets / 64; ++w)
+        for (std::uint64_t bits = bucket_bits_[w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t b =
+              (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+          for (EventNode* n = buckets_[b]; n != nullptr; n = n->next)
+            n->drop(n);
+        }
     }
   }
 
@@ -170,10 +189,7 @@ class Simulator {
   /// Run all events with time <= `t`, then advance the clock to `t`.
   void run_until(Time t) {
     while (peek_time(t)) step();
-    if (now_ < t) {
-      now_ = t;
-      check::coro::note_tick(now_);
-    }
+    if (now_ < t) advance_to(t);
   }
 
   /// Install (or clear, with nullptr) the event-dispatch observer. Debug
@@ -187,28 +203,47 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
   bool empty() const {
-    return ring_head_ == nullptr && wheel_size_ == 0 && heap_.empty();
+    return ring_head_ == nullptr && wheel_size_ == 0 && bucket_size_ == 0 &&
+           heap_.empty();
   }
   std::size_t pending() const {
-    return ring_size_ + wheel_size_ + heap_.size();
+    return ring_size_ + wheel_size_ + bucket_size_ + heap_.size();
   }
+
+  // Queue geometry. An event `d` ps ahead of an epoch-aligned now() lands
+  // in the tick wheel for d < kEpochSpan, in a bucket for d < kHorizon,
+  // and in the heap beyond.
+  /// Span of one epoch: the tick wheel's 1 ps slots, and one bucket.
+  static constexpr Time kEpochSpan = 1024;
+  /// Epoch buckets in the circular wheel. Power of two.
+  static constexpr std::size_t kBuckets = 4096;
+  /// Reach of tick wheel plus buckets from the current epoch's start.
+  static constexpr Time kHorizon = kEpochSpan * static_cast<Time>(kBuckets);
 
  private:
   /// Inline payload budget. Sized so the capturing lambdas on the model's
   /// hot paths (this + a UniqueFn completion + a few scalars) stay inline;
-  /// with the 40-byte header the node stays within two cache lines.
+  /// with the 48-byte header the node fills two cache lines.
   static constexpr std::size_t kInlineBytes = 80;
-  /// Wheel window span in slots (1 slot = 1 ps). Power of two.
-  static constexpr Time kWheelSlots = 1024;
+  static constexpr int kEpochBits = std::countr_zero(
+      static_cast<std::uint64_t>(kEpochSpan));
+  static constexpr std::size_t kBucketMask = kBuckets - 1;
+  static_assert(std::has_single_bit(static_cast<std::uint64_t>(kEpochSpan)) &&
+                    kEpochSpan % 64 == 0,
+                "the tick bitmap is whole 64-bit words");
+  static_assert(kBuckets == 64 * 64,
+                "one summary bit per bucket-bitmap word, wrapping at 64");
 
   struct EventNode {
     std::uint64_t seq;
     std::uint64_t parent;  // seq of the scheduling event (causal parent)
-    EventNode* next;  // freelist / ring / wheel-slot link
+    EventNode* next;  // freelist / ring / wheel-slot / bucket link
     void (*invoke)(Simulator&, EventNode*);  // fire payload, release node
     void (*drop)(EventNode*);                // destroy payload, no fire
+    Time time;  // fire time; set only while the node sits in a bucket
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
   };
+  static_assert(sizeof(EventNode) == 128, "a node spans two cache lines");
 
   /// One wheel slot: FIFO of nodes firing at time base_ + slot index.
   struct Slot {
@@ -217,7 +252,6 @@ class Simulator {
   };
 
   /// Slim heap entry: sifting compares and moves these, not the nodes.
-  /// Fire time lives here and in the wheel geometry — never in the node.
   struct HeapEntry {
     Time time;
     std::uint64_t seq;
@@ -352,13 +386,15 @@ class Simulator {
       schedule_future(n, t);
   }
 
-  /// Route a strictly-future event to the wheel or the overflow heap.
-  /// Invariants: base_ <= now_ < t, so t - base_ > 0; the heap only ever
-  /// holds times >= base_ + kWheelSlots.
+  /// Route a strictly-future event to the tick wheel, a bucket or the
+  /// overflow heap. Invariants: base_ <= now_ < t, so t - base_ > 0; the
+  /// heap only ever holds times >= base_ + kHorizon.
   void schedule_future(EventNode* n, Time t) {
     const Time rel = t - base_;
-    if (rel < kWheelSlots)
+    if (rel < kEpochSpan)
       wheel_push(n, static_cast<std::size_t>(rel));
+    else if (rel < kHorizon)
+      bucket_push(n, t);
     else
       heap_push(n, t);
   }
@@ -419,6 +455,62 @@ class Simulator {
     return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
   }
 
+  // ---- epoch buckets -----------------------------------------------------
+  //
+  // Bucket b holds the events of the one epoch in (current, current +
+  // kBuckets) whose index is b, as a LIFO list. The current epoch's own
+  // index is always free, since its events live in the tick wheel. A
+  // bucket's head pointer is meaningful only while its bit is set, so the
+  // array needs no initialisation.
+
+  void bucket_push(EventNode* n, Time t) {
+    n->time = t;
+    const std::size_t b = static_cast<std::size_t>(t >> kEpochBits) &
+                          kBucketMask;
+    std::uint64_t& word = bucket_bits_[b >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+    n->next = (word & bit) != 0 ? buckets_[b] : nullptr;
+    buckets_[b] = n;
+    word |= bit;
+    bucket_summary_ |= std::uint64_t{1} << (b >> 6);
+    ++bucket_size_;
+  }
+
+  /// Unlink bucket `b`'s whole list and return its head.
+  EventNode* bucket_take(std::size_t b) {
+    std::uint64_t& word = bucket_bits_[b >> 6];
+    word &= ~(std::uint64_t{1} << (b & 63));
+    if (word == 0) bucket_summary_ &= ~(std::uint64_t{1} << (b >> 6));
+    return buckets_[b];
+  }
+
+  /// Index of the first occupied bucket after the current epoch's, in
+  /// circular order; at least one bucket must be occupied.
+  std::size_t next_occupied_bucket() const {
+    const std::size_t start =
+        static_cast<std::size_t>((base_ >> kEpochBits) + 1) & kBucketMask;
+    std::size_t w = start >> 6;
+    std::uint64_t word =
+        bucket_bits_[w] & (~std::uint64_t{0} << (start & 63));
+    if (word == 0) {
+      // Scan the other words circularly, starting after w; word w itself
+      // comes last, where only its bits below `start` can be set.
+      const int skip = static_cast<int>((w + 1) & 63);
+      w = (w + 1 + static_cast<std::size_t>(
+                       std::countr_zero(std::rotr(bucket_summary_, skip)))) &
+          63;
+      word = bucket_bits_[w];
+    }
+    return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  }
+
+  /// Start time of the epoch bucket `b` holds.
+  Time bucket_epoch_start(std::size_t b) const {
+    const std::size_t ahead =
+        (b - static_cast<std::size_t>(base_ >> kEpochBits)) & kBucketMask;
+    return base_ + static_cast<Time>(ahead) * kEpochSpan;
+  }
+
   // ---- future-event heap -------------------------------------------------
   //
   // 4-ary min-heap on (time, seq): half the levels of a binary heap, and
@@ -426,7 +518,9 @@ class Simulator {
   // keys are unique, so the pop order — the only thing determinism sees —
   // is the same for any correct priority structure.
 
-  void heap_push(EventNode* n, Time t) {
+  /// Out of line: only events beyond the bucket window get here, and
+  /// inlined into every at()/after() it would bloat the callers.
+  [[gnu::noinline]] void heap_push(EventNode* n, Time t) {
     heap_.push_back(HeapEntry{t, n->seq, n});
     std::size_t i = heap_.size() - 1;
     const HeapEntry e = heap_[i];
@@ -469,11 +563,12 @@ class Simulator {
   /// Order argument: the slot at now_ holds only events scheduled before
   /// this tick began (later same-tick schedules go to the ring), so its
   /// seqs all precede the ring's; the ring precedes any strictly-later
-  /// slot; and every wheel time precedes every heap time.
+  /// slot; every tick-wheel time precedes every bucket time, and every
+  /// bucket time precedes every heap time.
   APN_HOT EventNode* pop_next() {
     if (wheel_size_ > 0) {
       const Time rel = now_ - base_;
-      if (rel < kWheelSlots) {
+      if (rel < kEpochSpan) {
         Slot& s = slots_[rel];
         if (s.head != nullptr)
           return wheel_pop(static_cast<std::size_t>(rel));
@@ -483,25 +578,78 @@ class Simulator {
     if (wheel_size_ > 0) {
       const std::size_t rel =
           next_occupied_slot(static_cast<std::size_t>(now_ - base_));
-      now_ = base_ + static_cast<Time>(rel);
-      check::coro::note_tick(now_);
+      advance_to(base_ + static_cast<Time>(rel));
+      return wheel_pop(rel);
+    }
+    return open_next_epoch();
+  }
+
+  void advance_to(Time t) {
+    now_ = t;
+    check::coro::note_tick(now_);
+  }
+
+  /// Tick wheel and ring are empty: make the earliest pending epoch the
+  /// current one and pop its first event, or return nullptr if none is
+  /// pending. Out of line, so the dispatch loop around step() stays small
+  /// (inlined, it slowed the same-tick ring path by ~15%).
+  [[gnu::noinline]] EventNode* open_next_epoch() {
+    if (bucket_size_ > 0) {
+      const std::size_t b = next_occupied_bucket();
+      base_ = bucket_epoch_start(b);
+      // The heap holds no event of this epoch: an epoch's heap entries
+      // moved out when it entered the window. So after the migration the
+      // tick wheel is still empty and the bucket alone decides.
+      migrate_heap();
+      EventNode* n = bucket_take(b);
+      if (n->next == nullptr) {
+        --bucket_size_;
+        advance_to(n->time);
+        return n;
+      }
+      // The list runs in descending seq for each fire time; prepending
+      // restores seq order in each slot.
+      while (n != nullptr) {
+        EventNode* next = n->next;
+        const auto rel = static_cast<std::size_t>(n->time - base_);
+        Slot& s = slots_[rel];
+        n->next = s.head;
+        if (s.head == nullptr) {
+          s.tail = n;
+          bitmap_[rel >> 6] |= std::uint64_t{1} << (rel & 63);
+        }
+        s.head = n;
+        --bucket_size_;
+        ++wheel_size_;
+        n = next;
+      }
+      const std::size_t rel = next_occupied_slot(0);
+      advance_to(base_ + static_cast<Time>(rel));
       return wheel_pop(rel);
     }
     if (heap_.empty()) return nullptr;
-    // Advance the wheel window to the heap top; the top itself pops
-    // directly (the common sparse case costs no wheel round-trip), and any
-    // further entries that now fit migrate into the wheel. Equal-time
-    // entries pop in seq order and land in empty slots, so each slot FIFO
-    // stays seq-sorted.
-    base_ = heap_[0].time;
-    now_ = base_;
-    check::coro::note_tick(now_);
+    // Every bucket is empty: jump to the heap top's epoch. The top itself
+    // pops directly (the sparse case costs no wheel round-trip).
+    base_ = heap_[0].time & ~(kEpochSpan - 1);
     const HeapEntry top = heap_pop();
-    while (!heap_.empty() && heap_[0].time - base_ < kWheelSlots) {
-      const HeapEntry e = heap_pop();
-      wheel_push(e.node, static_cast<std::size_t>(e.time - base_));
-    }
+    advance_to(top.time);
+    migrate_heap();
     return top.node;
+  }
+
+  /// Move the heap entries the window [base_, base_ + kHorizon) now
+  /// reaches into the tick wheel or their buckets. They pop in (time, seq)
+  /// order, and no direct push has reached those buckets yet, so the
+  /// bucket order argument above holds.
+  void migrate_heap() {
+    while (!heap_.empty() && heap_[0].time - base_ < kHorizon) {
+      const HeapEntry e = heap_pop();
+      const Time rel = e.time - base_;
+      if (rel < kEpochSpan)
+        wheel_push(e.node, static_cast<std::size_t>(rel));
+      else
+        bucket_push(e.node, e.time);
+    }
   }
 
   /// True if an event with fire time <= `t` is pending.
@@ -512,11 +660,21 @@ class Simulator {
           next_occupied_slot(static_cast<std::size_t>(now_ - base_));
       return base_ + static_cast<Time>(rel) <= t;
     }
+    if (bucket_size_ > 0) {
+      const std::size_t b = next_occupied_bucket();
+      const Time start = bucket_epoch_start(b);
+      if (start > t) return false;
+      if (start + kEpochSpan <= t + 1) return true;
+      // `t` falls inside the epoch: look for an event at or before it.
+      for (const EventNode* n = buckets_[b]; n != nullptr; n = n->next)
+        if (n->time <= t) return true;
+      return false;
+    }
     return !heap_.empty() && heap_[0].time <= t;
   }
 
   Time now_ = 0;
-  Time base_ = 0;  ///< wheel window start; base_ <= now_ always
+  Time base_ = 0;  ///< current epoch's start; base_ <= now_ always
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t running_seq_ = EventHook::kNoParent;
@@ -525,11 +683,16 @@ class Simulator {
   EventNode* ring_tail_ = nullptr;
   std::size_t ring_size_ = 0;
   std::size_t wheel_size_ = 0;
-  Slot slots_[kWheelSlots] = {};
-  std::uint64_t bitmap_[kWheelSlots / 64] = {};
-  std::vector<HeapEntry> heap_;
+  std::size_t bucket_size_ = 0;
+  std::uint64_t bucket_summary_ = 0;  ///< bit w: bucket_bits_[w] != 0
   EventNode* free_ = nullptr;
+  std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
+  // The large arrays come last, after every hot scalar.
+  Slot slots_[kEpochSpan] = {};
+  std::uint64_t bitmap_[kEpochSpan / 64] = {};
+  std::uint64_t bucket_bits_[kBuckets / 64] = {};
+  EventNode* buckets_[kBuckets];  // valid where bucket_bits_ is set
 };
 
 }  // namespace apn::sim

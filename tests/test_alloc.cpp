@@ -194,6 +194,32 @@ TEST(SteadyStateAllocs, ChannelSendAllocatesNothing) {
   EXPECT_EQ(delivered, 64);
 }
 
+TEST(SteadyStateAllocs, EventStoresAllocateNothing) {
+  // Traffic through every store of the event queue: ready ring, tick
+  // wheel, epoch buckets (one event alone in its epoch, and several
+  // sharing one) and the overflow heap; each event schedules a follow-up
+  // at half its delay.
+  using sim::Simulator;
+  Simulator sim;
+  int fired = 0;
+  const Time delays[] = {0, 10, 3 * Simulator::kEpochSpan,
+                         50 * Simulator::kEpochSpan + 7,
+                         2 * Simulator::kHorizon};
+  auto burst = [&] {
+    for (int i = 0; i < 32; ++i) {
+      const Time d = delays[i % 5];
+      sim.after(d, [&sim, &fired, d] {
+        ++fired;
+        sim.after(d / 2, [&fired] { ++fired; });
+      });
+    }
+    sim.run();
+  };
+  burst();  // warm-up: event slabs and the heap reach their working size
+  EXPECT_EQ(allocs_during(burst), 0u);
+  EXPECT_EQ(fired, 128);
+}
+
 TEST(SteadyStateAllocs, CoroutineResumeAllocatesNothing) {
   sim::Simulator sim;
   sim::Resource res(sim);

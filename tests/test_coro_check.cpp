@@ -172,14 +172,17 @@ TEST(CoroCheck, SimulatorTeardownReclaimsPendingResumes) {
   const Counters before = Counters::now();
   {
     sim::Simulator sim;
-    // One near-future resume (timing wheel), one far-future (heap), one
-    // same-tick (ready ring): all three pending-node paths reclaim.
+    // One resume in each store: tick wheel, epoch bucket, heap and
+    // same-tick ready ring. Every pending-node path reclaims.
     [](sim::Simulator* s) -> sim::Coro { co_await sim::delay(*s, 10); }(&sim);
     [](sim::Simulator* s) -> sim::Coro {
-      co_await sim::delay(*s, 1 << 20);
+      co_await sim::delay(*s, 3 * sim::Simulator::kEpochSpan);
+    }(&sim);
+    [](sim::Simulator* s) -> sim::Coro {
+      co_await sim::delay(*s, 2 * sim::Simulator::kHorizon);
     }(&sim);
     [](sim::Simulator* s) -> sim::Coro { co_await sim::yield(*s); }(&sim);
-    EXPECT_EQ(Counters::now().live - before.live, 3u);
+    EXPECT_EQ(Counters::now().live - before.live, 4u);
   }
   EXPECT_EQ(Counters::now().live, before.live);
 }

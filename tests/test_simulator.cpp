@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace apn::sim {
@@ -145,34 +151,49 @@ TEST(Simulator, ReadyRingIsFifoUnderNesting) {
   EXPECT_EQ(sim.now(), 0);
 }
 
+constexpr Time kEpoch = Simulator::kEpochSpan;
+constexpr Time kHorizon = Simulator::kHorizon;
+
 TEST(Simulator, WheelToHeapBoundarySpansKeepOrder) {
-  // Exercise delays straddling the 1024-tick wheel window: in-window
-  // (wheel), exactly at the boundary, and far beyond (overflow heap),
-  // including events scheduled for the same far tick from different
-  // wheel epochs. Order must be strictly (time, seq).
+  // Exercise delays straddling each store's edge: last tick of the first
+  // epoch (tick wheel), first tick of the next (a bucket), mid-window (a
+  // bucket), and beyond the window (overflow heap), including events
+  // scheduled for the same tick from different epochs. Order must be
+  // strictly (time, seq).
   Simulator sim;
   std::vector<Time> fired;
-  const Time far = 100000;
-  sim.after(far, [&] { fired.push_back(sim.now()); });   // heap
-  sim.after(1024, [&] { fired.push_back(sim.now()); });  // first out-of-window
-  sim.after(1023, [&] { fired.push_back(sim.now()); });  // last in-window
+  const Time mid = 100000;
+  const Time far = kHorizon + units::ps(5);
+  const Time second = kEpoch + units::ps(7);  // a tick of the second epoch
+  auto log = [&] { fired.push_back(sim.now()); };
+  sim.after(far, log);         // heap
+  sim.after(mid, log);         // bucket
+  sim.after(kEpoch, log);      // first tick past the tick wheel
+  sim.after(kEpoch - 1, log);  // last tick of the tick wheel
   sim.after(3, [&] {
-    fired.push_back(sim.now());
+    log();
     // Raw engine ticks on purpose.  apn-lint: allow(unit-mix)
-    sim.after(far - 3, [&] { fired.push_back(sim.now()); });  // same far tick
+    sim.after(far - 3, log);  // same far tick, from the first epoch
+  });
+  sim.after(second, [&] {
+    log();
+    sim.after(mid - second, log);  // same ticks again, from the second epoch
+    sim.after(far - second, log);
   });
   sim.run();
-  EXPECT_EQ(fired, (std::vector<Time>{3, 1023, 1024, far, far}));
-  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_EQ(fired, (std::vector<Time>{3, kEpoch - 1, kEpoch, second, mid,
+                                      mid, far, far, far}));
+  EXPECT_EQ(sim.events_processed(), 9u);
 }
 
 TEST(Simulator, PendingAndEmptyTrackAllThreeStores) {
   Simulator sim;
   EXPECT_TRUE(sim.empty());
-  sim.after(0, [] {});        // ready ring
-  sim.after(10, [] {});       // wheel
-  sim.after(1 << 20, [] {});  // heap
-  EXPECT_EQ(sim.pending(), 3u);
+  sim.after(0, [] {});             // ready ring
+  sim.after(10, [] {});            // tick wheel
+  sim.after(3 * kEpoch, [] {});    // bucket
+  sim.after(2 * kHorizon, [] {});  // heap
+  EXPECT_EQ(sim.pending(), 4u);
   EXPECT_FALSE(sim.empty());
   sim.run();
   EXPECT_TRUE(sim.empty());
@@ -216,17 +237,172 @@ TEST(Simulator, MoveOnlyAndOversizedCallablesFire) {
 }
 
 TEST(Simulator, DestructorReclaimsUnfiredEvents) {
-  // Unfired events in ring, wheel, and heap are dropped (payload dtors
-  // run) when the Simulator dies — ASan/LSan guards this.
+  // Unfired events in ring, tick wheel, buckets and heap are dropped
+  // (payload dtors run) when the Simulator dies — ASan/LSan guards this.
   auto token = std::make_shared<int>(1);
   {
     Simulator sim;
     sim.after(0, [token] {});
     sim.after(100, [token] {});
-    sim.after(1 << 20, [token] {});
-    EXPECT_EQ(token.use_count(), 4);
+    sim.after(3 * kEpoch, [token] {});
+    sim.after(3 * kEpoch + 1, [token] {});
+    sim.after(2 * kHorizon, [token] {});
+    EXPECT_EQ(token.use_count(), 6);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+
+// ---- differential test against a reference (time, seq) queue -----------
+
+/// The reference: one ordered map keyed by (time, seq), with the
+/// Simulator's clamp-to-now and run_until semantics.
+class RefQueue {
+ public:
+  Time now() const { return now_; }
+  std::size_t pending() const { return q_.size(); }
+  void at(Time t, std::function<void()> fn) {
+    q_.emplace(std::pair{std::max(t, now_), seq_++}, std::move(fn));
+  }
+  void run_until(Time t) {
+    while (!q_.empty() && q_.begin()->first.first <= t) fire_first();
+    now_ = std::max(now_, t);
+  }
+  void run() {
+    while (!q_.empty()) fire_first();
+  }
+
+ private:
+  void fire_first() {
+    auto node = q_.extract(q_.begin());
+    now_ = node.key().first;
+    node.mapped()();
+  }
+
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::map<std::pair<Time, std::uint64_t>, std::function<void()>> q_;
+};
+
+/// A delay from `now` drawn to land on the engine's edges: same tick,
+/// inside one epoch, either side of an epoch edge, on a coarse grid of
+/// shared ticks, at the bucket window's edge and beyond it.
+Time pick_delay(Rng& rng, Time now) {
+  const Time jitter = static_cast<Time>(rng.next_below(3)) - 1;
+  const Time epoch_left = kEpoch - now % kEpoch;
+  Time d = 0;
+  switch (rng.next_below(7)) {
+    case 0: d = 0; break;
+    case 1: d = 1 + static_cast<Time>(rng.next_below(kEpoch - 1)); break;
+    case 2:
+      d = epoch_left + static_cast<Time>(rng.next_below(4)) * kEpoch + jitter;
+      break;
+    case 3: {
+      const Time grid = kEpoch / 4;
+      d = (now / grid + 1 + static_cast<Time>(rng.next_below(8))) * grid - now;
+      break;
+    }
+    case 4: d = 1 + static_cast<Time>(rng.next_below(kHorizon)); break;
+    case 5: d = kHorizon - kEpoch + epoch_left + jitter; break;
+    default:
+      d = kHorizon + static_cast<Time>(rng.next_below(4 * kHorizon));
+      break;
+  }
+  return std::max<Time>(d, 0);
+}
+
+struct Fired {
+  Time time;
+  std::uint64_t id;
+  bool operator==(const Fired&) const = default;
+};
+
+/// Run one seeded workload on `eng`: events spawn children at drawn
+/// delays, and the control loop steps with run_until to drawn stop times,
+/// scheduling more events between stops. Dense workloads keep hundreds
+/// of events pending; sparse ones few, so the queue often drains down to
+/// the heap alone. Returns the firing log plus (now, pending) after every
+/// stop.
+template <typename Engine>
+std::pair<std::vector<Fired>, std::vector<std::pair<Time, std::size_t>>>
+run_workload(Engine& eng, std::uint64_t seed, bool dense) {
+  constexpr std::uint64_t kBudget = 20000;
+  Rng rng(seed);
+  std::uint64_t next_id = 0;
+  std::vector<Fired> log;
+  std::vector<std::pair<Time, std::size_t>> stops;
+  std::function<void(std::uint64_t)> fire;
+  auto schedule = [&](Time delay) {
+    const std::uint64_t id = next_id++;
+    eng.at(eng.now() + delay, [&fire, id] { fire(id); });
+  };
+  fire = [&](std::uint64_t id) {
+    log.push_back(Fired{eng.now(), id});
+    if (next_id >= kBudget) return;
+    // Mean 1.13 children when dense, 0.93 when sparse.
+    const std::uint64_t r = rng.next_below(15);
+    const int kids = r < (dense ? 3u : 6u) ? 0 : r < 10 ? 1 : 2;
+    for (int k = 0; k < kids; ++k) schedule(pick_delay(rng, eng.now()));
+  };
+  for (int i = 0; i < (dense ? 64 : 2); ++i) schedule(pick_delay(rng, 0));
+  for (int round = 0; round < 4000; ++round) {
+    eng.run_until(eng.now() + pick_delay(rng, eng.now()));
+    stops.emplace_back(eng.now(), eng.pending());
+    if (round % 4 == 0 && next_id < kBudget)
+      schedule(pick_delay(rng, eng.now()));
+  }
+  eng.run();
+  stops.emplace_back(eng.now(), eng.pending());
+  return {std::move(log), std::move(stops)};
+}
+
+TEST(Simulator, MatchesReferenceQueueAcrossEveryStoreEdge) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    const bool dense = seed % 2 == 1;
+    Simulator sim;
+    RefQueue ref;
+    const auto got = run_workload(sim, seed, dense);
+    const auto want = run_workload(ref, seed, dense);
+    ASSERT_EQ(got.first.size(), want.first.size());
+    for (std::size_t i = 0; i < want.first.size(); ++i) {
+      ASSERT_EQ(got.first[i].time, want.first[i].time) << "event " << i;
+      ASSERT_EQ(got.first[i].id, want.first[i].id) << "event " << i;
+    }
+    EXPECT_EQ(got.second, want.second);
+    EXPECT_TRUE(sim.empty());
+    // The run crossed the bucket window many times over, so the circular
+    // bucket index wrapped.
+    EXPECT_GT(sim.now(), 20 * kHorizon);
+    EXPECT_GE(want.first.size(), 10000u);
+  }
+}
+
+TEST(Simulator, RunUntilStopsExactlyAtEachStoreEdge) {
+  // From an empty queue at time 0, two events at tick T and one at T + 1,
+  // for T on each side of each store edge (kEpoch + 5 ps sits inside a
+  // bucket's epoch). A run_until one tick short of T runs nothing; one at
+  // T runs exactly the two.
+  for (const Time t :
+       {Time{1}, kEpoch - 1, kEpoch, kEpoch + units::ps(5), 2 * kEpoch - 1,
+        kHorizon - kEpoch, kHorizon - 1, kHorizon, kHorizon + 1,
+        3 * kHorizon + units::ps(7)}) {
+    SCOPED_TRACE(t);
+    Simulator sim;
+    std::vector<Time> fired;
+    auto log = [&] { fired.push_back(sim.now()); };
+    sim.at(t, log);
+    sim.at(t + 1, log);
+    sim.at(t, log);
+    sim.run_until(t - 1);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(sim.now(), t - 1);
+    sim.run_until(t);
+    EXPECT_EQ(fired, (std::vector<Time>{t, t}));
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<Time>{t, t, t + 1}));
+  }
 }
 
 }  // namespace
