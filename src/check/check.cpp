@@ -51,13 +51,6 @@ std::string Finding::message() const {
   return buf;
 }
 
-namespace detail {
-Context*& current_ref() {
-  thread_local Context* ctx = nullptr;
-  return ctx;
-}
-}  // namespace detail
-
 // ---- Context --------------------------------------------------------------
 
 void Context::on_event_begin(Time now, std::uint64_t seq,
@@ -228,16 +221,16 @@ void hash_to_global_sink(void*, std::uint64_t seq, Time time,
 Session::Session(sim::Simulator& sim, Context::Mode mode)
     : sim_(&sim), ctx_(mode) {
   prev_hook_ = sim.event_hook();
-  prev_ctx_ = detail::current_ref();
+  prev_ctx_ = detail::current_ctx;
   sim.set_event_hook(&ctx_);
-  detail::current_ref() = &ctx_;
+  detail::current_ctx = &ctx_;
   if (HashSink::global().enabled())
     ctx_.set_hash_line_fn(&hash_to_global_sink, nullptr);
 }
 
 Session::~Session() {
   sim_->set_event_hook(prev_hook_);
-  detail::current_ref() = prev_ctx_;
+  detail::current_ctx = prev_ctx_;
 }
 
 bool Session::env_enabled() {

@@ -167,11 +167,13 @@ class Context final : public sim::EventHook {
 };
 
 namespace detail {
-Context*& current_ref();
+/// Set by Session; read through current(). Constant-initialized, so every
+/// read is a plain thread-local load with no call.
+inline thread_local Context* current_ctx = nullptr;
 }  // namespace detail
 
 /// The thread's active checking context; nullptr when checking is off.
-inline Context* current() { return detail::current_ref(); }
+inline Context* current() { return detail::current_ctx; }
 
 /// Ordered file of state-hash lines (`--state-hash-out=`): bench::Runner
 /// captures each point's lines and commits them in declaration order, so

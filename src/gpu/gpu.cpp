@@ -12,8 +12,10 @@ Gpu::Gpu(sim::Simulator& sim, pcie::Fabric& fabric, GpuArch arch,
       mem_(arch_.mem_bytes),
       alloc_(0, arch_.mem_bytes, kAllocAlign),
       mmio_base_(mmio_base),
-      p2p_response_line_(sim),
-      bar1_line_(sim),
+      p2p_responses_(sim, sim::ChannelParams{arch_.effective_p2p_rate(), 0,
+                                             arch_.p2p_head_latency}),
+      bar1_reads_(sim, sim::ChannelParams{arch_.effective_bar1_read_rate(), 0,
+                                          arch_.bar1_read_latency}),
       copy_d2h_(sim),
       copy_h2d_(sim),
       compute_(sim) {
@@ -80,51 +82,44 @@ void Gpu::serve_p2p_request(const P2pReadDescriptor& desc) {
   // makes prefetching effective for the requester. Responses are emitted
   // as 512 B completion writes, so large (V1-style 4 KB) requests overlap
   // their own PCIe serialization with the response streaming.
-  auto head = [this, desc, t_accept] {
-    constexpr std::uint32_t kCompletion = 512;
-    const bool with_data = (desc.flags & kP2pTimingOnly) == 0;
-    std::uint32_t off = 0;
-    while (off < desc.len) {
-      const std::uint32_t sub = std::min(kCompletion, desc.len - off);
-      Time stream_time =
-          units::transfer_time(Bytes(sub), arch_.effective_p2p_rate());
-      auto respond = [this, dev_offset = desc.dev_offset,
-                      reply_addr = desc.reply_addr, t_accept, off, sub,
-                      len = desc.len, with_data] {
-        if (off + sub >= len) {
-          // The two phases of a served read request (paper Fig. 3): head
-          // latency until the response engine starts, then streaming of
-          // the posted-write completions.
-          const Time t_head = t_accept + arch_.p2p_head_latency;
-          trace_p2p_.span("gpu", "p2p_head", t_accept, t_head,
-                          {{"dev_offset", dev_offset}, {"bytes", len}});
-          trace_p2p_.span("gpu", "p2p_stream", t_head, sim_->now(),
-                          {{"dev_offset", dev_offset}, {"bytes", len}});
-          --p2p_queue_depth_;
-          APN_CHECK_ACCESS(p2p_queue_depth_, kAccum);  // see serve_p2p_request
-          if (!p2p_backlog_.empty()) {
-            P2pReadDescriptor next = p2p_backlog_.front();
-            p2p_backlog_.pop_front();
-            APN_CHECK_ACCESS(p2p_backlog_, kWrite);
-            serve_p2p_request(next);
-          }
+  constexpr std::uint32_t kCompletion = 512;
+  const bool with_data = (desc.flags & kP2pTimingOnly) == 0;
+  std::uint32_t off = 0;
+  while (off < desc.len) {
+    const std::uint32_t sub = std::min(kCompletion, desc.len - off);
+    auto respond = [this, dev_offset = desc.dev_offset,
+                    reply_addr = desc.reply_addr, t_accept, off, sub,
+                    len = desc.len, with_data] {
+      if (off + sub >= len) {
+        // The two phases of a served read request (paper Fig. 3): head
+        // latency until the response engine starts, then streaming of
+        // the posted-write completions.
+        const Time t_head = t_accept + arch_.p2p_head_latency;
+        trace_p2p_.span("gpu", "p2p_head", t_accept, t_head,
+                        {{"dev_offset", dev_offset}, {"bytes", len}});
+        trace_p2p_.span("gpu", "p2p_stream", t_head, sim_->now(),
+                        {{"dev_offset", dev_offset}, {"bytes", len}});
+        --p2p_queue_depth_;
+        APN_CHECK_ACCESS(p2p_queue_depth_, kAccum);  // see serve_p2p_request
+        if (!p2p_backlog_.empty()) {
+          P2pReadDescriptor next = p2p_backlog_.front();
+          p2p_backlog_.pop_front();
+          APN_CHECK_ACCESS(p2p_backlog_, kWrite);
+          serve_p2p_request(next);
         }
-        pcie::Payload p = pcie::Payload::timing(sub);
-        if (with_data) {
-          p.data.resize(sub);
-          mem_.read(dev_offset + off, std::span<std::uint8_t>(p.data));
-        }
-        fabric_->post_write(*this, reply_addr, std::move(p));
-      };
-      static_assert(UniqueFn<void()>::stores_inline<decltype(respond)>(),
-                    "the P2P response-line job must not heap-allocate");
-      p2p_response_line_.post(stream_time, respond);
-      off += sub;
-    }
-  };
-  static_assert(sim::Simulator::stores_inline<decltype(head)>(),
-                "the P2P head-latency event must not heap-allocate");
-  sim_->after(arch_.p2p_head_latency, head);
+      }
+      pcie::Payload p = pcie::Payload::timing(sub);
+      if (with_data) {
+        p.data.resize(sub);
+        mem_.read(dev_offset + off, std::span<std::uint8_t>(p.data));
+      }
+      fabric_->post_write(*this, reply_addr, std::move(p));
+    };
+    static_assert(sim::Simulator::stores_inline<decltype(respond)>(),
+                  "a P2P completion event must not heap-allocate");
+    p2p_responses_.send(Bytes(sub), std::move(respond));
+    off += sub;
+  }
 }
 
 void Gpu::handle_write(std::uint64_t addr, pcie::Payload payload) {
@@ -196,26 +191,19 @@ void Gpu::handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
         // 150 MB/s bottleneck).
         m_bar1_reads_->inc();
         const Time t_req = sim_->now();
-        auto accessed = [this, dev_off, len, with_data, t_req, reply] {
-          auto complete = [this, dev_off, len, with_data, t_req, reply] {
-            trace_bar1_.span("gpu", "bar1_read", t_req, sim_->now(),
-                             {{"dev_offset", dev_off}, {"bytes", len}});
-            pcie::Payload p = pcie::Payload::timing(len);
-            if (with_data) {
-              p.data.resize(len);
-              mem_.read(dev_off, std::span<std::uint8_t>(p.data));
-            }
-            reply(std::move(p));
-          };
-          static_assert(UniqueFn<void()>::stores_inline<decltype(complete)>(),
-                        "the BAR1 read-line job must not heap-allocate");
-          bar1_line_.post(units::transfer_time(
-                              Bytes(len), arch_.effective_bar1_read_rate()),
-                          complete);
+        auto complete = [this, dev_off, len, with_data, t_req, reply] {
+          trace_bar1_.span("gpu", "bar1_read", t_req, sim_->now(),
+                           {{"dev_offset", dev_off}, {"bytes", len}});
+          pcie::Payload p = pcie::Payload::timing(len);
+          if (with_data) {
+            p.data.resize(len);
+            mem_.read(dev_off, std::span<std::uint8_t>(p.data));
+          }
+          reply(std::move(p));
         };
-        static_assert(sim::Simulator::stores_inline<decltype(accessed)>(),
-                      "the BAR1 read-latency event must not heap-allocate");
-        sim_->after(arch_.bar1_read_latency, accessed);
+        static_assert(sim::Simulator::stores_inline<decltype(complete)>(),
+                      "the BAR1 read completion event must not heap-allocate");
+        bar1_reads_.send(Bytes(len), std::move(complete));
         return;
       }
     }

@@ -18,6 +18,12 @@
 //  * DMA copy engines used by cudaMemcpy (not routed through the fabric;
 //    see DESIGN.md "known deviations").
 //  * A compute engine for kernel-duration modeling.
+//
+// The P2P response engine and BAR1 read-completion generation are FIFO
+// servers with a fixed latency ahead of a serializer: a job queued at t
+// finishes at max(t + latency, prev) + bytes / rate. Each is a sim::Channel
+// whose latency is that head latency (see sim/channel.hpp), so every 512 B
+// P2P completion write and every BAR1 read costs one event.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include "gpu/arch.hpp"
 #include "gpu/device_memory.hpp"
 #include "pcie/fabric.hpp"
+#include "sim/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "trace/metrics.hpp"
@@ -123,8 +130,8 @@ class Gpu : public pcie::Device {
   // apn-lint: allow(check-coverage) — fixed at construction, never mutated
   std::uint64_t mmio_base_;
 
-  sim::Resource p2p_response_line_;  ///< serializes P2P response streaming
-  sim::Resource bar1_line_;          ///< serializes BAR1 read completions
+  sim::Channel p2p_responses_;  ///< head latency + P2P response streaming
+  sim::Channel bar1_reads_;     ///< BAR1 read latency + completion rate
   sim::Resource copy_d2h_;
   sim::Resource copy_h2d_;
   sim::Resource compute_;

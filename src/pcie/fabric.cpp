@@ -45,6 +45,7 @@ int Fabric::new_node(const std::string& name, int parent, LinkParams link) {
   node.parent_edge = static_cast<int>(edges_.size()) - 1;
   nodes_.push_back(std::move(node));
   const int id = static_cast<int>(nodes_.size()) - 1;
+  update_single_fed(parent);
 
   // Extend the route table. The new node is a leaf, so it reaches every
   // other node by climbing to its parent first, and is reached through it.
@@ -67,6 +68,23 @@ int Fabric::new_node(const std::string& name, int parent, LinkParams link) {
   }
   routes_.push_back(std::move(row));
   return id;
+}
+
+void Fabric::update_single_fed(int n) {
+  // A channel leaving n is fed by the up channels of n's child links, by
+  // the down channel of n's uplink (except the one it is), and by n itself
+  // if n is a device.
+  int children = 0;
+  for (const Edge& e : edges_) children += e.up_node == n ? 1 : 0;
+  const Node& node = nodes_[static_cast<std::size_t>(n)];
+  const bool injects = node.dev != nullptr;
+  if (node.parent_edge >= 0)
+    edges_[static_cast<std::size_t>(node.parent_edge)].up_single_fed =
+        !injects && children == 1;
+  const int from_above = node.parent_edge >= 0 ? 1 : 0;
+  for (Edge& e : edges_)
+    if (e.up_node == n)
+      e.down_single_fed = !injects && from_above + children - 1 == 1;
 }
 
 int Fabric::add_switch(int parent, LinkParams link, const std::string& name) {
@@ -213,26 +231,42 @@ void Fabric::forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
     if (x->total == 0 || x->delivered_bytes >= x->total) finish(x);
     return;
   }
-  const Hop& h = x->hops[hop];
-  Edge& e = edges_[static_cast<std::size_t>(h.edge)];
-  sim::Channel& ch = h.downstream ? e.down : e.up;
-  const Time t_send = sim_->now();
-  auto arrived = [this, x, offset, chunk, hop, t_send] {
+  // The chunk is queued on this hop's channel now, and on each single-fed
+  // hop after it the moment it arrives there (see the header); only its
+  // arrival after the last of them is an event.
+  Time t_send = sim_->now();
+  for (;; ++hop) {
     const Hop& h = x->hops[hop];
     Edge& e = edges_[static_cast<std::size_t>(h.edge)];
-    if (e.analyzer != nullptr)
-      e.analyzer->record(BusEvent{sim_->now(), x->kind, x->addr + offset,
-                                  chunk, h.downstream});
-    if (e.trace)
-      e.trace.span("pcie", bus_kind_name(x->kind), t_send, sim_->now(),
-                   {{"addr", x->addr + offset},
-                    {"bytes", chunk},
-                    {"down", h.downstream}});
-    forward_chunk(x, offset, chunk, hop + 1);
-  };
-  static_assert(sim::Simulator::stores_inline<decltype(arrived)>(),
-                "the per-hop callback must not heap-allocate");
-  ch.send(e.wire_bytes(chunk), std::move(arrived));
+    sim::Channel& ch = h.downstream ? e.down : e.up;
+    const Time arrival =
+        ch.reserve(t_send, e.wire_bytes(chunk)) + ch.params().latency;
+    if (hop + 1 < x->hops.size() && e.analyzer == nullptr && !e.trace) {
+      const Hop& next = x->hops[hop + 1];
+      const Edge& to = edges_[static_cast<std::size_t>(next.edge)];
+      if (next.downstream ? to.down_single_fed : to.up_single_fed) {
+        t_send = arrival;
+        continue;
+      }
+    }
+    auto arrived = [this, x, offset, chunk, hop, t_send] {
+      const Hop& h = x->hops[hop];
+      Edge& e = edges_[static_cast<std::size_t>(h.edge)];
+      if (e.analyzer != nullptr)
+        e.analyzer->record(BusEvent{sim_->now(), x->kind, x->addr + offset,
+                                    chunk, h.downstream});
+      if (e.trace)
+        e.trace.span("pcie", bus_kind_name(x->kind), t_send, sim_->now(),
+                     {{"addr", x->addr + offset},
+                      {"bytes", chunk},
+                      {"down", h.downstream}});
+      forward_chunk(x, offset, chunk, hop + 1);
+    };
+    static_assert(sim::Simulator::stores_inline<decltype(arrived)>(),
+                  "the per-hop callback must not heap-allocate");
+    sim_->at(arrival, std::move(arrived));
+    return;
+  }
 }
 
 void Fabric::finish(Xfer* x) {

@@ -8,6 +8,20 @@
 // of one transfer pipeline across hops and independent transfers contend
 // for shared links naturally.
 //
+// Cut-through at single-fed hops: a channel that only one other channel
+// feeds, and that no device injects into (root->dram and root->PLX below
+// a root complex with those two children), sees its chunks in its
+// feeder's FIFO order, each queued the moment it arrives. So a chunk
+// sent on the feeder reserves the next channel at once, for its known
+// arrival time, and schedules only the arrival after it: one event fewer
+// per such hop, at the same picoseconds. The feeder's arrival event is
+// what a BusAnalyzer or a live trace track on the feeder's edge records,
+// so such a chunk keeps the per-event hop. That never reorders the next
+// channel's reservations: a track is live or inert from when it is
+// opened, and an analyzer is never detached, so once one chunk falls back
+// every later chunk from that feeder does, and each queues after every
+// earlier reservation.
+//
 // The chunk path allocates nothing in steady state: every (src, dst) hop
 // list is computed once while the tree is built, transfer state lives in
 // pooled slots, and the per-hop callback fits the inline buffers of
@@ -230,6 +244,10 @@ class Fabric {
     /// chunks of one size mostly repeat.
     std::uint32_t memo_chunk = 0;
     Bytes memo_wire = link.wire_bytes(Bytes(0));
+    /// Whether `up` / `down` is fed by exactly one other channel and by
+    /// no device (see the header); kept current as the tree grows.
+    bool up_single_fed = false;
+    bool down_single_fed = false;
 
     Bytes wire_bytes(std::uint32_t chunk) {
       if (chunk != memo_chunk) {
@@ -254,6 +272,9 @@ class Fabric {
   using XferSlab = std::unique_ptr<Xfer[]>;
 
   int new_node(const std::string& name, int parent, LinkParams link);
+  /// Recompute the single-fed flags of the channels leaving node `n`: the
+  /// up channel of its uplink and the down channels of its child links.
+  void update_single_fed(int n);
   /// Precomputed hop list from one node to another.
   std::span<const Hop> route_between(int from_node, int to_node) const {
     return routes_[static_cast<std::size_t>(from_node)]
@@ -263,8 +284,9 @@ class Fabric {
   void release_xfer(Xfer* x);
   /// Chunk the transfer `x` describes and send the chunks on their way.
   void send_chunks(Xfer* x);
-  /// Forward one chunk across hop `hop` of its transfer's route; on the
-  /// final hop, deliver to the target device and finish the transfer.
+  /// Forward one chunk across hop `hop` of its transfer's route, and on
+  /// through the single-fed hops after it; on the final hop, deliver to
+  /// the target device and finish the transfer.
   void forward_chunk(Xfer* x, std::uint64_t offset, std::uint32_t chunk,
                      std::uint32_t hop);
   /// The last chunk of `x` arrived at its target.

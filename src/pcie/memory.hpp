@@ -8,6 +8,12 @@
 // CPU access (`bytes()`) outside every live allocation throws
 // std::out_of_range; DMA there is timing-only, which keeps stray addresses
 // safe. A read with `with_data = false` copies nothing, even when backed.
+//
+// A read's access latency pipelines across outstanding reads (DRAM banks)
+// and its completion then serializes at the memory-port rate: a read
+// queued at t completes at max(t + read_latency, prev) + len / read_rate.
+// That is a sim::Channel with latency read_latency, so a read costs one
+// event.
 #pragma once
 
 #include <algorithm>
@@ -17,13 +23,13 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
-#include "common/fn.hpp"
 #include "common/range_allocator.hpp"
 #include "pcie/fabric.hpp"
-#include "sim/resource.hpp"
+#include "sim/channel.hpp"
 
 namespace apn::pcie {
 
@@ -40,7 +46,8 @@ class HostMemory : public Device {
   static constexpr std::uint64_t kPageBytes = 4096;
 
   HostMemory(sim::Simulator& sim, HostMemoryParams params = {})
-      : sim_(&sim), params_(params), read_port_(sim) {
+      : read_port_(sim, sim::ChannelParams{params.read_rate, 0,
+                                           params.read_latency}) {
     set_pcie_name("dram");
   }
 
@@ -104,22 +111,15 @@ class HostMemory : public Device {
 
   void handle_read(std::uint64_t addr, std::uint32_t len, bool with_data,
                    ReadReply reply) override {
-    // Access latency pipelines across outstanding reads (DRAM banks);
-    // completion generation serializes at the memory-port rate.
-    auto accessed = [this, addr, len, with_data, reply] {
-      auto complete = [this, addr, len, with_data, reply] {
-        Payload p = Payload::timing(len);
-        if (with_data) read(addr, p);
-        reply(std::move(p));
-      };
-      static_assert(UniqueFn<void()>::stores_inline<decltype(complete)>(),
-                    "the read-port job must not heap-allocate");
-      read_port_.post(units::transfer_time(Bytes(len), params_.read_rate),
-                      complete);
+    // Access latency, then completion at the port rate (see the header).
+    auto complete = [this, addr, len, with_data, reply] {
+      Payload p = Payload::timing(len);
+      if (with_data) read(addr, p);
+      reply(std::move(p));
     };
-    static_assert(sim::Simulator::stores_inline<decltype(accessed)>(),
-                  "the access-latency event must not heap-allocate");
-    sim_->after(params_.read_latency, accessed);
+    static_assert(sim::Simulator::stores_inline<decltype(complete)>(),
+                  "the read completion event must not heap-allocate");
+    read_port_.send(Bytes(len), std::move(complete));
   }
 
   /// DMA read of [addr, addr+p.bytes) into `p.data`; stays timing-only
@@ -159,9 +159,7 @@ class HostMemory : public Device {
     return b;
   }
 
-  sim::Simulator* sim_;
-  HostMemoryParams params_;
-  sim::Resource read_port_;
+  sim::Channel read_port_;
   RangeAllocator alloc_{kBase, kSize, kPageBytes};
   std::map<std::uint64_t, std::vector<std::uint8_t>> backing_;  // by base
 };

@@ -16,6 +16,18 @@
 // schedules its coroutine's resume directly and constructs no callable.
 // A Channel may be moved while no hooked send is pending (the hook's event
 // refers back to it), which lets topologies hold channels by value.
+//
+// The same closed form serves a FIFO server whose fixed latency L comes
+// *before* its serializer (a request mailbox, a DRAM access): finishing at
+// max(t + L, prev) + ser is max(t, prev - L) + ser + L, i.e. a Channel
+// with latency L. Such servers send on a Channel and cost one event per
+// job instead of a latency event plus a Resource job.
+//
+// reserve(start, bytes) claims the wire for a send that will be queued at
+// `start` >= now and schedules nothing. A caller that knows when a send
+// will be queued (the fabric, for a hop fed by one other channel only)
+// reserves it early and schedules only the delivery; the times match a
+// send made at `start` as long as reservations arrive in queueing order.
 #pragma once
 
 #include <algorithm>
@@ -58,7 +70,7 @@ class Channel {
   /// moves bench_ext_hsg2d's 2-D rows.
   template <typename D, typename S = UniqueFn<void()>>
   void send(Bytes bytes, D delivered, S serialized = {}) {
-    const Time done = occupy(bytes);
+    const Time done = reserve(sim_->now(), bytes);
     // S may be a UniqueFn-like type passed empty when the caller has no
     // serialized hook; plain lambdas are always truthy-equivalent.
     const bool has_serialized = [&] {
@@ -85,7 +97,8 @@ class Channel {
       Bytes n;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        ch.sim_->resume_at(ch.occupy(n) + ch.params_.latency, h);
+        ch.sim_->resume_at(ch.reserve(ch.sim_->now(), n) + ch.params_.latency,
+                           h);
       }
       void await_resume() const noexcept {}
     };
@@ -102,10 +115,11 @@ class Channel {
   }
   bool busy() const { return busy_until_ > sim_->now(); }
 
- private:
-  /// Claim the wire for a send of `bytes` queued now; returns the time its
-  /// last byte leaves the sender.
-  Time occupy(Bytes bytes) {
+  /// Claim the wire for a send of `bytes` queued at `start` (>= now) and
+  /// schedule nothing; returns the time its last byte leaves the sender.
+  /// Reservations must be made in the order their sends are queued;
+  /// busy() and utilization() count a reservation from when it is made.
+  Time reserve(Time start, Bytes bytes) {
     // Senders mostly repeat one size, so the last size's time is kept.
     if (bytes != memo_bytes_) {
       memo_bytes_ = bytes;
@@ -114,10 +128,11 @@ class Channel {
     const Time ser = memo_ser_;
     bytes_sent_ += bytes;
     busy_time_ += ser;
-    busy_until_ = std::max(sim_->now(), busy_until_) + ser;
+    busy_until_ = std::max(start, busy_until_) + ser;
     return busy_until_;
   }
 
+ private:
   Simulator* sim_;
   ChannelParams params_;
   Time busy_until_ = 0;  ///< when the last queued send finishes serializing

@@ -228,6 +228,8 @@ class Simulator {
   static constexpr int kEpochBits = std::countr_zero(
       static_cast<std::uint64_t>(kEpochSpan));
   static constexpr std::size_t kBucketMask = kBuckets - 1;
+  /// Heap entries reserved by the first event beyond the bucket window.
+  static constexpr std::size_t kHeapReserve = 64;
   static_assert(std::has_single_bit(static_cast<std::uint64_t>(kEpochSpan)) &&
                     kEpochSpan % 64 == 0,
                 "the tick bitmap is whole 64-bit words");
@@ -521,6 +523,9 @@ class Simulator {
   /// Out of line: only events beyond the bucket window get here, and
   /// inlined into every at()/after() it would bloat the callers.
   [[gnu::noinline]] void heap_push(EventNode* n, Time t) {
+    // Room for a typical far-future backlog at once (a GPU's queued P2P
+    // completions reach ~50 entries), not a doubling from one entry.
+    if (heap_.capacity() == 0) heap_.reserve(kHeapReserve);
     heap_.push_back(HeapEntry{t, n->seq, n});
     std::size_t i = heap_.size() - 1;
     const HeapEntry e = heap_[i];

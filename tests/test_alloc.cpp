@@ -272,7 +272,7 @@ TEST(SteadyStateAllocs, TimingOnlyHostReadAllocatesNothing) {
                   [&done](pcie::Payload p) { done += p.data.empty(); });
     sim.run();
   };
-  burst();  // warm-up: transfer slots, read-port ring and event slabs
+  burst();  // warm-up: transfer slots, event slabs and the heap
   EXPECT_EQ(allocs_during(burst), 0u);
   EXPECT_EQ(done, 2 * 128);
 }

@@ -32,8 +32,10 @@ constexpr Time kFig3FirstResp = 59223820;
 constexpr Time kFig3LastData = 823635392;
 // The event count is the one value a model-side event restructuring may
 // move: it fell from 23623 when sim::Channel went from a Resource job plus
-// a latency event to one event per send, every timestamp unchanged.
-constexpr std::uint64_t kFig3Events = 15431;
+// a latency event to one event per send, and from 15431 when host DRAM
+// reads and the GPU's P2P and BAR1 servers became Channels and chunks cut
+// through single-fed root-complex hops; every timestamp unchanged.
+constexpr std::uint64_t kFig3Events = 13383;
 constexpr Time kFig6Hh4k = 121488490;
 constexpr Time kFig6Hh1m = 6674969896;
 constexpr Time kFig6Gg64k = 934381502;

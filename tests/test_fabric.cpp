@@ -142,17 +142,29 @@ TEST_F(FabricFixture, ConcurrentWritesShareTheUplink) {
 }
 
 TEST_F(FabricFixture, EachChunkCostsOneEventPerHop) {
-  // A third endpoint right below the root: a -> c climbs a's link and the
-  // switch's uplink, then descends c's link.
+  // One event per hop, minus single-fed hops. A third endpoint right below
+  // the root: a -> c climbs a's link and the switch's uplink, then
+  // descends c's link, which only the switch uplink feeds, so a chunk cuts
+  // through it. c -> a descends the switch's link, which only c's link
+  // feeds. a -> b has no single-fed hop.
   ScratchDevice c{sim};
   fabric.attach(c, root, gen2_x8());
   fabric.claim_range(c, 0x3000000, 0x100000);
+  BusAnalyzer uplink;
   struct Case {
     const Device* src;
     std::uint64_t addr;
     std::uint64_t hops;
+    std::uint64_t events;  ///< per chunk
+    bool analyze_uplink;
   };
-  for (const Case& k : {Case{&a, 0x2000000, 2}, Case{&a, 0x3000000, 3}}) {
+  // An analyzer on the switch uplink must see each chunk arrive there, so
+  // a -> c is one event per hop again. Analyzers stay attached: last case.
+  for (const Case& k : {Case{&a, 0x2000000, 2, 2, false},
+                        Case{&a, 0x3000000, 3, 2, false},
+                        Case{&c, 0x1000000, 3, 2, false},
+                        Case{&a, 0x3000000, 3, 3, true}}) {
+    if (k.analyze_uplink) fabric.attach_analyzer(sw, uplink);
     for (std::uint64_t chunks : {1u, 5u, 64u}) {
       SCOPED_TRACE(std::to_string(chunks) + " chunks over " +
                    std::to_string(k.hops) + " hops");
@@ -161,8 +173,74 @@ TEST_F(FabricFixture, EachChunkCostsOneEventPerHop) {
       fabric.post_write(*k.src, k.addr,
                         Payload::timing(chunks * fabric.chunk_bytes() - 100));
       sim.run();
-      EXPECT_EQ(sim.events_processed() - before, chunks * k.hops);
+      EXPECT_EQ(sim.events_processed() - before, chunks * k.events);
     }
+  }
+  EXPECT_EQ(uplink.events().size(), 1u + 5u + 64u);
+}
+
+/// Arrival (address, time) of every chunk endpoints a and b, behind the
+/// switch, write to c, right below the root: they contend for the switch
+/// uplink, then queue on c's slower link, which only that uplink feeds.
+/// With `analyze_from` >= 0, an analyzer joins the switch uplink at that
+/// time (0: before the run), which puts the chunks crossing it after that
+/// back on the per-event path; `analyzed` receives how many it saw. With
+/// `analyze_all`, analyzers on every link keep every hop per-event.
+std::vector<std::pair<std::uint64_t, Time>> contended_single_fed_hop(
+    Time analyze_from, std::size_t* analyzed = nullptr,
+    bool analyze_all = false) {
+  sim::Simulator sim;
+  Fabric fabric{sim};
+  ScratchDevice a{sim}, b{sim}, c{sim};
+  const int root = fabric.add_root();
+  const int sw = fabric.add_switch(root, gen2_x16(), "plx");
+  fabric.attach(a, sw, gen2_x8());
+  fabric.attach(b, sw, gen2_x8());
+  fabric.attach(c, root, gen2_x4());
+  fabric.claim_range(c, 0x3000000, 0x1000000);
+  BusAnalyzer bus, others[3];
+  if (analyze_all) {
+    fabric.attach_analyzer(a.pcie_node(), others[0]);
+    fabric.attach_analyzer(b.pcie_node(), others[1]);
+    fabric.attach_analyzer(c.pcie_node(), others[2]);
+  }
+  if (analyze_from == 0) fabric.attach_analyzer(sw, bus);
+  if (analyze_from > 0)
+    sim.at(analyze_from, [&] { fabric.attach_analyzer(sw, bus); });
+  // Bursts of unequal sizes and start times, some after an idle gap.
+  fabric.post_write(a, 0x3000000, Payload::timing(40000));
+  fabric.post_write(b, 0x3400000, Payload::timing(30000));
+  sim.at(us(5), [&] {
+    fabric.post_write(b, 0x3800000, Payload::timing(9000));
+  });
+  sim.at(us(40), [&] {
+    fabric.post_write(a, 0x3C00000, Payload::timing(5000));
+    fabric.post_write(b, 0x3D00000, Payload::timing(12345));
+  });
+  sim.run();
+  if (analyzed != nullptr) *analyzed = bus.events().size();
+  std::vector<std::pair<std::uint64_t, Time>> arrivals;
+  for (const ScratchDevice::Write& w : c.writes)
+    arrivals.emplace_back(w.addr, w.at);
+  return arrivals;
+}
+
+TEST(FabricCutThrough, MatchesThePerEventHopUnderContention) {
+  std::size_t analyzed = 0;
+  const auto per_event = contended_single_fed_hop(0, &analyzed, true);
+  ASSERT_EQ(per_event.size(), 10u + 8u + 3u + 2u + 4u);
+  EXPECT_EQ(analyzed, per_event.size());
+  const auto cut = contended_single_fed_hop(-1);
+  EXPECT_EQ(cut, per_event);
+  EXPECT_EQ(contended_single_fed_hop(0, &analyzed), cut);
+  EXPECT_EQ(analyzed, cut.size());
+  // Attached mid-run, the analyzer sees only the later chunks, and the
+  // chunks that cut through before it keep their place in c's queue.
+  for (Time from : {us(3), us(12), us(41)}) {
+    SCOPED_TRACE(units::to_us(from));
+    EXPECT_EQ(contended_single_fed_hop(from, &analyzed), cut);
+    EXPECT_GT(analyzed, 0u);
+    EXPECT_LT(analyzed, cut.size());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -24,6 +25,7 @@ class Collector : public pcie::Device {
       data.insert(data.end(), payload.data.begin(), payload.data.end());
     last_at = sim_->now();
     if (first_at < 0) first_at = sim_->now();
+    arrivals.push_back(sim_->now());
   }
   void handle_read(std::uint64_t, std::uint32_t len, bool,
                    pcie::ReadReply reply) override {
@@ -33,6 +35,7 @@ class Collector : public pcie::Device {
   std::vector<std::uint8_t> data;
   Time first_at = -1;
   Time last_at = -1;
+  std::vector<Time> arrivals;  ///< of every write, in order
 
  private:
   sim::Simulator* sim_;
@@ -251,6 +254,106 @@ TEST_F(GpuFixture, QueueDepthLimitThrottlesRequests) {
   EXPECT_LT(mbps, 900.0);
   EXPECT_EQ(gpu->p2p_queue_depth(), 0);  // fully drained
   EXPECT_EQ(gpu->p2p_requests_served(), total / 512);
+}
+
+/// Descriptor of a timing-only P2P read of `len` bytes, as mailbox bytes.
+pcie::Payload timing_only_request(std::uint32_t len) {
+  P2pReadDescriptor d{};
+  d.len = len;
+  d.flags = kP2pTimingOnly;
+  d.reply_addr = kNicBase;
+  pcie::Payload p;
+  p.bytes = 32;
+  p.data.resize(sizeof(d));
+  std::memcpy(p.data.data(), &d, sizeof(d));
+  return p;
+}
+
+TEST_F(GpuFixture, P2pCompletionsFollowHeadLatencyThenStreamRate) {
+  // Each 512 B completion of a request accepted at t leaves the GPU at
+  // max(t + head latency, prev) + 512 B / P2P rate. With two mailbox
+  // slots, a request waits in the backlog until the request two before it
+  // has sent its last completion. Covers back-to-back and 4 KB (eight
+  // completion) requests, a backlog and an idle gap.
+  GpuArch arch = fermi_c2050();
+  arch.p2p_max_outstanding = 2;
+  build(arch);
+  wire();
+  struct Request {
+    Time at;
+    std::uint32_t len;
+  };
+  const std::vector<Request> requests = {
+      {0, 4096},           {0, 512},        {0, 1024},
+      {units::ns(700), 512}, {us(2), 4096}, {us(40), 512},
+      {us(40), 4096},      {us(41), 1536}};
+  for (const Request& r : requests)
+    sim.at(r.at, [this, r] {
+      gpu->handle_write(gpu->mailbox_addr(), timing_only_request(r.len));
+    });
+  sim.run();
+
+  // Completions reach the NIC over idle links: they leave the GPU at
+  // least 512 B / 1.5 GB/s apart, more than either link's serialization.
+  const Time transit = fabric.path_latency(*gpu, nic) +
+                       pcie::gen2_x16().serialize_time(Bytes(512)) +
+                       pcie::gen2_x8().serialize_time(Bytes(512));
+  std::vector<Time> expect;
+  std::vector<Time> finished;  // each request's last completion
+  Time prev = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::size_t depth = 2;
+    const Time accepted =
+        i < depth ? requests[i].at
+                  : std::max(requests[i].at, finished[i - depth]);
+    for (std::uint32_t off = 0; off < requests[i].len; off += 512) {
+      prev = std::max(accepted + arch.p2p_head_latency, prev) +
+             units::transfer_time(Bytes(512), arch.effective_p2p_rate());
+      expect.push_back(prev + transit);
+    }
+    finished.push_back(prev);
+  }
+  EXPECT_EQ(nic.arrivals, expect);
+  EXPECT_EQ(gpu->p2p_queue_depth(), 0);
+}
+
+TEST_F(GpuFixture, Bar1ReadCompletesAtLatencyThenReadRate) {
+  // A BAR1 read arriving at t completes at
+  // max(t + bar1 read latency, prev) + len / BAR1 read rate.
+  wire();
+  const std::uint64_t bar_addr = gpu->bar1_map(0, 1 << 20);
+  struct Read {
+    Time at;
+    std::uint32_t len;
+  };
+  const std::vector<Read> reads = {{0, 4096},       {0, 4096},
+                                   {us(1), 64},     {us(2), 0},
+                                   {us(400), 8192}, {us(400) + 1, 512}};
+  std::vector<Time> done;
+  struct Ctx {
+    sim::Simulator* sim;
+    std::vector<Time>* done;
+  } ctx{&sim, &done};
+  const pcie::ReadReply record{[](void* c, pcie::Payload) {
+                                 auto* ctx = static_cast<Ctx*>(c);
+                                 ctx->done->push_back(ctx->sim->now());
+                               },
+                               &ctx};
+  for (const Read& r : reads)
+    sim.at(r.at, [this, bar_addr, r, record] {
+      gpu->handle_read(bar_addr, r.len, false, record);
+    });
+  sim.run();
+
+  std::vector<Time> expect;
+  Time prev = 0;
+  for (const Read& r : reads) {
+    prev = std::max(r.at + gpu->arch().bar1_read_latency, prev) +
+           units::transfer_time(Bytes(r.len),
+                                gpu->arch().effective_bar1_read_rate());
+    expect.push_back(prev);
+  }
+  EXPECT_EQ(done, expect);
 }
 
 /// Race-detector findings (cell names) when a 512 B read request reaches

@@ -107,5 +107,48 @@ TEST(HostMemory, ReadCompletionsSerializeAtMemoryRate) {
   EXPECT_EQ(done[2], units::us(4));
 }
 
+TEST(HostMemory, ReadCompletesAtLatencyThenPortRate) {
+  // A read queued at t completes at max(t + latency, prev) + len / rate:
+  // back-to-back reads, reads that overlap a busy port, a zero-length
+  // read and reads after idle gaps.
+  sim::Simulator sim;
+  HostMemoryParams params;
+  params.read_rate = Rate(3e9);
+  params.read_latency = units::ns(300);
+  HostMemory host(sim, params);
+  struct Read {
+    Time at;
+    std::uint32_t len;
+  };
+  const std::vector<Read> reads = {
+      {0, 4096},        {0, 4096},           {0, 512},
+      {units::ns(900), 100}, {units::ns(1500), 0}, {units::us(5), 4096},
+      {units::us(5) + 1, 64}, {units::us(40), 1000}, {units::us(40), 4096}};
+  std::vector<Time> done;
+  struct Ctx {
+    sim::Simulator* sim;
+    std::vector<Time>* done;
+  } ctx{&sim, &done};
+  const ReadReply record{[](void* c, Payload) {
+                           auto* ctx = static_cast<Ctx*>(c);
+                           ctx->done->push_back(ctx->sim->now());
+                         },
+                         &ctx};
+  for (const Read& r : reads)
+    sim.at(r.at, [&host, r, record] {
+      host.handle_read(0x5000, r.len, false, record);
+    });
+  sim.run();
+
+  std::vector<Time> expect;
+  Time prev = 0;
+  for (const Read& r : reads) {
+    prev = std::max(r.at + params.read_latency, prev) +
+           units::transfer_time(Bytes(r.len), params.read_rate);
+    expect.push_back(prev);
+  }
+  EXPECT_EQ(done, expect);
+}
+
 }  // namespace
 }  // namespace apn::pcie
