@@ -8,10 +8,11 @@
 // micro-canonical move: it preserves s.h site-wise and therefore the total
 // energy exactly — the key invariant the test suite checks.
 //
-// Slab decomposition along Z (single-dimension decomposition, as in the
-// paper): each rank owns `local_z` interior planes plus two halo planes.
-// `Subdomain` is what the distributed runner needs of a rank's part of the
-// lattice; Slab2d (lattice2d.hpp) is the Z x Y brick behind the same API.
+// Domain decomposition: each rank owns a `Slab`, a Z x Y brick of full-X
+// rows. The paper's decomposition is along Z only (a brick as deep in Y
+// as the lattice); a Z x Y brick is its multi-dimensional conjecture. The
+// 6-point stencil needs faces only, no edge or corner halos, so a phase
+// exchanges one parity of each face toward another rank.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ inline Spin over_relax(const Spin& s, double hx, double hy, double hz) {
 }
 
 /// A face of a rank's sub-lattice, across which it exchanges one halo.
-/// A slab has the two Z faces; a Z x Y brick has all four.
+/// A brick has the two faces of each axis that it does not wrap.
 enum class Face { kZlow = 0, kZhigh = 1, kYlow = 2, kYhigh = 3 };
 constexpr int kFaces = 4;
 
@@ -118,121 +119,108 @@ class InitialLattice {
 std::shared_ptr<const InitialLattice> shared_lattice(int L,
                                                      std::uint64_t seed);
 
-/// One rank's part of the lattice, as the distributed runner drives it:
-/// checkerboard updates split into boundary and bulk, the owned energy,
-/// and one parity of a face packed for (or unpacked from) a neighbor.
-class Subdomain {
+/// One rank's part of the lattice: a brick of `lz` planes along Z and `ly`
+/// rows along Y, each row the full X extent L, whose first site is global
+/// (z_offset, y_offset, 0). An axis whose extent is the whole lattice
+/// (extent == L) wraps by index: it has no halo shell and no faces. Any
+/// other axis has a halo layer on each side, owned by the neighbor rank,
+/// and a face on each side. `Slab(L, local_z, z_offset)` is the paper's Z
+/// slab (Y wraps); with local_z == L both axes wrap and one rank holds the
+/// whole lattice.
+///
+/// `at` takes storage coordinates: on a halo axis index 0 and extent + 1
+/// are the halo layers and the interior is 1..extent; on a wrapped axis
+/// the interior is 0..L-1 (`z_begin`/`y_begin` give the first interior
+/// index). A site's parity is (global z + global y + x) mod 2.
+class Slab {
  public:
-  virtual ~Subdomain() = default;
-
-  /// Sites under the faces (the halo producers), then the rest.
-  virtual void update_boundary(int parity) = 0;
-  virtual void update_bulk(int parity) = 0;
-  /// Summed over a complete decomposition: the exact lattice energy.
-  virtual double owned_energy() const = 0;
-
-  /// Spins of `parity` on the interior layer adjacent to `face`.
-  virtual void pack_face(Face face, int parity,
-                         std::vector<std::uint8_t>& out) const = 0;
-  /// Unpack a neighbor's payload into the halo beyond `face`.
-  virtual void unpack_face(Face face, int parity,
-                           std::span<const std::uint8_t> in) = 0;
-  virtual std::size_t face_parity_bytes(Face face) const = 0;
-};
-
-/// One rank's slab: planes are indexed z in [0, local_z+1], where 0 and
-/// local_z+1 are halos owned by the neighbor ranks. Its faces are the two
-/// Z faces; asking it for a Y face throws std::invalid_argument.
-class Slab final : public Subdomain {
- public:
-  /// `z_offset`: global z of local plane 1 (for parity and validation).
+  /// A Z slab: local planes [z_offset, z_offset + local_z), all of Y.
   /// Every site starts at {0, 0, 1}.
   Slab(int L, int local_z, int z_offset);
-  /// The slab of `init`'s lattice: interior sites written once from the
-  /// table (as `randomize(init.seed())` would set them), halo planes at
-  /// {0, 0, 1}.
-  Slab(const InitialLattice& init, int local_z, int z_offset);
+  /// A Z x Y brick. Every site starts at {0, 0, 1}. Throws
+  /// std::invalid_argument unless L >= 2, each extent is in [1, L] and
+  /// each offset in [0, L).
+  Slab(int L, int lz, int ly, int z_offset, int y_offset);
+  /// The brick of `init`'s lattice: interior sites written once from the
+  /// table (as `randomize(init.seed())` would set them), halo layers at
+  /// {0, 0, 1}. Throws as the plain constructor does.
+  Slab(const InitialLattice& init, int lz, int ly, int z_offset,
+       int y_offset);
 
   int L() const { return L_; }
-  int local_z() const { return local_z_; }
+  int lz() const { return lz_; }
+  int ly() const { return ly_; }
   int z_offset() const { return z_offset_; }
+  int y_offset() const { return y_offset_; }
+  /// Storage index of the first interior plane / row: 1 on a halo axis,
+  /// 0 on a wrapped one.
+  int z_begin() const { return hz_; }
+  int y_begin() const { return hy_; }
 
   /// Deterministic random unit spins for the *global* lattice: the value
   /// of a site depends only on its global coordinates and the seed, so
-  /// different decompositions produce identical initial states. Copied
-  /// from `shared_lattice(L, seed)`.
+  /// different decompositions produce identical initial states. Interior
+  /// sites are copied from `shared_lattice(L, seed)`.
   void randomize(std::uint64_t seed);
 
-  Spin& at(int z, int y, int x) {
-    return spins_[static_cast<std::size_t>((z * L_ + y) * L_ + x)];
-  }
-  const Spin& at(int z, int y, int x) const {
-    return spins_[static_cast<std::size_t>((z * L_ + y) * L_ + x)];
-  }
+  Spin& at(int z, int y, int x) { return spins_[idx(z, y, x)]; }
+  const Spin& at(int z, int y, int x) const { return spins_[idx(z, y, x)]; }
 
-  /// Over-relax all sites of the given parity in local plane z (1-based
-  /// interior plane). Parity is evaluated on *global* coordinates.
-  void update_plane(int z, int parity);
-
-  /// Over-relax every interior site of the given parity.
+  /// Over-relax every interior site of the given (global) parity.
   void update_interior(int parity);
-  /// Boundary planes only (z = 1 and z = local_z).
-  void update_boundary(int parity) override;
-  /// Bulk = interior minus boundary planes.
-  void update_bulk(int parity) override;
+  /// Sites on the interior layers under the faces (the halo producers).
+  void update_boundary(int parity);
+  /// Interior minus the boundary layers.
+  void update_bulk(int parity);
 
-  /// Energy of all bonds owned by this slab: +x, +y bonds of interior
-  /// sites and the z bonds from each interior site to its z+1 neighbor
-  /// (halo plane included), plus z bonds from the lower halo into plane 1
-  /// are NOT counted (they belong to the neighbor below). Summing over
-  /// ranks yields the exact total lattice energy.
-  double owned_energy() const override;
+  /// Bonds owned by this brick: +x, +y and +z from every interior site
+  /// (the high-side neighbor may live in a halo). Summed over a complete
+  /// decomposition this is the exact lattice energy.
+  double owned_energy() const;
 
-  /// Pack the spins of one parity of local plane z into `out` (the halo
-  /// payload: L*L/2 spins, 12 B each).
-  void pack_parity_plane(int z, int parity, std::vector<std::uint8_t>& out) const;
-  /// Unpack a parity-plane payload into halo plane z (0 or local_z+1).
-  /// `global_z` is the global coordinate of that halo plane.
-  void unpack_parity_plane(int z, int parity, std::span<const std::uint8_t> in);
+  /// Spins of `parity` on the interior layer adjacent to `face`. Throws
+  /// std::invalid_argument for a face on a wrapped axis, as do
+  /// `unpack_face` and `face_parity_bytes`.
+  void pack_face(Face face, int parity, std::vector<std::uint8_t>& out) const;
+  /// Unpack a neighbor's payload into the halo layer beyond `face`.
+  void unpack_face(Face face, int parity, std::span<const std::uint8_t> in);
+  std::size_t face_parity_bytes(Face face) const;
 
-  /// Number of spins of one parity in one plane.
-  std::size_t parity_plane_count() const {
-    return static_cast<std::size_t>(L_) * static_cast<std::size_t>(L_) / 2;
-  }
-  std::size_t parity_plane_bytes() const {
-    return parity_plane_count() * sizeof(Spin);
-  }
-
-  /// The face API: kZlow is plane 1 (halo 0), kZhigh plane local_z (halo
-  /// local_z+1).
-  void pack_face(Face face, int parity,
-                 std::vector<std::uint8_t>& out) const override;
-  void unpack_face(Face face, int parity,
-                   std::span<const std::uint8_t> in) override;
-  std::size_t face_parity_bytes(Face face) const override;
-
-  const std::vector<Spin>& raw() const { return spins_; }
+  /// Spins of `parity` in storage plane z (interior rows), packed / unpacked
+  /// as `pack_face` does for a Z face. Any plane, halo planes included.
+  void pack_parity_plane(int z, int parity,
+                         std::vector<std::uint8_t>& out) const;
+  void unpack_parity_plane(int z, int parity,
+                           std::span<const std::uint8_t> in);
 
  private:
-  int global_z(int local_plane) const {
-    // Halo planes map to the neighbor's global coordinate (periodic).
-    return local_plane + z_offset_ - 1;
-  }
-  /// global_z wrapped into [0, L).
-  int lattice_z(int local_plane) const {
-    return (global_z(local_plane) % L_ + L_) % L_;
-  }
-  /// Site (z, y, x) has parity (global z + y + x) mod 2, so row (z, y)'s
-  /// sites of `parity` (0 or 1) are x = first_x, first_x + 2, ...
-  int first_x(int z, int y, int parity) const {
-    return ((global_z(z) % 2 + 2) + y + parity) % 2;
-  }
-  /// Interior plane next to a Z face, or its halo plane.
-  int face_plane(Face face, bool halo) const;
+  /// Storage ranges [z0, z1) x [y0, y1) of whole rows.
+  struct Layer {
+    int z0, z1, y0, y1;
+  };
 
-  int L_;
-  int local_z_;
-  int z_offset_;
+  std::size_t idx(int z, int y, int x) const {
+    return static_cast<std::size_t>((z * rows_ + y) * L_ + x);
+  }
+  int gz(int z) const { return z + z_offset_ - hz_; }
+  int gy(int y) const { return y + y_offset_ - hy_; }
+  /// gz / gy wrapped into [0, L).
+  int lattice_z(int z) const { return (gz(z) % L_ + L_) % L_; }
+  int lattice_y(int y) const { return (gy(y) % L_ + L_) % L_; }
+  /// Row (z, y)'s sites of `parity` (0 or 1) are x = first_x, first_x + 2,
+  /// ...
+  int first_x(int z, int y, int parity) const {
+    return ((gz(z) % 2 + 2) + (gy(y) % 2 + 2) + parity) % 2;
+  }
+  /// The interior layer next to `face`, or the halo layer beyond it.
+  Layer face_layer(Face face, bool halo) const;
+  void update_range(const Layer& l, int parity);
+  void pack(const Layer& l, int parity, std::vector<std::uint8_t>& out) const;
+  void unpack(const Layer& l, int parity, std::span<const std::uint8_t> in);
+
+  int L_, lz_, ly_, z_offset_, y_offset_;
+  int hz_, hy_;  ///< halo depth along Z / Y: 0 on a wrapped axis, else 1
+  int rows_;     ///< rows per storage plane: ly + 2 hy
   std::vector<Spin> spins_;
 };
 

@@ -17,8 +17,11 @@ constexpr std::uint32_t kHaloChunkBytes = 128 * 1024;
 /// the source of the observed super-linear speedup).
 constexpr std::uint64_t kCachePressureBytes = 2500ull << 20;
 constexpr double kCachePressureFactor = 1.6;
-/// Ceiling of the small-kernel occupancy derating (see
-/// HsgConfig::occupancy_knee_sites).
+/// Small-kernel occupancy model: kernels below the knee run at reduced
+/// efficiency (occ = min(cap, sqrt(knee/sites))). Calibrated from the
+/// paper's NP=1 boundary time (11 ps/spin for 2x65K-site planes implies
+/// ~1.5x at 65K sites) — this is what stops L=128 from scaling far.
+constexpr std::uint64_t kOccupancyKneeSites = 150000;
 constexpr double kOccupancyCap = 3.0;
 }  // namespace
 
@@ -37,7 +40,7 @@ struct HsgRun::HaloFace {
 };
 
 struct HsgRun::RankState {
-  std::unique_ptr<Subdomain> lattice;  // functional mode only
+  std::optional<Slab> lattice;  // functional mode only
   std::array<HaloFace, kFaces> face_storage;
   std::span<HaloFace> faces;   ///< the brick's faces, remote ones first
   std::span<HaloFace> remote;  ///< faces toward another rank
@@ -70,13 +73,7 @@ HsgRun::HsgRun(cluster::Cluster& cluster, HsgConfig config)
 HsgRun::~HsgRun() = default;
 
 const Slab& HsgRun::slab(int rank) const {
-  return dynamic_cast<const Slab&>(
-      *ranks_.at(static_cast<std::size_t>(rank))->lattice);
-}
-
-const Slab2d& HsgRun::brick(int rank) const {
-  return dynamic_cast<const Slab2d&>(
-      *ranks_.at(static_cast<std::size_t>(rank))->lattice);
+  return ranks_.at(static_cast<std::size_t>(rank))->lattice.value();
 }
 
 int HsgRun::neighbor(int rank, Face face) const {
@@ -121,9 +118,9 @@ Time HsgRun::spin_time(int rank) const {
 Time HsgRun::kernel_time(int rank, std::uint64_t sites) const {
   const gpu::GpuArch& arch = cluster_.node(rank).gpu(0).arch();
   double occ = 1.0;
-  if (sites > 0 && sites < cfg_.occupancy_knee_sites) {
+  if (sites > 0 && sites < kOccupancyKneeSites) {
     occ = std::min(kOccupancyCap,
-                   std::sqrt(static_cast<double>(cfg_.occupancy_knee_sites) /
+                   std::sqrt(static_cast<double>(kOccupancyKneeSites) /
                              static_cast<double>(sites)));
   }
   return arch.kernel_launch_overhead +
@@ -146,16 +143,12 @@ sim::Coro HsgRun::exchange_phase(int rank, int parity,
   RankState& st = *ranks_[static_cast<std::size_t>(rank)];
   cuda::Runtime& cuda = cluster_.node(rank).cuda();
 
-  // Pack every face (on-GPU pack, folded into the boundary kernel's
-  // cost). A face whose neighbor is this rank is the periodic wrap of a
-  // one-rank axis: a free on-device copy.
+  // Pack every face toward another rank (on-GPU pack, folded into the
+  // boundary kernel's cost). A one-rank axis wraps inside the slab.
   if (st.lattice) {
-    for (HaloFace& f : st.faces) {
+    for (HaloFace& f : st.remote) {
       st.lattice->pack_face(f.face, parity, f.pack_buf);
-      if (f.peer == rank)
-        st.lattice->unpack_face(opposite(f.face), parity, f.pack_buf);
-      else
-        cuda.upload(f.send_dev, std::as_bytes(std::span(f.pack_buf)));
+      cuda.upload(f.send_dev, std::as_bytes(std::span(f.pack_buf)));
     }
   }
   if (st.remote.empty()) {
@@ -331,14 +324,9 @@ HsgMetrics HsgRun::run() {
   for (int r = 0; r < np_; ++r) {
     auto st = std::make_unique<RankState>();
     st->ready = std::make_shared<sim::Gate>(sim);
-    const int z_offset = r / cfg_.py * lz_;
-    if (init) {
-      if (cfg_.py == 1)
-        st->lattice = std::make_unique<Slab>(*init, lz_, z_offset);
-      else
-        st->lattice = std::make_unique<Slab2d>(*init, lz_, ly_, z_offset,
-                                               r % cfg_.py * ly_);
-    }
+    if (init)
+      st->lattice.emplace(*init, lz_, ly_, r / cfg_.py * lz_,
+                          r % cfg_.py * ly_);
     st->faces = std::span(st->face_storage).first(
         static_cast<std::size_t>(nfaces_));
     st->remote = st->faces.first(static_cast<std::size_t>(nremote_));
@@ -363,8 +351,8 @@ HsgMetrics HsgRun::run() {
   if (cfg_.functional) {
     std::vector<std::uint8_t> tmp;
     for (auto& st : ranks_) {
-      for (const HaloFace& f : st->faces) {
-        const Subdomain& theirs =
+      for (const HaloFace& f : st->remote) {
+        const Slab& theirs =
             *ranks_[static_cast<std::size_t>(f.peer)]->lattice;
         for (int parity = 0; parity < 2; ++parity) {
           theirs.pack_face(opposite(f.face), parity, tmp);

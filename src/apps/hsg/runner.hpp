@@ -2,10 +2,15 @@
 //
 // The L^3 lattice is split over a pz x py process grid (Z x Y, NP = pz *
 // py); rank r sits at grid position (r / py, r % py) and owns an
-// (L/pz) x (L/py) x L brick. py = 1, the default, is the paper's 1-D slab
-// decomposition along Z; py > 1 tests its multi-dimensional conjecture. A
-// rank's halo faces are Z low/high, plus Y low/high when py > 1; a face
-// whose neighbor is the rank itself (a one-rank Z axis) is a local copy.
+// (L/pz) x (L/py) x L brick, a `Slab`. py = 1, the default, is the paper's
+// 1-D slab decomposition along Z; py > 1 tests the conjecture the paper
+// closes §V-D with: "This advantage could increase for a multi-
+// dimensional domain-decomposition, where the size of the exchanged
+// messages shrinks in the strong scaling, thanks to more regularly shaped
+// 3D sub-domains." A rank exchanges halos across its Z faces, plus its Y
+// faces when py > 1. An axis that one rank holds (pz = 1 or py = 1) wraps
+// by index inside the slab; its faces keep their buffers for the timing
+// model but exchange nothing.
 //
 // Each over-relaxation step runs two checkerboard phases. Per phase:
 //   boundary kernel -> (halo exchange || bulk kernel) -> sync.
@@ -32,7 +37,6 @@
 #include <vector>
 
 #include "apps/hsg/lattice.hpp"
-#include "apps/hsg/lattice2d.hpp"
 #include "cluster/cluster.hpp"
 
 namespace apn::apps::hsg {
@@ -57,11 +61,6 @@ struct HsgConfig {
   CommMode mode = CommMode::kP2pOn;
   bool functional = true;  ///< real math + real halo bytes
   std::uint64_t seed = 42;
-  /// Small-kernel occupancy model: kernels below the knee run at reduced
-  /// efficiency (occ = min(cap, sqrt(knee/sites))). Calibrated from the
-  /// paper's NP=1 boundary time (11 ps/spin for 2x65K-site planes implies
-  /// ~1.5x at 65K sites) — this is what stops L=128 from scaling far.
-  std::uint64_t occupancy_knee_sites = 150000;
 };
 
 struct HsgMetrics {
@@ -83,10 +82,8 @@ class HsgRun {
   HsgMetrics run();
 
   /// Functional-mode sub-lattice access for validation against the
-  /// reference: a Slab when py = 1, a Slab2d brick otherwise (the other
-  /// accessor throws std::bad_cast).
+  /// reference; throws std::bad_optional_access in timing mode.
   const Slab& slab(int rank) const;
-  const Slab2d& brick(int rank) const;
 
   /// Halo bytes one rank sends per phase, summed over its faces.
   std::uint64_t halo_bytes_per_phase() const;

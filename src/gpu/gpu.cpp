@@ -126,10 +126,13 @@ void Gpu::handle_write(std::uint64_t addr, pcie::Payload payload) {
   const std::uint64_t off = addr - mmio_base_;
 
   if (off == GpuMmio::kMailbox) {
+    // A short payload or a zero-length read asks for nothing: it takes no
+    // slot (a zero-length read would send no completion to free one) and
+    // is not counted.
     P2pReadDescriptor desc{};
     if (payload.data.size() >= sizeof(desc)) {
       std::memcpy(&desc, payload.data.data(), sizeof(desc));
-      serve_p2p_request(desc);
+      if (desc.len > 0) serve_p2p_request(desc);
     }
     return;
   }

@@ -256,6 +256,22 @@ TEST_F(GpuFixture, QueueDepthLimitThrottlesRequests) {
   EXPECT_EQ(gpu->p2p_requests_served(), total / 512);
 }
 
+TEST_F(GpuFixture, ZeroLengthRequestsTakeNoQueueSlot) {
+  // A zero-length read sends no completion, so a slot it took would never
+  // be freed: two of them would fill a depth-2 queue for good.
+  gpu::GpuArch arch = fermi_c2050();
+  arch.p2p_max_outstanding = 2;
+  build(arch);
+  wire();
+  send_read_request(0, 0);
+  send_read_request(0, 0);
+  send_read_request(0, 512);
+  sim.run();
+  EXPECT_EQ(nic.bytes, 512u);
+  EXPECT_EQ(gpu->p2p_queue_depth(), 0);
+  EXPECT_EQ(gpu->p2p_requests_served(), 1u);
+}
+
 /// Descriptor of a timing-only P2P read of `len` bytes, as mailbox bytes.
 pcie::Payload timing_only_request(std::uint32_t len) {
   P2pReadDescriptor d{};

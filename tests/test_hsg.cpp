@@ -65,7 +65,7 @@ TEST(HsgSlab, PackUnpackRoundTrip) {
   slab.randomize(3);
   std::vector<std::uint8_t> buf;
   slab.pack_parity_plane(2, 0, buf);
-  EXPECT_EQ(buf.size(), slab.parity_plane_bytes());
+  EXPECT_EQ(buf.size(), slab.face_parity_bytes(Face::kZlow));
   Slab other(8, 4, 0);
   other.unpack_parity_plane(2, 0, buf);
   for (int y = 0; y < 8; ++y)
@@ -190,64 +190,54 @@ TEST(SharedLattice, BadSideThrowsAndTheNextCallStillBuilds) {
 constexpr std::uint64_t kSeeds[] = {0, 42,
                                     std::numeric_limits<std::uint64_t>::max()};
 
-TEST(InitialLattice, SlabGridSitesAreDeterministicSpinBitwise) {
-  // Both slabs of a 2-rank grid, filled by randomize and built from the
-  // table: every interior site equals deterministic_spin bit for bit, and
-  // a table-built slab's halo planes hold the default spin.
-  const int L = 8, lz = L / 2;
+/// Every rank's slab on a pz x py grid of L = 8, filled by randomize and
+/// built from the table: every interior site equals deterministic_spin bit
+/// for bit, and a table-built slab's halo layers hold the default spin.
+void expect_grid_sites_are_deterministic_spin(int pz, int py) {
+  const int L = 8;
   for (std::uint64_t seed : kSeeds) {
-    SCOPED_TRACE(seed);
-    for (int z_offset : {0, lz}) {
-      Slab randomized(L, lz, z_offset);
-      randomized.randomize(seed);
-      const Slab built(*shared_lattice(L, seed), lz, z_offset);
-      for (int z = 0; z <= lz + 1; ++z)
-        for (int y = 0; y < L; ++y)
-          for (int x = 0; x < L; ++x) {
-            if (z == 0 || z == lz + 1) {
-              ASSERT_TRUE(same_bits(built.at(z, y, x), Spin{}));
-              continue;
-            }
-            const Spin want = deterministic_spin(seed, z_offset + z - 1, y, x);
-            ASSERT_TRUE(same_bits(randomized.at(z, y, x), want))
-                << "slab at z " << z_offset << ", site " << z << "," << y
-                << "," << x;
-            ASSERT_TRUE(same_bits(built.at(z, y, x), want))
-                << "slab at z " << z_offset << ", site " << z << "," << y
-                << "," << x;
-          }
-    }
-  }
-}
-
-TEST(InitialLattice, TwoByTwoGridSitesAreDeterministicSpinBitwise) {
-  const int L = 8, lz = L / 2, ly = L / 2;
-  for (std::uint64_t seed : kSeeds) {
-    SCOPED_TRACE(seed);
-    for (int z_offset : {0, lz})
-      for (int y_offset : {0, ly}) {
-        Slab2d randomized(L, lz, ly, z_offset, y_offset);
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << pz << " x "
+                                    << py);
+    const int lz = L / pz, ly = L / py;
+    for (int z_offset = 0; z_offset < L; z_offset += lz)
+      for (int y_offset = 0; y_offset < L; y_offset += ly) {
+        Slab randomized(L, lz, ly, z_offset, y_offset);
         randomized.randomize(seed);
-        const Slab2d built(*shared_lattice(L, seed), lz, ly, z_offset,
-                           y_offset);
-        for (int z = 0; z <= lz + 1; ++z)
-          for (int y = 0; y <= ly + 1; ++y)
+        const Slab built(*shared_lattice(L, seed), lz, ly, z_offset,
+                         y_offset);
+        const int zb = built.z_begin(), yb = built.y_begin();
+        for (int z = 0; z < lz + 2 * zb; ++z)
+          for (int y = 0; y < ly + 2 * yb; ++y)
             for (int x = 0; x < L; ++x) {
-              if (z == 0 || z == lz + 1 || y == 0 || y == ly + 1) {
+              if (z < zb || z >= zb + lz || y < yb || y >= yb + ly) {
                 ASSERT_TRUE(same_bits(built.at(z, y, x), Spin{}));
                 continue;
               }
               const Spin want = deterministic_spin(
-                  seed, z_offset + z - 1, y_offset + y - 1, x);
+                  seed, z_offset + z - zb, y_offset + y - yb, x);
               ASSERT_TRUE(same_bits(randomized.at(z, y, x), want))
-                  << "brick at " << z_offset << "," << y_offset << ", site "
+                  << "slab at " << z_offset << "," << y_offset << ", site "
                   << z << "," << y << "," << x;
               ASSERT_TRUE(same_bits(built.at(z, y, x), want))
-                  << "brick at " << z_offset << "," << y_offset << ", site "
+                  << "slab at " << z_offset << "," << y_offset << ", site "
                   << z << "," << y << "," << x;
             }
       }
   }
+}
+
+TEST(InitialLattice, SlabGridSitesAreDeterministicSpinBitwise) {
+  // One rank (both axes wrap), the paper's Z slabs, and a one-rank Z axis.
+  constexpr int kGrids[][2] = {{1, 1}, {2, 1}, {1, 2}};
+  for (const auto& [pz, py] : kGrids) {
+    expect_grid_sites_are_deterministic_spin(pz, py);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(InitialLattice, TwoByTwoGridSitesAreDeterministicSpinBitwise) {
+  // A brick with four faces and a halo shell on both axes.
+  expect_grid_sites_are_deterministic_spin(2, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,46 +276,17 @@ TEST_P(HsgModeTest, TwoNodeEnergyConservedThroughFullStack) {
               std::abs(m.energy_initial) * 1e-4 + 1e-3);
 }
 
-TEST_P(HsgModeTest, TwoNodeMatchesReferenceSiteExact) {
+/// Runs L = 8 for two steps on a pz x py grid in `mode`, then checks every
+/// rank's interior sites bit for bit against the reference lattice.
+void expect_grid_matches_reference(int pz, int py, CommMode mode) {
   sim::Simulator sim;
-  std::unique_ptr<Cluster> c =
-      Cluster::make_cluster_i(sim, 2, core::ApenetParams{},
-                              GetParam() == CommMode::kIb);
+  std::unique_ptr<Cluster> c = Cluster::make_cluster_i(
+      sim, pz * py, core::ApenetParams{}, mode == CommMode::kIb);
   HsgConfig cfg;
   cfg.L = 8;
   cfg.steps = 2;
-  cfg.mode = GetParam();
-  cfg.functional = true;
-  HsgRun run(*c, cfg);
-  run.run();
-
-  ReferenceLattice ref(cfg.L);
-  ref.randomize(cfg.seed);
-  for (int i = 0; i < cfg.steps; ++i) ref.sweep();
-  for (int rank = 0; rank < 2; ++rank) {
-    const Slab& slab = run.slab(rank);
-    for (int z = 1; z <= slab.local_z(); ++z)
-      for (int y = 0; y < cfg.L; ++y)
-        for (int x = 0; x < cfg.L; ++x) {
-          ASSERT_EQ(slab.at(z, y, x).x,
-                    ref.at(slab.z_offset() + z - 1, y, x).x)
-              << "rank " << rank << " site " << z << "," << y << "," << x;
-        }
-  }
-}
-
-TEST_P(HsgModeTest, TwoByTwoGridMatchesReferenceSiteExact) {
-  // A 2 x 2 (Z x Y) grid: four faces per rank, each exchanged through the
-  // same face loop as the slab grid's two.
-  sim::Simulator sim;
-  std::unique_ptr<Cluster> c =
-      Cluster::make_cluster_i(sim, 4, core::ApenetParams{},
-                              GetParam() == CommMode::kIb);
-  HsgConfig cfg;
-  cfg.L = 8;
-  cfg.steps = 2;
-  cfg.py = 2;
-  cfg.mode = GetParam();
+  cfg.py = py;
+  cfg.mode = mode;
   cfg.functional = true;
   HsgRun run(*c, cfg);
   HsgMetrics m = run.run();
@@ -335,18 +296,33 @@ TEST_P(HsgModeTest, TwoByTwoGridMatchesReferenceSiteExact) {
   ReferenceLattice ref(cfg.L);
   ref.randomize(cfg.seed);
   for (int i = 0; i < cfg.steps; ++i) ref.sweep();
-  for (int rank = 0; rank < 4; ++rank) {
-    const Slab2d& s = run.brick(rank);
-    for (int z = 1; z <= s.lz(); ++z)
-      for (int y = 1; y <= s.ly(); ++y)
-        for (int x = 0; x < cfg.L; ++x) {
-          const Spin& a = s.at(z, y, x);
-          const Spin& b =
-              ref.at(s.z_offset() + z - 1, s.y_offset() + y - 1, x);
-          ASSERT_TRUE(a.x == b.x && a.y == b.y && a.z == b.z)
+  for (int rank = 0; rank < pz * py; ++rank) {
+    const Slab& s = run.slab(rank);
+    ASSERT_EQ(s.lz(), cfg.L / pz);
+    ASSERT_EQ(s.ly(), cfg.L / py);
+    for (int z = 0; z < s.lz(); ++z)
+      for (int y = 0; y < s.ly(); ++y)
+        for (int x = 0; x < cfg.L; ++x)
+          ASSERT_TRUE(same_bits(s.at(s.z_begin() + z, s.y_begin() + y, x),
+                                ref.at(s.z_offset() + z, s.y_offset() + y, x)))
               << "rank " << rank << " site " << z << "," << y << "," << x;
-        }
   }
+}
+
+TEST_P(HsgModeTest, OneRankMatchesReferenceSiteExact) {
+  expect_grid_matches_reference(1, 1, GetParam());
+}
+
+TEST_P(HsgModeTest, TwoNodeMatchesReferenceSiteExact) {
+  expect_grid_matches_reference(2, 1, GetParam());
+}
+
+TEST_P(HsgModeTest, OneByTwoGridMatchesReferenceSiteExact) {
+  expect_grid_matches_reference(1, 2, GetParam());
+}
+
+TEST_P(HsgModeTest, TwoByTwoGridMatchesReferenceSiteExact) {
+  expect_grid_matches_reference(2, 2, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, HsgModeTest,
@@ -403,6 +379,23 @@ TEST(HsgRun, RejectsBadGeometry) {
   EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
   cfg.L = 6;  // even, but 4 slabs do not divide it
   EXPECT_THROW(HsgRun(*c, cfg), std::invalid_argument);
+
+  // A slab's extent must be in [1, L] and its offset in [0, L), in both
+  // constructors: Slab(8, 9, 0) would hold one plane twice.
+  const std::shared_ptr<const InitialLattice> init = shared_lattice(8, 1);
+  EXPECT_THROW(Slab(8, 9, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 4, 8), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 4, -1), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 4, 9, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 4, 4, 0, 8), std::invalid_argument);
+  EXPECT_THROW(Slab(8, 4, 4, 0, -4), std::invalid_argument);
+  EXPECT_THROW(Slab(*init, 9, 8, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(*init, 4, 9, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(*init, 4, 8, 8, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(*init, 4, 4, 0, -1), std::invalid_argument);
+  EXPECT_NO_THROW(Slab(8, 8, 7));
+  EXPECT_NO_THROW(Slab(*init, 8, 8, 0, 0));
 }
 
 }  // namespace

@@ -140,20 +140,29 @@ TEST(ParamSweep, RxCostsControlTheLoopbackCap) {
 // ---- HSG occupancy model -----------------------------------------------------
 
 TEST(ParamSweep, HsgOccupancyPenalizesTinyKernels) {
-  auto ttot = [](std::uint64_t knee) {
-    sim::Simulator sim;
-    auto c = Cluster::make_cluster_i(sim, 1, ApenetParams{}, false);
-    apps::hsg::HsgConfig cfg;
-    cfg.L = 32;  // 16K-site kernels: far below the default knee
-    cfg.steps = 2;
-    cfg.functional = false;
-    cfg.occupancy_knee_sites = knee;
-    apps::hsg::HsgRun run(*c, cfg);
-    return run.run().ttot_ps;
+  // L = 32 on one rank: each phase enqueues a 1024-site boundary kernel,
+  // then a 15360-site bulk kernel. Both sit far below the 150000-site
+  // occupancy knee, so each runs at the 3x derating cap; without the
+  // derating the per-spin time would be about a third.
+  sim::Simulator sim;
+  auto c = Cluster::make_cluster_i(sim, 1, ApenetParams{}, false);
+  apps::hsg::HsgConfig cfg;
+  cfg.L = 32;
+  cfg.steps = 2;
+  cfg.functional = false;
+  apps::hsg::HsgRun run(*c, cfg);
+  const double ttot = run.run().ttot_ps;
+
+  const gpu::GpuArch& arch = c->node(0).gpu(0).arch();
+  const Time enqueue = c->node(0).cuda().params().enqueue_overhead;
+  auto kernel = [&](double sites) {
+    return enqueue + arch.kernel_launch_overhead +
+           static_cast<Time>(sites *
+                             static_cast<double>(arch.spin_update_time) * 3.0);
   };
-  double with_model = ttot(150000);
-  double without = ttot(0);
-  EXPECT_GT(with_model, without * 2.0);
+  const Time phase = kernel(1024) + kernel(15360);
+  EXPECT_DOUBLE_EQ(ttot, static_cast<double>(2 * cfg.steps * phase) /
+                             (32.0 * 32 * 32 * cfg.steps));
 }
 
 }  // namespace
