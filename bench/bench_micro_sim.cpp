@@ -62,7 +62,7 @@ BENCHMARK(BM_FarFutureStream)->Arg(100000);
 void BM_SameTickChain(benchmark::State& state) {
   // Zero-delay self-rescheduling event: the pure same-tick ready-ring
   // path (no wheel, no heap). This is the fast path every primitive
-  // wakeup (Gate/Semaphore/Queue via schedule_resume) rides.
+  // wakeup (Gate/CreditPool/Queue via schedule_resume) rides.
   for (auto _ : state) {
     sim::Simulator sim;
     int left = static_cast<int>(state.range(0));

@@ -18,9 +18,10 @@
 // instead of happening to read stale-but-plausible bytes.
 //
 // "Zero leaked frames" is a meaningful end state because teardown
-// *reclaims* parked frames: WaiterList, Resource, and Simulator destroy
-// the frames still suspended on them (each suspended frame is reachable
-// from exactly one wait structure). Anything still registered when the
+// *reclaims* parked frames: WaiterList and Simulator destroy the frames
+// still suspended on them (each suspended frame is reachable from exactly
+// one wait structure; a Resource or Channel parks its users in the
+// Simulator's queues). Anything still registered when the
 // atexit report runs is therefore a genuine leak — e.g. a Future whose
 // waiter holds the only reference to the shared state it is parked on.
 //

@@ -1,6 +1,8 @@
 #include "cluster/harness.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -19,6 +21,15 @@ void record_measurement(const char* name, Time t0, Time t_end, double value,
   m.histogram(std::string("harness.") + name + "_" + unit).observe(value);
 }
 
+/// Reject a message count that would leave the measurement empty (and
+/// divide a Time by zero).
+void require_messages(const char* entry, const char* what, int n) {
+  if (n < 1)
+    throw std::invalid_argument(std::string("cluster::") + entry + ": " +
+                                what + " must be at least 1, got " +
+                                std::to_string(n));
+}
+
 struct Shared {
   Time t0 = 0;
   Time t_end = 0;
@@ -29,6 +40,7 @@ struct Shared {
 
 BwResult loopback_bandwidth(Cluster& c, int node, core::MemType src_type,
                             std::uint64_t size, int count) {
+  require_messages("loopback_bandwidth", "count", count);
   Node& n = c.node(node);
   const bool flush = n.card().params().flush_at_switch;
   std::uint64_t src = make_buf(n, src_type, size);
@@ -68,6 +80,7 @@ BwResult loopback_bandwidth(Cluster& c, int node, core::MemType src_type,
 
 BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
                            TwoNodeOptions opt) {
+  require_messages("twonode_bandwidth", "count", count);
   Node& s = c.node(0);
   Node& d = c.node(1);
   std::uint64_t src = make_buf(s, opt.src_type, size);
@@ -139,6 +152,7 @@ BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
 
 Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
                       TwoNodeOptions opt) {
+  require_messages("pingpong_latency", "reps", reps);
   // Symmetric endpoints: each node has a recv buffer of the destination
   // type and sends from a buffer of the source type.
   std::uint64_t src0 = make_buf(c.node(0), opt.src_type, size);
@@ -214,7 +228,8 @@ Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
 }
 
 Time host_overhead(Cluster& c, std::uint64_t size, int count,
-                   TwoNodeOptions opt, int window) {
+                   TwoNodeOptions opt) {
+  require_messages("host_overhead", "count", count);
   std::uint64_t src = make_buf(c.node(0), opt.src_type, size);
   std::uint64_t host = make_buf(c.node(0), core::MemType::kHost, size);
   std::uint64_t dst = make_buf(
@@ -233,17 +248,17 @@ Time host_overhead(Cluster& c, std::uint64_t size, int count,
   }(&c, dst, size, count, opt, sh);
 
   [](Cluster* c, std::uint64_t src, std::uint64_t host, std::uint64_t dst,
-     std::uint64_t size, int count, TwoNodeOptions opt, int window,
+     std::uint64_t size, int count, TwoNodeOptions opt,
      std::shared_ptr<Shared> sh) -> sim::Coro {
     core::RdmaDevice& rdma = c->rdma(0);
     cuda::Runtime& cuda = c->node(0).cuda();
     if (opt.src_type == core::MemType::kGpu && !opt.staged_tx)
       co_await rdma.register_buffer(src, size, core::MemType::kGpu);
     co_await sh->ready->wait();
-    sim::Semaphore credits(c->simulator(), window);
+    sim::CreditPool credits(c->simulator(), kHostOverheadWindow);
     sh->t0 = c->simulator().now();
     for (int i = 0; i < count; ++i) {
-      co_await credits.acquire();
+      co_await credits.acquire(1);
       std::uint64_t from = src;
       if (opt.staged_tx) {
         co_await cuda.memcpy_sync(host, src, size);
@@ -253,15 +268,15 @@ Time host_overhead(Cluster& c, std::uint64_t size, int count,
                         opt.staged_tx ? core::MemType::kHost : opt.src_type,
                         false);
       // Free a credit when the message left the card.
-      [](std::shared_ptr<sim::Gate> g, sim::Semaphore* s) -> sim::Coro {
+      [](std::shared_ptr<sim::Gate> g, sim::CreditPool* s) -> sim::Coro {
         co_await g->wait();
-        s->release();
+        s->release(1);
       }(p.tx_done, &credits);
     }
     sh->t_end = c->simulator().now();
     // Drain remaining credits so `credits` outlives all waiters.
-    for (int i = 0; i < window; ++i) co_await credits.acquire();
-  }(&c, src, host, dst, size, count, opt, window, sh);
+    for (int i = 0; i < kHostOverheadWindow; ++i) co_await credits.acquire(1);
+  }(&c, src, host, dst, size, count, opt, sh);
 
   c.simulator().run();
   const Time per_msg = (sh->t_end - sh->t0) / count;
@@ -345,15 +360,19 @@ Time mpi_latency(Cluster& c, std::uint64_t size, int reps, bool device) {
 }  // namespace
 
 BwResult ib_gg_bandwidth(Cluster& c, std::uint64_t size, int count) {
+  require_messages("ib_gg_bandwidth", "count", count);
   return mpi_bandwidth(c, size, count, true);
 }
 BwResult ib_hh_bandwidth(Cluster& c, std::uint64_t size, int count) {
+  require_messages("ib_hh_bandwidth", "count", count);
   return mpi_bandwidth(c, size, count, false);
 }
 Time ib_gg_latency(Cluster& c, std::uint64_t size, int reps) {
+  require_messages("ib_gg_latency", "reps", reps);
   return mpi_latency(c, size, reps, true);
 }
 Time ib_hh_latency(Cluster& c, std::uint64_t size, int reps) {
+  require_messages("ib_hh_latency", "reps", reps);
   return mpi_latency(c, size, reps, false);
 }
 

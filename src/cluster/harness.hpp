@@ -1,6 +1,8 @@
 // Measurement harness shared by the test suite and the bench binaries:
 // the paper's synthetic benchmarks (§V-B/C) coded against the RDMA API,
 // plus the MVAPICH-style OSU bandwidth/latency equivalents over minimpi.
+// Every entry point throws std::invalid_argument when its message count
+// (`count` or `reps`) is below 1, before it allocates any buffer.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +52,14 @@ BwResult twonode_bandwidth(Cluster& c, std::uint64_t size, int count,
 Time pingpong_latency(Cluster& c, std::uint64_t size, int reps,
                       TwoNodeOptions opt = {});
 
+/// Messages host_overhead() keeps in flight: message i + 8 is posted only
+/// once message i has left the card.
+inline constexpr int kHostOverheadWindow = 8;
+
 /// Sender-side occupancy per message during a windowed bandwidth test —
 /// the LogP host overhead `o` of Fig. 10.
 Time host_overhead(Cluster& c, std::uint64_t size, int count,
-                   TwoNodeOptions opt = {}, int window = 8);
+                   TwoNodeOptions opt = {});
 
 /// OSU-style G-G bandwidth/latency over minimpi/IB (MVAPICH reference
 /// curves of Figs. 7 and 9). Buffers are GPU memory on both ends.

@@ -9,19 +9,20 @@
 // Multiple in-flight sends pipeline: the wire serializes them back-to-back
 // while earlier ones are still propagating.
 //
-// Every send's duration is known when it is queued, so the Channel is a
-// closed-form FIFO serializer: it keeps only `busy_until` and schedules the
-// delivery straight away, one event per send. A send with a `serialized`
-// hook costs two: the hook at `done`, then the delivery. transfer()
-// schedules its coroutine's resume directly and constructs no callable.
-// A Channel may be moved while no hooked send is pending (the hook's event
-// refers back to it), which lets topologies hold channels by value.
+// Every send's duration is known when it is queued, so the wire is a
+// closed-form Resource (resource.hpp): the Channel reserves it for each
+// send and schedules the delivery straight away, one event per send. A
+// send with a `serialized` hook costs two: the hook at `done`, then the
+// delivery. transfer() schedules its coroutine's resume directly and
+// constructs no callable. A Channel may be moved while no hooked send is
+// pending (the hook's event refers back to it), which lets topologies hold
+// channels by value.
 //
 // The same closed form serves a FIFO server whose fixed latency L comes
 // *before* its serializer (a request mailbox, a DRAM access): finishing at
 // max(t + L, prev) + ser is max(t, prev - L) + ser + L, i.e. a Channel
 // with latency L. Such servers send on a Channel and cost one event per
-// job instead of a latency event plus a Resource job.
+// job instead of a latency event plus a server job.
 //
 // reserve(start, bytes) claims the wire for a send that will be queued at
 // `start` >= now and schedules nothing. A caller that knows when a send
@@ -30,13 +31,13 @@
 // send made at `start` as long as reservations arrive in queueing order.
 #pragma once
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <utility>
 
 #include "common/fn.hpp"
 #include "common/units.hpp"
+#include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 namespace apn::sim {
@@ -50,7 +51,10 @@ struct ChannelParams {
 class Channel {
  public:
   Channel(Simulator& sim, ChannelParams params)
-      : sim_(&sim), params_(params), memo_ser_(serialization_time(Bytes(0))) {}
+      : sim_(&sim),
+        params_(params),
+        wire_(sim),
+        memo_ser_(serialization_time(Bytes(0))) {}
 
   const ChannelParams& params() const { return params_; }
 
@@ -107,13 +111,8 @@ class Channel {
 
   Bytes bytes_sent() const { return bytes_sent_; }
   /// Fraction of [0, now] the wire was (or is committed to be) busy.
-  double utilization() const {
-    const Time now = sim_->now();
-    return now > 0 ? static_cast<double>(busy_time_) /
-                         static_cast<double>(now)
-                   : 0.0;
-  }
-  bool busy() const { return busy_until_ > sim_->now(); }
+  double utilization() const { return wire_.utilization(); }
+  bool busy() const { return wire_.busy(); }
 
   /// Claim the wire for a send of `bytes` queued at `start` (>= now) and
   /// schedule nothing; returns the time its last byte leaves the sender.
@@ -125,18 +124,14 @@ class Channel {
       memo_bytes_ = bytes;
       memo_ser_ = serialization_time(bytes);
     }
-    const Time ser = memo_ser_;
     bytes_sent_ += bytes;
-    busy_time_ += ser;
-    busy_until_ = std::max(start, busy_until_) + ser;
-    return busy_until_;
+    return wire_.reserve(start, memo_ser_);
   }
 
  private:
   Simulator* sim_;
   ChannelParams params_;
-  Time busy_until_ = 0;  ///< when the last queued send finishes serializing
-  Time busy_time_ = 0;
+  Resource wire_;  ///< the serializer: one job per send
   Bytes bytes_sent_;
   Bytes memo_bytes_;  ///< size of the last send; its time is memo_ser_
   Time memo_ser_;

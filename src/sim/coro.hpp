@@ -3,7 +3,7 @@
 // A `Coro` is a detached, eagerly-started coroutine: calling a function that
 // returns Coro runs it to its first suspension point; the frame destroys
 // itself when the coroutine finishes. Processes interact with the simulator
-// only through awaitables (delay, Gate, Semaphore, ...), each of which
+// only through awaitables (delay, Gate, CreditPool, ...), each of which
 // schedules the resume as a simulator event — so a resume never nests inside
 // another coroutine's stack frame and execution order is deterministic.
 #pragma once

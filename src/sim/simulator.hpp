@@ -14,7 +14,7 @@
 //    than the inline budget fall back to one boxed allocation.
 //  * ready ring: a FIFO of nodes scheduled for the *current* picosecond
 //    (schedule_resume, after(0, ...)). Same-tick wakeups — the dominant
-//    event class, every Gate/Semaphore/Queue wakeup is one — bypass every
+//    event class, every Gate/CreditPool/Queue wakeup is one — bypass every
 //    ordered structure: O(1) push, O(1) pop.
 //  * tick wheel: 1024 one-picosecond FIFO slots covering the current
 //    epoch [base, base + 1024), base aligned to 1024 ps. An occupancy

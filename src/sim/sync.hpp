@@ -1,11 +1,11 @@
 // Synchronization primitives for simulation processes:
 //   Gate       — one-shot broadcast event (open() wakes all waiters)
 //   Future<T>  — one-shot event carrying a value (shared handle)
-//   Semaphore  — counting semaphore with FIFO wakeup
-//   CreditPool — weighted (byte-granularity) semaphore for flow control
+//   CreditPool — weighted (byte-granularity) semaphore for flow control;
+//                acquires of 1 make it a counting semaphore
 //   Queue<T>   — unbounded async message queue
 //
-// All five park coroutines on the shared intrusive WaiterList (waiter.hpp):
+// All four park coroutines on the shared intrusive WaiterList (waiter.hpp):
 // the waiter node is embedded in the awaiter inside the coroutine frame, so
 // suspending costs no allocation, and every wakeup goes through
 // Simulator::schedule_resume — the same-tick ready ring — never the heap.
@@ -13,7 +13,6 @@
 // interleaving is deterministic and stack depth stays bounded.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -106,70 +105,6 @@ class Future {
     WaiterList<> waiters;
   };
   std::shared_ptr<State> state_;
-};
-
-/// Counting semaphore; acquire() suspends while the count is zero.
-/// Waiters are woken strictly FIFO.
-///
-/// No-spurious-wake invariant: a non-empty waiter list implies count_ == 0.
-/// acquire() only decrements when no one is queued ahead, and release()
-/// hands the permit directly to the oldest waiter instead of incrementing —
-/// so a woken waiter never has to re-check and re-queue, and a release can
-/// never be stolen by a later try_acquire().
-class Semaphore {
- public:
-  Semaphore(Simulator& sim, std::int64_t initial)
-      : sim_(&sim), count_(initial) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  std::int64_t available() const { return count_; }
-  std::size_t waiting() const { return waiters_.size(); }
-
-  auto acquire() {
-    struct [[nodiscard]] Awaiter : Waiter {
-      Semaphore& sem;
-      explicit Awaiter(Semaphore& s) : sem(s) {}
-      bool await_ready() const noexcept { return false; }
-      bool await_suspend(std::coroutine_handle<> h) {
-        if (sem.count_ > 0 && sem.waiters_.empty()) {
-          --sem.count_;
-          return false;  // resume immediately
-        }
-        handle = h;
-        sem.waiters_.push(this);
-        return true;
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  /// Non-suspending acquire; returns false if no permit is available now.
-  bool try_acquire() {
-    if (count_ > 0 && waiters_.empty()) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      // Direct handoff: the invariant guarantees no permits are banked
-      // while anyone waits, so the released permit belongs to the head
-      // waiter — waking it is never spurious.
-      assert(count_ == 0 && "semaphore invariant: waiters imply count==0");
-      sim_->schedule_resume(waiters_.pop()->handle);
-    } else {
-      ++count_;
-    }
-  }
-
- private:
-  Simulator* sim_;
-  std::int64_t count_;
-  WaiterList<> waiters_;
 };
 
 /// Weighted semaphore with FIFO ordering — models byte-granularity buffer

@@ -1,5 +1,5 @@
 // Intrusive waiter list — the one blocking primitive under every sync
-// object (Gate, Future, Semaphore, CreditPool, Queue).
+// object (Gate, Future, CreditPool, Queue).
 //
 // A Waiter node is embedded in the awaiter object, which lives in the
 // suspended coroutine's frame — a stable address for exactly as long as the

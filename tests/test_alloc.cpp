@@ -1,7 +1,7 @@
 // Allocation gate for the simulator's hot paths. Once a path has warmed
-// up (transfer slots, Resource rings and event slabs at their working
-// size), repeating it must not allocate: in particular, a transfer's
-// allocation count must not grow with its chunk count.
+// up (transfer slots and event slabs at their working size), repeating it
+// must not allocate: in particular, a transfer's allocation count must not
+// grow with its chunk count.
 //
 // Placement independence: simulated host addresses come from each node's
 // HostMemory, never from the process heap, so whole runs repeat exactly
@@ -175,7 +175,7 @@ TEST(SteadyStateAllocs, ResourcePostAllocatesNothing) {
     for (int i = 0; i < 32; ++i) res.post(ns(10), [&done] { ++done; });
     sim.run();
   };
-  burst();  // warm-up: ring and event slabs reach their working size
+  burst();  // warm-up: event slabs reach their working size
   EXPECT_EQ(allocs_during(burst), 0u);
   EXPECT_EQ(done, 64);
 }
@@ -227,8 +227,8 @@ TEST(SteadyStateAllocs, CoroutineResumeAllocatesNothing) {
   sim::Gate warm(sim), go(sim);
   int rounds = 0;
   // One frame for both bursts. Each round resumes through resume_after
-  // (delay), the Resource completion event and resume_at (transfer); each
-  // gate wakes the frame through schedule_resume.
+  // (delay) and resume_at (the Resource job's end, then the transfer's
+  // delivery); each gate wakes the frame through schedule_resume.
   auto proc = [](sim::Simulator* sim, sim::Resource* res, sim::Channel* ch,
                  sim::Gate* warm, sim::Gate* go, int* rounds) -> sim::Coro {
     for (sim::Gate* gate : {warm, go}) {
@@ -243,7 +243,7 @@ TEST(SteadyStateAllocs, CoroutineResumeAllocatesNothing) {
   };
   proc(&sim, &res, &ch, &warm, &go, &rounds);  // allocates the frame
   warm.open();
-  sim.run();  // warm-up: ready ring, Resource ring and event slabs
+  sim.run();  // warm-up: ready ring and event slabs
   EXPECT_EQ(allocs_during([&] {
               go.open();
               sim.run();

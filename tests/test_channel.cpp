@@ -7,8 +7,8 @@
 #include "check/coro_check.hpp"
 #include "common/rng.hpp"
 #include "sim/channel.hpp"
+#include "queued_server.hpp"
 #include "sim/coro.hpp"
-#include "sim/resource.hpp"
 
 namespace apn::sim {
 namespace {
@@ -95,8 +95,9 @@ TEST(Channel, ZeroLatencyHookFiresBeforeDelivery) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-/// The model Channel replaced: a FIFO Resource serves each send, and its
-/// completion runs the hook and schedules the delivery `latency` later.
+/// The model Channel replaced: a queued FIFO server serves each send, and
+/// its completion runs the hook and schedules the delivery (or the
+/// transfer's resume) `latency` later, as an event of its own.
 class ReferenceChannel {
  public:
   ReferenceChannel(Simulator& sim, ChannelParams params)
@@ -118,7 +119,9 @@ class ReferenceChannel {
       Bytes n;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        ch.line_.post_resume(ch.serialization_time(n), h, ch.params_.latency);
+        ch.line_.post(ch.serialization_time(n), [&ch = ch, h] {
+          ch.sim_->resume_after(ch.params_.latency, h);
+        });
       }
       void await_resume() const noexcept {}
     };
@@ -133,7 +136,7 @@ class ReferenceChannel {
 
   Simulator* sim_;
   ChannelParams params_;
-  Resource line_;
+  test_util::QueuedServer line_;
 };
 
 /// When each operation's hook and delivery (or transfer resume) fired.

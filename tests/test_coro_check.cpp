@@ -140,13 +140,13 @@ TEST(CoroCheck, QueueTeardownReclaimsParkedConsumer) {
   EXPECT_EQ(Counters::now().live, before.live);
 }
 
-TEST(CoroCheck, SemaphoreTeardownReclaimsParkedWaiter) {
+TEST(CoroCheck, CreditPoolTeardownReclaimsParkedWaiter) {
   TrackingGuard on;
   const Counters before = Counters::now();
   {
     sim::Simulator sim;
-    sim::Semaphore sema(sim, 0);
-    [](sim::Semaphore* s) -> sim::Coro { co_await s->acquire(); }(&sema);
+    sim::CreditPool pool(sim, 0);  // a counting pool with nothing in it
+    [](sim::CreditPool* p) -> sim::Coro { co_await p->acquire(1); }(&pool);
     EXPECT_EQ(Counters::now().live - before.live, 1u);
   }
   EXPECT_EQ(Counters::now().live, before.live);
@@ -158,8 +158,8 @@ TEST(CoroCheck, ResourceTeardownReclaimsQueuedAndInflightJobs) {
   {
     sim::Simulator sim;
     sim::Resource server(sim);
-    // First job is in flight (handle captured in the pending completion
-    // event), second is queued behind it. Neither completion ever fires.
+    // Two jobs: one in service, one queued behind it. Each frame waits on
+    // its completion event in the Simulator, which never fires.
     [](sim::Resource* r) -> sim::Coro { co_await r->use(100); }(&server);
     [](sim::Resource* r) -> sim::Coro { co_await r->use(100); }(&server);
     EXPECT_EQ(Counters::now().live - before.live, 2u);

@@ -2,6 +2,11 @@
 // invariants that keep every bench number trustworthy.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "cluster/cluster.hpp"
 #include "cluster/harness.hpp"
 
@@ -97,6 +102,73 @@ TEST(Harness, IbBandwidthSaneAndOrdered) {
   auto gg = ib_gg_bandwidth(*c2, 1 << 20, 8);
   EXPECT_GT(hh.mbps, gg.mbps);  // GPU path pays the staging pipeline
   EXPECT_GT(gg.mbps, 500.0);
+}
+
+/// Where the next host and device buffers on `node` land. Two clusters
+/// built alike agree on it unless one of them has allocated a buffer.
+std::pair<std::uint64_t, std::uint64_t> next_buffers(Node& node) {
+  return {node.hostmem().alloc(64), node.cuda().malloc_device(0, 64)};
+}
+
+/// `call(cluster, n)` must throw std::invalid_argument for n = 0 and n = -1
+/// before it allocates any buffer on either node.
+template <typename Call>
+void expect_rejects_bad_count(bool ib, Call call) {
+  auto make = [ib](sim::Simulator& sim) {
+    return ib ? Cluster::make_cluster_ii(sim, 2)
+              : Cluster::make_cluster_i(sim, 2, ApenetParams{}, false);
+  };
+  for (int n : {0, -1}) {
+    SCOPED_TRACE("count " + std::to_string(n));
+    sim::Simulator sim, fresh_sim;
+    std::unique_ptr<Cluster> c = make(sim);
+    std::unique_ptr<Cluster> fresh = make(fresh_sim);
+    EXPECT_THROW(call(*c, n), std::invalid_argument);
+    for (int i = 0; i < c->size(); ++i)
+      EXPECT_EQ(next_buffers(c->node(i)), next_buffers(fresh->node(i)));
+  }
+}
+
+TEST(Harness, LoopbackBandwidthRejectsNoMessages) {
+  expect_rejects_bad_count(false, [](Cluster& c, int n) {
+    loopback_bandwidth(c, 0, MemType::kHost, 4096, n);
+  });
+}
+
+TEST(Harness, TwoNodeBandwidthRejectsNoMessages) {
+  expect_rejects_bad_count(false, [](Cluster& c, int n) {
+    twonode_bandwidth(c, 4096, n, TwoNodeOptions{});
+  });
+}
+
+TEST(Harness, PingpongLatencyRejectsNoReps) {
+  expect_rejects_bad_count(false, [](Cluster& c, int n) {
+    pingpong_latency(c, 32, n, TwoNodeOptions{});
+  });
+}
+
+TEST(Harness, HostOverheadRejectsNoMessages) {
+  expect_rejects_bad_count(false, [](Cluster& c, int n) {
+    host_overhead(c, 512, n, TwoNodeOptions{});
+  });
+}
+
+TEST(Harness, IbBandwidthRejectsNoMessages) {
+  expect_rejects_bad_count(true, [](Cluster& c, int n) {
+    ib_hh_bandwidth(c, 4096, n);
+  });
+  expect_rejects_bad_count(true, [](Cluster& c, int n) {
+    ib_gg_bandwidth(c, 4096, n);
+  });
+}
+
+TEST(Harness, IbLatencyRejectsNoReps) {
+  expect_rejects_bad_count(true, [](Cluster& c, int n) {
+    ib_hh_latency(c, 32, n);
+  });
+  expect_rejects_bad_count(true, [](Cluster& c, int n) {
+    ib_gg_latency(c, 32, n);
+  });
 }
 
 }  // namespace

@@ -74,30 +74,31 @@ TEST(SimStress, CreditPoolConservesCredits) {
   EXPECT_GT(*peak, 500);  // the pool actually saturated at some point
 }
 
-TEST(SimStress, SemaphoreNeverOversubscribes) {
+TEST(SimStress, CreditPoolOfOnesNeverOversubscribes) {
   Rng rng(99);
   Simulator sim;
-  Semaphore sem(sim, 3);
+  CreditPool pool(sim, 3);
   auto active = std::make_shared<int>(0);
   auto completed = std::make_shared<int>(0);
   for (int i = 0; i < 300; ++i) {
     sim.after(static_cast<Time>(rng.next_below(30000)), [&, active,
                                                          completed] {
-      [](Simulator& sim, Semaphore& sem, std::shared_ptr<int> active,
+      [](Simulator& sim, CreditPool& pool, std::shared_ptr<int> active,
          std::shared_ptr<int> completed, Time hold) -> Coro {
-        co_await sem.acquire();
+        co_await pool.acquire(1);
         ++*active;
         EXPECT_LE(*active, 3);
         co_await delay(sim, hold);
         --*active;
         ++*completed;
-        sem.release();
-      }(sim, sem, active, completed,
+        pool.release(1);
+      }(sim, pool, active, completed,
         static_cast<Time>(rng.next_below(900)) + 1);
     });
   }
   sim.run();
   EXPECT_EQ(*completed, 300);
+  EXPECT_EQ(pool.available(), 3);
 }
 
 TEST(SimStress, ResourceBusyTimeEqualsSumOfJobs) {

@@ -77,34 +77,25 @@ TEST(Future, AwaitAfterReadyReturnsImmediately) {
   EXPECT_EQ(got, 7);
 }
 
-TEST(Semaphore, LimitsConcurrency) {
+TEST(CreditPool, LimitsConcurrency) {
   Simulator sim;
-  Semaphore sem(sim, 2);
+  CreditPool pool(sim, 2);
   int concurrent = 0, peak = 0, completed = 0;
-  auto worker = [](Simulator& sim, Semaphore& sem, int& concurrent,
+  auto worker = [](Simulator& sim, CreditPool& pool, int& concurrent,
                    int& peak, int& completed) -> Coro {
-    co_await sem.acquire();
+    co_await pool.acquire(1);
     ++concurrent;
     peak = std::max(peak, concurrent);
     co_await delay(sim, us(10));
     --concurrent;
     ++completed;
-    sem.release();
+    pool.release(1);
   };
-  for (int i = 0; i < 6; ++i) worker(sim, sem, concurrent, peak, completed);
+  for (int i = 0; i < 6; ++i) worker(sim, pool, concurrent, peak, completed);
   sim.run();
   EXPECT_EQ(peak, 2);
   EXPECT_EQ(completed, 6);
   EXPECT_EQ(sim.now(), us(30));  // 6 jobs / 2 wide / 10 us each
-}
-
-TEST(Semaphore, TryAcquire) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
-  sem.release();
-  EXPECT_TRUE(sem.try_acquire());
 }
 
 TEST(CreditPool, BlocksUntilEnoughCredits) {

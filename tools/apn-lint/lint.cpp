@@ -1315,8 +1315,8 @@ bool state_like_member(const Decl& m) {
       "const",    "static",    "constexpr", "StateCell", "Track",
       "Counter",  "Resource",  "Simulator", "UniqueFn",  "Fn",
       "function", "Coro",      "Future",    "Signal",    "Gate",
-      "Semaphore", "CreditPool", "Channel", "Queue",     "Stream",
-      "string",   "string_view", "mutable"};
+      "CreditPool", "Channel", "Queue",   "Stream",    "string",
+      "string_view", "mutable"};
   static const std::set<std::string> kState = {
       "int",      "unsigned", "long",     "short",    "bool",
       "size_t",   "int8_t",   "int16_t",  "int32_t",  "int64_t",
