@@ -100,8 +100,6 @@ class InitialLattice {
     return Spin{p.x, p.y,
                 static_cast<float>(detail::site_draw(seed_, z, y, x).u)};
   }
-  /// Append row (z, y)'s L spins to `out`, each constructed in place.
-  void append_row(int z, int y, std::vector<Spin>& out) const;
 
  private:
   struct Xy {
@@ -132,14 +130,23 @@ std::shared_ptr<const InitialLattice> shared_lattice(int L,
 /// are the halo layers and the interior is 1..extent; on a wrapped axis
 /// the interior is 0..L-1 (`z_begin`/`y_begin` give the first interior
 /// index). A site's parity is (global z + global y + x) mod 2.
+///
+/// Storage is red/black structure-of-arrays, the checkerboard split of the
+/// paper's GPU code. Each row holds two parity blocks, block 0 then block
+/// 1, and each block is three arrays of L/2 floats: {x[L/2], y[L/2],
+/// z[L/2]}. Site (z, y, x) of parity p is entry x / 2 of row (z, y)'s
+/// block p. A parity-p update reads only parity-(1 - p) blocks, so each
+/// row is one unit-stride loop. A face payload of one parity is the
+/// face's rows in storage order, each row's block copied whole as [x|y|z]:
+/// L/2 * 12 B per row, the byte count of L/2 packed `Spin`s.
 class Slab {
  public:
   /// A Z slab: local planes [z_offset, z_offset + local_z), all of Y.
   /// Every site starts at {0, 0, 1}.
   Slab(int L, int local_z, int z_offset);
   /// A Z x Y brick. Every site starts at {0, 0, 1}. Throws
-  /// std::invalid_argument unless L >= 2, each extent is in [1, L] and
-  /// each offset in [0, L).
+  /// std::invalid_argument unless L >= 2 is even (the parity split needs
+  /// it), each extent is in [1, L] and each offset in [0, L).
   Slab(int L, int lz, int ly, int z_offset, int y_offset);
   /// The brick of `init`'s lattice: interior sites written once from the
   /// table (as `randomize(init.seed())` would set them), halo layers at
@@ -163,8 +170,18 @@ class Slab {
   /// sites are copied from `shared_lattice(L, seed)`.
   void randomize(std::uint64_t seed);
 
-  Spin& at(int z, int y, int x) { return spins_[idx(z, y, x)]; }
-  const Spin& at(int z, int y, int x) const { return spins_[idx(z, y, x)]; }
+  Spin at(int z, int y, int x) const {
+    const float* b = block(z, y, row_parity(z, y) ^ (x & 1));
+    const std::size_t k = static_cast<std::size_t>(x / 2);
+    return Spin{b[k], b[h_ + k], b[2 * h_ + k]};
+  }
+  void set(int z, int y, int x, const Spin& s) {
+    float* b = block(z, y, row_parity(z, y) ^ (x & 1));
+    const std::size_t k = static_cast<std::size_t>(x / 2);
+    b[k] = s.x;
+    b[h_ + k] = s.y;
+    b[2 * h_ + k] = s.z;
+  }
 
   /// Over-relax every interior site of the given (global) parity.
   void update_interior(int parity);
@@ -182,7 +199,9 @@ class Slab {
   /// std::invalid_argument for a face on a wrapped axis, as do
   /// `unpack_face` and `face_parity_bytes`.
   void pack_face(Face face, int parity, std::vector<std::uint8_t>& out) const;
-  /// Unpack a neighbor's payload into the halo layer beyond `face`.
+  /// Unpack a neighbor's payload into the halo layer beyond `face`. Throws
+  /// std::runtime_error, before writing a site, if `in` is shorter than
+  /// `face_parity_bytes(face)`.
   void unpack_face(Face face, int parity, std::span<const std::uint8_t> in);
   std::size_t face_parity_bytes(Face face) const;
 
@@ -199,29 +218,48 @@ class Slab {
     int z0, z1, y0, y1;
   };
 
-  std::size_t idx(int z, int y, int x) const {
-    return static_cast<std::size_t>((z * rows_ + y) * L_ + x);
+  /// The one constructor the public ones delegate to: interior rows from
+  /// `init`, or {0, 0, 1} when it is null; halo rows {0, 0, 1}.
+  Slab(int L, int lz, int ly, int z_offset, int y_offset,
+       const InitialLattice* init);
+
+  /// Row (z, y)'s block of `parity`: x[h_], y[h_], z[h_].
+  std::size_t block_offset(int z, int y, int parity) const {
+    return (static_cast<std::size_t>(z * rows_ + y) * 2 +
+            static_cast<std::size_t>(parity)) *
+           3 * h_;
+  }
+  const float* block(int z, int y, int parity) const {
+    return data_.get() + block_offset(z, y, parity);
+  }
+  float* block(int z, int y, int parity) {
+    return data_.get() + block_offset(z, y, parity);
   }
   int gz(int z) const { return z + z_offset_ - hz_; }
   int gy(int y) const { return y + y_offset_ - hy_; }
   /// gz / gy wrapped into [0, L).
   int lattice_z(int z) const { return (gz(z) % L_ + L_) % L_; }
   int lattice_y(int y) const { return (gy(y) % L_ + L_) % L_; }
-  /// Row (z, y)'s sites of `parity` (0 or 1) are x = first_x, first_x + 2,
-  /// ...
-  int first_x(int z, int y, int parity) const {
-    return ((gz(z) % 2 + 2) + (gy(y) % 2 + 2) + parity) % 2;
-  }
+  /// The parity of row (z, y)'s even-x sites; its odd-x sites have the
+  /// other one.
+  int row_parity(int z, int y) const { return (gz(z) + gy(y)) & 1; }
+  /// Write interior row (z, y) from the table.
+  void load_row(const InitialLattice& init, int z, int y);
   /// The interior layer next to `face`, or the halo layer beyond it.
   Layer face_layer(Face face, bool halo) const;
+  /// Payload bytes of one parity of `l`'s rows.
+  std::size_t layer_bytes(const Layer& l) const;
   void update_range(const Layer& l, int parity);
   void pack(const Layer& l, int parity, std::vector<std::uint8_t>& out) const;
   void unpack(const Layer& l, int parity, std::span<const std::uint8_t> in);
 
   int L_, lz_, ly_, z_offset_, y_offset_;
-  int hz_, hy_;  ///< halo depth along Z / Y: 0 on a wrapped axis, else 1
-  int rows_;     ///< rows per storage plane: ly + 2 hy
-  std::vector<Spin> spins_;
+  int hz_, hy_;    ///< halo depth along Z / Y: 0 on a wrapped axis, else 1
+  int rows_;       ///< rows per storage plane: ly + 2 hy
+  std::size_t h_;  ///< sites per parity block: L / 2
+  /// (lz + 2 hz) x rows_ rows of 2 parity blocks; every site is written
+  /// by the constructor, so the buffer starts uninitialized.
+  std::unique_ptr<float[]> data_;
 };
 
 /// Whole-lattice reference implementation used to validate the

@@ -209,55 +209,60 @@ sim::Coro ApenetCard::host_tx_engine() {
 // ---------------------------------------------------------------------------
 
 void ApenetCard::inject(ApPacket pkt, UniqueFn<void()> on_sent) {
-  auto sp = std::make_shared<ApPacket>(std::move(pkt));
-  injection_.post(params_.tx_packet_overhead, [this, sp,
-                                               on_sent = std::move(
-                                                   on_sent)]() mutable {
+  // The packet and its completion share one holder, so each hop's closure
+  // is a pointer or two and stays in the event node.
+  struct InFlight {
+    ApPacket pkt;
+    UniqueFn<void()> on_sent;
+  };
+  auto sp = std::make_shared<InFlight>(std::move(pkt), std::move(on_sent));
+  auto injected = [this, sp] {
     ++packets_injected_;
     m_tx_packets_->inc();
     if (params_.flush_at_switch) {
       // Test hook: the packet evaporates inside the switch.
-      sim_->after(params_.router_latency, std::move(on_sent));
+      sim_->after(params_.router_latency, std::move(sp->on_sent));
       return;
     }
-    if (sp->hdr.dst == me_) {
-      sim_->after(params_.router_latency,
-                  [this, sp, on_sent = std::move(on_sent)]() mutable {
-                    rx_queue_.push(std::move(*sp));
-                    on_sent();
-                  });
+    if (sp->pkt.hdr.dst == me_) {
+      sim_->after(params_.router_latency, [this, sp] {
+        rx_queue_.push(std::move(sp->pkt));
+        sp->on_sent();
+      });
       return;
     }
-    TorusPort port = shape_.route_next(me_, sp->hdr.dst);
+    TorusPort port = shape_.route_next(me_, sp->pkt.hdr.dst);
     LinkOut& l = links_[static_cast<std::size_t>(port)];
     if (l.channel == nullptr || l.neighbor == nullptr) {
       // Unwired port (single-card tests): drop but complete the send.
-      sim_->after(params_.router_latency, std::move(on_sent));
+      sim_->after(params_.router_latency, std::move(sp->on_sent));
       return;
     }
-    sim_->after(params_.router_latency, [this, sp, &l, port,
-                                         on_sent =
-                                             std::move(on_sent)]() mutable {
+    auto hop = [this, sp, &l, port] {
       const trace::Track& lt = trace_links_[static_cast<std::size_t>(port)];
       auto deliver = [nb = l.neighbor, sp] {
-        nb->receive_from_link(std::move(*sp));
+        nb->receive_from_link(std::move(sp->pkt));
       };
       if (!lt) {
-        l.channel->send(sp->wire_bytes(), std::move(deliver),
-                        std::move(on_sent));
+        l.channel->send(sp->pkt.wire_bytes(), std::move(deliver),
+                        std::move(sp->on_sent));
         return;
       }
       const Time t0 = sim_->now();
-      const Bytes wire = sp->wire_bytes();
-      l.channel->send(wire, std::move(deliver),
-                      [this, &lt, t0, wire,
-                       on_sent = std::move(on_sent)]() mutable {
-                        lt.span("torus", "pkt", t0, sim_->now(),
-                                {{"wire_bytes", wire.count()}});
-                        if (on_sent) on_sent();
-                      });
-    });
-  });
+      const Bytes wire = sp->pkt.wire_bytes();
+      l.channel->send(wire, std::move(deliver), [this, &lt, t0, wire, sp] {
+        lt.span("torus", "pkt", t0, sim_->now(),
+                {{"wire_bytes", wire.count()}});
+        if (sp->on_sent) sp->on_sent();
+      });
+    };
+    static_assert(sim::Simulator::stores_inline<decltype(hop)>(),
+                  "the router hop event must not heap-allocate");
+    sim_->after(params_.router_latency, std::move(hop));
+  };
+  static_assert(sim::Simulator::stores_inline<decltype(injected)>(),
+                "the injection event must not heap-allocate");
+  injection_.post(params_.tx_packet_overhead, std::move(injected));
 }
 
 void ApenetCard::receive_from_link(ApPacket pkt) {

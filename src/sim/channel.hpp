@@ -112,12 +112,11 @@ class Channel {
   Bytes bytes_sent() const { return bytes_sent_; }
   /// Fraction of [0, now] the wire was (or is committed to be) busy.
   double utilization() const { return wire_.utilization(); }
-  bool busy() const { return wire_.busy(); }
 
   /// Claim the wire for a send of `bytes` queued at `start` (>= now) and
   /// schedule nothing; returns the time its last byte leaves the sender.
   /// Reservations must be made in the order their sends are queued;
-  /// busy() and utilization() count a reservation from when it is made.
+  /// utilization() counts a reservation from when it is made.
   Time reserve(Time start, Bytes bytes) {
     // Senders mostly repeat one size, so the last size's time is kept.
     if (bytes != memo_bytes_) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <vector>
 
 #include "apps/hsg/runner.hpp"
 
@@ -241,6 +244,205 @@ TEST(InitialLattice, TwoByTwoGridSitesAreDeterministicSpinBitwise) {
 }
 
 // ---------------------------------------------------------------------------
+// Red/black slab kernels against the scalar reference
+// ---------------------------------------------------------------------------
+
+TEST(HsgSlab, ZeroFieldKeepsTheSpinBitForBit) {
+  // A site whose six neighbors cancel exactly has hh == 0: over_relax
+  // returns it unchanged, and the vectorised select must too. Sites at the
+  // row start, in the middle and at the wrap end, in both parities, so
+  // both the peeled wrap site and the unit-stride run are covered.
+  const int L = 8;
+  const Spin kept{0.25f, -0.6875f, std::nextafter(0.5f, 1.0f)};
+  for (int parity = 0; parity < 2; ++parity)
+    for (int x : {0, 1, 3, 4, L - 2, L - 1}) {
+      SCOPED_TRACE(testing::Message() << "parity " << parity << " x " << x);
+      Slab s(L, L, 0);  // the whole lattice: every axis wraps by index
+      s.randomize(17);
+      const int z = 2, y = 3 + (parity + z + 3 + x) % 2;
+      ASSERT_EQ((z + y + x) % 2, parity);
+      s.set(z, y, x, kept);
+      const Spin a{0.125f, -0.75f, 0.5f}, b{-0.3f, 0.2f, 0.9f},
+          c{0.6f, 0.7f, -0.1f};
+      s.set(z, y, (x + 1) % L, a);
+      s.set(z, y, (x + L - 1) % L, Spin{-a.x, -a.y, -a.z});
+      s.set(z, (y + 1) % L, x, b);
+      s.set(z, (y + L - 1) % L, x, Spin{-b.x, -b.y, -b.z});
+      s.set((z + 1) % L, y, x, c);
+      s.set((z + L - 1) % L, y, x, Spin{-c.x, -c.y, -c.z});
+      const Spin before_other = s.at(z, y, (x + 2) % L);
+      s.update_interior(parity);
+      EXPECT_TRUE(same_bits(s.at(z, y, x), kept));
+      // A same-parity site with a nonzero field does move.
+      EXPECT_FALSE(same_bits(s.at(z, y, (x + 2) % L), before_other));
+    }
+}
+
+TEST(HsgSlab, ShortPayloadThrowsBeforeWritingASite) {
+  Slab s(8, 4, 0);
+  s.randomize(3);
+  std::vector<std::uint8_t> face;
+  s.pack_face(Face::kZhigh, 1, face);
+  std::vector<std::uint8_t> halo_before;
+  s.pack_parity_plane(0, 1, halo_before);
+  face.pop_back();
+  EXPECT_THROW(s.unpack_face(Face::kZlow, 1, face), std::runtime_error);
+  std::vector<std::uint8_t> halo_after;
+  s.pack_parity_plane(0, 1, halo_after);
+  EXPECT_EQ(halo_after, halo_before);
+}
+
+TEST(HsgSlab, FacePayloadIsEachRowsBlockAsXThenYThenZ) {
+  // The halo wire format: one parity of the face's rows in storage order,
+  // each row as [x of L/2 sites | y | z], 12 B per site in all.
+  const int L = 8, h = L / 2;
+  Slab s(L, 4, 4, 2, 3);
+  s.randomize(21);
+  for (int parity = 0; parity < 2; ++parity)
+    for (Face face : {Face::kZlow, Face::kYhigh}) {
+      std::vector<std::uint8_t> buf;
+      s.pack_face(face, parity, buf);
+      ASSERT_EQ(buf.size(), 4u * h * sizeof(Spin));
+      std::vector<float> f(buf.size() / sizeof(float));
+      std::memcpy(f.data(), buf.data(), buf.size());
+      for (int r = 0; r < 4; ++r) {
+        // kZlow: plane 1, rows 1..4; kYhigh: planes 1..4, row 4.
+        const int z = face == Face::kZlow ? 1 : 1 + r;
+        const int y = face == Face::kZlow ? 1 + r : 4;
+        const int gz = 2 + z - 1, gy = 3 + y - 1;
+        const int first = (gz + gy + parity) % 2;
+        for (int k = 0; k < h; ++k) {
+          const Spin want = s.at(z, y, first + 2 * k);
+          const float* row = f.data() + static_cast<std::size_t>(r) * 3 * h;
+          ASSERT_EQ(row[k], want.x);
+          ASSERT_EQ(row[h + k], want.y);
+          ASSERT_EQ(row[2 * h + k], want.z);
+        }
+      }
+    }
+}
+
+/// A pz x py tiling of an L lattice cut at points drawn from `seed` (so
+/// extents of 1 and odd offsets occur), swept three times with face
+/// exchanges after every parity, checked site for site against the
+/// reference.
+void expect_tiling_matches_reference(int L, int pz, int py,
+                                     std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  auto pick = [&rng](int n) { return static_cast<int>(rng.next() % n); };
+  // Cut points: `parts` distinct offsets in [0, L), the first one 0.
+  auto cuts = [&](int parts) {
+    std::vector<int> c{0};
+    while (static_cast<int>(c.size()) < parts) {
+      const int at = 1 + pick(L - 1);
+      if (std::find(c.begin(), c.end(), at) == c.end()) c.push_back(at);
+    }
+    std::sort(c.begin(), c.end());
+    c.push_back(L);
+    return c;
+  };
+  const std::vector<int> zc = cuts(pz), yc = cuts(py);
+  const std::uint64_t lattice_seed = rng.next();
+  SCOPED_TRACE(testing::Message() << "seed " << seed << ": L " << L << ", "
+                                  << pz << " x " << py);
+
+  ReferenceLattice ref(L);
+  ref.randomize(lattice_seed);
+  const auto init = shared_lattice(L, lattice_seed);
+  std::vector<Slab> bricks;
+  for (int iz = 0; iz < pz; ++iz)
+    for (int iy = 0; iy < py; ++iy) {
+      const int lz = zc[iz + 1] - zc[iz], ly = yc[iy + 1] - yc[iy];
+      if (pick(2) == 0) {
+        bricks.emplace_back(*init, lz, ly, zc[iz], yc[iy]);
+      } else {
+        bricks.emplace_back(L, lz, ly, zc[iz], yc[iy]);
+        bricks.back().randomize(lattice_seed);
+      }
+    }
+  auto brick = [&](int iz, int iy) -> Slab& {
+    return bricks[static_cast<std::size_t>(((iz + pz) % pz) * py +
+                                           (iy + py) % py)];
+  };
+  std::vector<std::uint8_t> buf;
+  auto exchange = [&](int parity) {
+    for (int iz = 0; iz < pz; ++iz)
+      for (int iy = 0; iy < py; ++iy) {
+        Slab& s = brick(iz, iy);
+        auto fill = [&](Face face, const Slab& from) {
+          from.pack_face(opposite(face), parity, buf);
+          s.unpack_face(face, parity, buf);
+        };
+        if (pz > 1) {
+          fill(Face::kZlow, brick(iz - 1, iy));
+          fill(Face::kZhigh, brick(iz + 1, iy));
+        }
+        if (py > 1) {
+          fill(Face::kYlow, brick(iz, iy - 1));
+          fill(Face::kYhigh, brick(iz, iy + 1));
+        }
+      }
+  };
+  exchange(0);
+  exchange(1);
+  const bool split = pick(2) == 0;  // boundary + bulk, or interior
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    ref.sweep();
+    for (int parity = 0; parity < 2; ++parity) {
+      for (Slab& s : bricks) {
+        if (split) {
+          s.update_boundary(parity);
+          s.update_bulk(parity);
+        } else {
+          s.update_interior(parity);
+        }
+      }
+      exchange(parity);
+    }
+  }
+  double energy = 0;
+  for (const Slab& s : bricks) {
+    energy += s.owned_energy();
+    for (int z = 0; z < s.lz(); ++z)
+      for (int y = 0; y < s.ly(); ++y)
+        for (int x = 0; x < L; ++x)
+          ASSERT_TRUE(same_bits(s.at(s.z_begin() + z, s.y_begin() + y, x),
+                                ref.at(s.z_offset() + z, s.y_offset() + y, x)))
+              << "brick at " << s.z_offset() << "," << s.y_offset()
+              << ", site " << z << "," << y << "," << x;
+  }
+  // One brick sums its bonds in the reference's order, bit for bit.
+  if (pz * py == 1) {
+    EXPECT_EQ(energy, ref.energy());
+  } else {
+    EXPECT_NEAR(energy, ref.energy(), 1e-9 * L * L * L);
+  }
+}
+
+TEST(HsgSlab, RandomTilingsMatchReferenceSiteExact) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SplitMix64 rng(seed);
+    const int L = 2 * (1 + static_cast<int>(rng.next() % 5));  // 2..10
+    const int pz = 1 + static_cast<int>(rng.next() % std::min(4, L));
+    const int py = 1 + static_cast<int>(rng.next() % 2);
+    expect_tiling_matches_reference(L, pz, py, rng.next());
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(HsgSlab, SideTwoMatchesReference) {
+  // L = 2: a site's x+1 and x-1 are the same site, and each row is one
+  // site per parity, the peeled wrap site alone. The whole lattice, and
+  // bricks one plane deep and / or one row wide.
+  for (int pz = 1; pz <= 2; ++pz)
+    for (int py = 1; py <= 2; ++py)
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        expect_tiling_matches_reference(2, pz, py, seed);
+        if (HasFatalFailure()) return;
+      }
+}
+
+// ---------------------------------------------------------------------------
 // Distributed runner (full stack, functional halos)
 // ---------------------------------------------------------------------------
 
@@ -396,6 +598,13 @@ TEST(HsgRun, RejectsBadGeometry) {
   EXPECT_THROW(Slab(*init, 4, 4, 0, -1), std::invalid_argument);
   EXPECT_NO_THROW(Slab(8, 8, 7));
   EXPECT_NO_THROW(Slab(*init, 8, 8, 0, 0));
+  // Each row splits into two parity blocks of L/2 sites: L must be even.
+  EXPECT_THROW(Slab(7, 7, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(9, 3, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(3, 1, 3, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Slab(*shared_lattice(9, 1), 3, 9, 0, 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Slab(2, 1, 1, 1, 1));
 }
 
 }  // namespace

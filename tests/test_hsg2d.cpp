@@ -27,7 +27,7 @@ TEST(Slab2d, OwnedEnergySumsToReferenceEnergy) {
           for (int x = 0; x < L; ++x) {
             int gz = ((z + iz * L / 2 - 1) % L + L) % L;
             int gy = ((y + iy * L / 2 - 1) % L + L) % L;
-            s.at(z, y, x) = ref.at(gz, gy, x);
+            s.set(z, y, x, ref.at(gz, gy, x));
           }
       total += s.owned_energy();
     }
