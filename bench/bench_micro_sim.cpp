@@ -17,6 +17,8 @@ namespace {
 using namespace apn;
 
 void BM_EventQueue(benchmark::State& state) {
+  // range(0) events inside one 1 ns epoch, all in the epoch heap: a shape
+  // no model workload has, kept as the guard against a quadratic path.
   for (auto _ : state) {
     sim::Simulator sim;
     const int n = static_cast<int>(state.range(0));
@@ -33,8 +35,8 @@ BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
 void BM_FarFutureStream(benchmark::State& state) {
   // The shape of p2p_stream's queue: ten chains of events, each firing
   // 64 ns-2 us after it was scheduled and scheduling its successor, so
-  // about ten events are pending at any time, all beyond the 1 ns tick
-  // wheel. range(0) events in all.
+  // about ten events are pending at any time, all beyond the 1 ns open
+  // epoch. range(0) events in all.
   for (auto _ : state) {
     sim::Simulator sim;
     Rng rng(static_cast<std::uint64_t>(state.range(0)));
@@ -61,7 +63,7 @@ BENCHMARK(BM_FarFutureStream)->Arg(100000);
 
 void BM_SameTickChain(benchmark::State& state) {
   // Zero-delay self-rescheduling event: the pure same-tick ready-ring
-  // path (no wheel, no heap). This is the fast path every primitive
+  // path (no bucket, no heap). This is the fast path every primitive
   // wakeup (Gate/CreditPool/Queue via schedule_resume) rides.
   for (auto _ : state) {
     sim::Simulator sim;

@@ -244,8 +244,13 @@ void ApenetCard::inject(ApPacket pkt, UniqueFn<void()> on_sent) {
         nb->receive_from_link(std::move(sp->pkt));
       };
       if (!lt) {
-        l.channel->send(sp->pkt.wire_bytes(), std::move(deliver),
-                        std::move(sp->on_sent));
+        // The hook captures the holder, not the 64 B UniqueFn, so the
+        // hooked send's event stays inline.
+        if (sp->on_sent)
+          l.channel->send(sp->pkt.wire_bytes(), std::move(deliver),
+                          [sp] { sp->on_sent(); });
+        else
+          l.channel->send(sp->pkt.wire_bytes(), std::move(deliver));
         return;
       }
       const Time t0 = sim_->now();

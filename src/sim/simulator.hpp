@@ -16,32 +16,30 @@
 //    (schedule_resume, after(0, ...)). Same-tick wakeups — the dominant
 //    event class, every Gate/CreditPool/Queue wakeup is one — bypass every
 //    ordered structure: O(1) push, O(1) pop.
-//  * tick wheel: 1024 one-picosecond FIFO slots covering the current
-//    epoch [base, base + 1024), base aligned to 1024 ps. An occupancy
-//    bitmap finds the next non-empty slot with a couple of
-//    count-trailing-zero steps.
+//  * epoch_: a 4-ary heap of slim (time, seq, node*) entries for the
+//    current epoch [base, base + 1024), base aligned to 1024 ps. It holds
+//    the events scheduled into the open epoch and the spill of a bucket
+//    that opens with several events.
 //  * epoch buckets: a circular wheel of 4096 buckets, one per 1024 ps
 //    epoch, for the epochs after the current one (about 4.2 µs ahead:
 //    chunk hops, head latencies and completions). A bucket is an unsorted
-//    LIFO list, O(1) push; a bitmap plus a summary word finds the next
-//    occupied one. Opening an epoch spills its bucket into the tick wheel;
-//    a bucket holding a single event pops straight out.
-//  * heap_: a 4-ary heap of slim (time, seq, node*) entries for epochs
-//    beyond the bucket window. Sifting compares and moves 24-byte
-//    trivially-copyable entries, never the payloads. Opening an epoch
-//    first moves the heap entries the window now reaches into their
-//    buckets (or, for the opened epoch, the tick wheel).
+//    list, O(1) push; a bitmap plus a summary word finds the next occupied
+//    one. Opening an epoch spills its bucket into epoch_; a bucket holding
+//    a single event pops straight out.
+//  * far_: a second heap of the same type for epochs beyond the bucket
+//    window. Opening an epoch first moves the far_ entries the window now
+//    reaches into their buckets (or, for the opened epoch, epoch_).
+//
+// Both heaps sift 24-byte trivially-copyable entries, never the payloads.
 //
 // Determinism contract: every event receives a global sequence number, and
-// the dispatcher always fires the (time, seq)-minimum event. Each slot
-// FIFO and the ring are seq-ordered by construction (appends happen in
-// allocation order). A bucket's list runs in descending seq for each fire
-// time: heap entries enter a bucket in (time, seq) order before any direct
-// push can reach it, and later pushes carry later seqs. Spilling prepends
-// each node to its slot, which restores ascending seq; a bucket and the
-// heap never both hold events of one epoch. So the merged order is the
-// exact total order a single (time, seq) priority queue would produce:
-// bit-identical simulated time, regardless of the internal structure.
+// the dispatcher always fires the (time, seq)-minimum event. The ring is
+// seq-ordered by construction (appends happen in allocation order), and
+// each heap pops in (time, seq) order. A bucket is never read in list
+// order: it pops alone or empties into epoch_. epoch_ times precede bucket
+// times, which precede far_ times. So the merged order is the exact total
+// order a single (time, seq) priority queue would produce: bit-identical
+// simulated time, regardless of the internal structure.
 #pragma once
 
 #include <algorithm>
@@ -90,12 +88,9 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   ~Simulator() {
-    for (HeapEntry& e : heap_) e.node->drop(e.node);
+    epoch_.drop_all();
+    far_.drop_all();
     for (EventNode* n = ring_head_; n != nullptr; n = n->next) n->drop(n);
-    if (wheel_size_ > 0) {
-      for (Slot& s : slots_)
-        for (EventNode* n = s.head; n != nullptr; n = n->next) n->drop(n);
-    }
     if (bucket_size_ > 0) {
       for (std::size_t w = 0; w < kBuckets / 64; ++w)
         for (std::uint64_t bits = bucket_bits_[w]; bits != 0;
@@ -203,21 +198,21 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
   bool empty() const {
-    return ring_head_ == nullptr && wheel_size_ == 0 && bucket_size_ == 0 &&
-           heap_.empty();
+    return ring_head_ == nullptr && epoch_.empty() && bucket_size_ == 0 &&
+           far_.empty();
   }
   std::size_t pending() const {
-    return ring_size_ + wheel_size_ + bucket_size_ + heap_.size();
+    return ring_size_ + epoch_.size() + bucket_size_ + far_.size();
   }
 
   // Queue geometry. An event `d` ps ahead of an epoch-aligned now() lands
-  // in the tick wheel for d < kEpochSpan, in a bucket for d < kHorizon,
-  // and in the heap beyond.
-  /// Span of one epoch: the tick wheel's 1 ps slots, and one bucket.
+  // in epoch_ for d < kEpochSpan, in a bucket for d < kHorizon, and in
+  // far_ beyond.
+  /// Span of one epoch: epoch_'s reach, and one bucket.
   static constexpr Time kEpochSpan = 1024;
   /// Epoch buckets in the circular wheel. Power of two.
   static constexpr std::size_t kBuckets = 4096;
-  /// Reach of tick wheel plus buckets from the current epoch's start.
+  /// Reach of epoch_ plus buckets from the current epoch's start.
   static constexpr Time kHorizon = kEpochSpan * static_cast<Time>(kBuckets);
 
  private:
@@ -228,18 +223,17 @@ class Simulator {
   static constexpr int kEpochBits = std::countr_zero(
       static_cast<std::uint64_t>(kEpochSpan));
   static constexpr std::size_t kBucketMask = kBuckets - 1;
-  /// Heap entries reserved by the first event beyond the bucket window.
+  /// Entries a heap reserves on its first push.
   static constexpr std::size_t kHeapReserve = 64;
-  static_assert(std::has_single_bit(static_cast<std::uint64_t>(kEpochSpan)) &&
-                    kEpochSpan % 64 == 0,
-                "the tick bitmap is whole 64-bit words");
+  static_assert(std::has_single_bit(static_cast<std::uint64_t>(kEpochSpan)),
+                "an epoch's start is a time with its low bits masked off");
   static_assert(kBuckets == 64 * 64,
                 "one summary bit per bucket-bitmap word, wrapping at 64");
 
   struct EventNode {
     std::uint64_t seq;
     std::uint64_t parent;  // seq of the scheduling event (causal parent)
-    EventNode* next;  // freelist / ring / wheel-slot / bucket link
+    EventNode* next;  // freelist / ring / bucket link
     void (*invoke)(Simulator&, EventNode*);  // fire payload, release node
     void (*drop)(EventNode*);                // destroy payload, no fire
     Time time;  // fire time; set only while the node sits in a bucket
@@ -247,21 +241,74 @@ class Simulator {
   };
   static_assert(sizeof(EventNode) == 128, "a node spans two cache lines");
 
-  /// One wheel slot: FIFO of nodes firing at time base_ + slot index.
-  struct Slot {
-    EventNode* head = nullptr;
-    EventNode* tail = nullptr;
-  };
-
   /// Slim heap entry: sifting compares and moves these, not the nodes.
   struct HeapEntry {
     Time time;
     std::uint64_t seq;
     EventNode* node;
   };
-  static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
+
+  /// 4-ary min-heap on (time, seq): half the levels of a binary heap, and
+  /// each level's four children share one or two cache lines. (time, seq)
+  /// keys are unique, so the pop order — the only thing determinism sees —
+  /// is the same for any correct priority structure.
+  class EntryHeap {
+   public:
+    bool empty() const { return v_.empty(); }
+    std::size_t size() const { return v_.size(); }
+    const HeapEntry& top() const { return v_[0]; }
+
+    void drop_all() {
+      for (const HeapEntry& e : v_) e.node->drop(e.node);
+    }
+
+    /// Out of line: inlined into every at()/after() it would bloat the
+    /// callers, and the events that get here are the minority.
+    [[gnu::noinline]] void push(HeapEntry e) {
+      // Room for a typical backlog at once (a GPU's queued P2P completions
+      // reach ~50 entries), not a doubling from one entry.
+      if (v_.capacity() == 0) v_.reserve(kHeapReserve);
+      v_.push_back(e);
+      std::size_t i = v_.size() - 1;
+      while (i > 0) {
+        const std::size_t parent = (i - 1) >> 2;
+        if (!less(e, v_[parent])) break;
+        v_[i] = v_[parent];
+        i = parent;
+      }
+      v_[i] = e;
+    }
+
+    HeapEntry pop() {
+      const HeapEntry result = v_[0];
+      const HeapEntry e = v_.back();
+      v_.pop_back();
+      const std::size_t size = v_.size();
+      if (size > 0) {
+        std::size_t i = 0;
+        for (;;) {
+          const std::size_t first = (i << 2) + 1;
+          if (first >= size) break;
+          const std::size_t last = std::min(first + 4, size);
+          std::size_t best = first;
+          for (std::size_t c = first + 1; c < last; ++c)
+            if (less(v_[c], v_[best])) best = c;
+          if (!less(v_[best], e)) break;
+          v_[i] = v_[best];
+          i = best;
+        }
+        v_[i] = e;
+      }
+      return result;
+    }
+
+   private:
+    static bool less(const HeapEntry& a, const HeapEntry& b) {
+      return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+    }
+
+    std::vector<HeapEntry> v_;
+  };
 
   // ---- payload trampolines ----------------------------------------------
 
@@ -388,17 +435,17 @@ class Simulator {
       schedule_future(n, t);
   }
 
-  /// Route a strictly-future event to the tick wheel, a bucket or the
-  /// overflow heap. Invariants: base_ <= now_ < t, so t - base_ > 0; the
-  /// heap only ever holds times >= base_ + kHorizon.
+  /// Route a strictly-future event to epoch_, a bucket or far_.
+  /// Invariants: base_ <= now_ < t, so t - base_ > 0; far_ only ever holds
+  /// times >= base_ + kHorizon.
   void schedule_future(EventNode* n, Time t) {
     const Time rel = t - base_;
     if (rel < kEpochSpan)
-      wheel_push(n, static_cast<std::size_t>(rel));
+      epoch_.push(HeapEntry{t, n->seq, n});
     else if (rel < kHorizon)
       bucket_push(n, t);
     else
-      heap_push(n, t);
+      far_.push(HeapEntry{t, n->seq, n});
   }
 
   // ---- ready ring (same-tick FIFO) --------------------------------------
@@ -421,47 +468,11 @@ class Simulator {
     return n;
   }
 
-  // ---- timing wheel ------------------------------------------------------
-
-  void wheel_push(EventNode* n, std::size_t rel) {
-    Slot& s = slots_[rel];
-    n->next = nullptr;
-    if (s.tail != nullptr)
-      s.tail->next = n;
-    else {
-      s.head = n;
-      bitmap_[rel >> 6] |= std::uint64_t{1} << (rel & 63);
-    }
-    s.tail = n;
-    ++wheel_size_;
-  }
-
-  EventNode* wheel_pop(std::size_t rel) {
-    Slot& s = slots_[rel];
-    EventNode* n = s.head;
-    s.head = n->next;
-    if (s.head == nullptr) {
-      s.tail = nullptr;
-      bitmap_[rel >> 6] &= ~(std::uint64_t{1} << (rel & 63));
-    }
-    --wheel_size_;
-    return n;
-  }
-
-  /// Index of the first occupied slot >= `from`; wheel must be non-empty
-  /// and hold no slot below `from`.
-  std::size_t next_occupied_slot(std::size_t from) const {
-    std::size_t w = from >> 6;
-    std::uint64_t word = bitmap_[w] & (~std::uint64_t{0} << (from & 63));
-    while (word == 0) word = bitmap_[++w];
-    return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-  }
-
   // ---- epoch buckets -----------------------------------------------------
   //
   // Bucket b holds the events of the one epoch in (current, current +
-  // kBuckets) whose index is b, as a LIFO list. The current epoch's own
-  // index is always free, since its events live in the tick wheel. A
+  // kBuckets) whose index is b, as an unordered list. The current epoch's
+  // own index is always free, since its events live in epoch_. A
   // bucket's head pointer is meaningful only while its bit is set, so the
   // array needs no initialisation.
 
@@ -513,79 +524,23 @@ class Simulator {
     return base_ + static_cast<Time>(ahead) * kEpochSpan;
   }
 
-  // ---- future-event heap -------------------------------------------------
-  //
-  // 4-ary min-heap on (time, seq): half the levels of a binary heap, and
-  // each level's four children share one or two cache lines. (time, seq)
-  // keys are unique, so the pop order — the only thing determinism sees —
-  // is the same for any correct priority structure.
-
-  /// Out of line: only events beyond the bucket window get here, and
-  /// inlined into every at()/after() it would bloat the callers.
-  [[gnu::noinline]] void heap_push(EventNode* n, Time t) {
-    // Room for a typical far-future backlog at once (a GPU's queued P2P
-    // completions reach ~50 entries), not a doubling from one entry.
-    if (heap_.capacity() == 0) heap_.reserve(kHeapReserve);
-    heap_.push_back(HeapEntry{t, n->seq, n});
-    std::size_t i = heap_.size() - 1;
-    const HeapEntry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!entry_less(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  HeapEntry heap_pop() {
-    const HeapEntry result = heap_[0];
-    const HeapEntry e = heap_.back();
-    heap_.pop_back();
-    const std::size_t size = heap_.size();
-    if (size > 0) {
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= size) break;
-        const std::size_t last = std::min(first + 4, size);
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c)
-          if (entry_less(heap_[c], heap_[best])) best = c;
-        if (!entry_less(heap_[best], e)) break;
-        heap_[i] = heap_[best];
-        i = best;
-      }
-      heap_[i] = e;
-    }
-    return result;
-  }
-
   // ---- dispatch ----------------------------------------------------------
 
   /// Pop the (time, seq)-minimum event and advance now_ to its fire time.
   ///
-  /// Order argument: the slot at now_ holds only events scheduled before
-  /// this tick began (later same-tick schedules go to the ring), so its
+  /// Order argument: epoch_ entries at now_ were all scheduled before
+  /// this tick began (later same-tick schedules go to the ring), so their
   /// seqs all precede the ring's; the ring precedes any strictly-later
-  /// slot; every tick-wheel time precedes every bucket time, and every
-  /// bucket time precedes every heap time.
+  /// epoch_ entry; every epoch_ time precedes every bucket time, and every
+  /// bucket time precedes every far_ time.
   APN_HOT EventNode* pop_next() {
-    if (wheel_size_ > 0) {
-      const Time rel = now_ - base_;
-      if (rel < kEpochSpan) {
-        Slot& s = slots_[rel];
-        if (s.head != nullptr)
-          return wheel_pop(static_cast<std::size_t>(rel));
-      }
+    if (!epoch_.empty() &&
+        (epoch_.top().time == now_ || ring_head_ == nullptr)) {
+      const HeapEntry e = epoch_.pop();
+      advance_to(e.time);
+      return e.node;
     }
     if (ring_head_ != nullptr) return ring_pop();
-    if (wheel_size_ > 0) {
-      const std::size_t rel =
-          next_occupied_slot(static_cast<std::size_t>(now_ - base_));
-      advance_to(base_ + static_cast<Time>(rel));
-      return wheel_pop(rel);
-    }
     return open_next_epoch();
   }
 
@@ -594,7 +549,7 @@ class Simulator {
     check::coro::note_tick(now_);
   }
 
-  /// Tick wheel and ring are empty: make the earliest pending epoch the
+  /// epoch_ and the ring are empty: make the earliest pending epoch the
   /// current one and pop its first event, or return nullptr if none is
   /// pending. Out of line, so the dispatch loop around step() stays small
   /// (inlined, it slowed the same-tick ring path by ~15%).
@@ -602,56 +557,41 @@ class Simulator {
     if (bucket_size_ > 0) {
       const std::size_t b = next_occupied_bucket();
       base_ = bucket_epoch_start(b);
-      // The heap holds no event of this epoch: an epoch's heap entries
-      // moved out when it entered the window. So after the migration the
-      // tick wheel is still empty and the bucket alone decides.
-      migrate_heap();
+      // far_ holds no event of this epoch: an epoch's far_ entries moved
+      // out when it entered the window. So after the migration epoch_ is
+      // still empty and the bucket alone decides.
+      migrate_far();
       EventNode* n = bucket_take(b);
       if (n->next == nullptr) {
         --bucket_size_;
         advance_to(n->time);
         return n;
       }
-      // The list runs in descending seq for each fire time; prepending
-      // restores seq order in each slot.
-      while (n != nullptr) {
-        EventNode* next = n->next;
-        const auto rel = static_cast<std::size_t>(n->time - base_);
-        Slot& s = slots_[rel];
-        n->next = s.head;
-        if (s.head == nullptr) {
-          s.tail = n;
-          bitmap_[rel >> 6] |= std::uint64_t{1} << (rel & 63);
-        }
-        s.head = n;
+      for (; n != nullptr; n = n->next) {
+        epoch_.push(HeapEntry{n->time, n->seq, n});
         --bucket_size_;
-        ++wheel_size_;
-        n = next;
       }
-      const std::size_t rel = next_occupied_slot(0);
-      advance_to(base_ + static_cast<Time>(rel));
-      return wheel_pop(rel);
+      const HeapEntry e = epoch_.pop();
+      advance_to(e.time);
+      return e.node;
     }
-    if (heap_.empty()) return nullptr;
-    // Every bucket is empty: jump to the heap top's epoch. The top itself
-    // pops directly (the sparse case costs no wheel round-trip).
-    base_ = heap_[0].time & ~(kEpochSpan - 1);
-    const HeapEntry top = heap_pop();
+    if (far_.empty()) return nullptr;
+    // Every bucket is empty: jump to far_'s top's epoch. The top itself
+    // pops directly (the sparse case costs no epoch_ round-trip).
+    base_ = far_.top().time & ~(kEpochSpan - 1);
+    const HeapEntry top = far_.pop();
     advance_to(top.time);
-    migrate_heap();
+    migrate_far();
     return top.node;
   }
 
-  /// Move the heap entries the window [base_, base_ + kHorizon) now
-  /// reaches into the tick wheel or their buckets. They pop in (time, seq)
-  /// order, and no direct push has reached those buckets yet, so the
-  /// bucket order argument above holds.
-  void migrate_heap() {
-    while (!heap_.empty() && heap_[0].time - base_ < kHorizon) {
-      const HeapEntry e = heap_pop();
-      const Time rel = e.time - base_;
-      if (rel < kEpochSpan)
-        wheel_push(e.node, static_cast<std::size_t>(rel));
+  /// Move the far_ entries the window [base_, base_ + kHorizon) now
+  /// reaches into epoch_ or their buckets.
+  void migrate_far() {
+    while (!far_.empty() && far_.top().time - base_ < kHorizon) {
+      const HeapEntry e = far_.pop();
+      if (e.time - base_ < kEpochSpan)
+        epoch_.push(e);
       else
         bucket_push(e.node, e.time);
     }
@@ -660,11 +600,7 @@ class Simulator {
   /// True if an event with fire time <= `t` is pending.
   bool peek_time(Time t) const {
     if (ring_head_ != nullptr) return now_ <= t;
-    if (wheel_size_ > 0) {
-      const std::size_t rel =
-          next_occupied_slot(static_cast<std::size_t>(now_ - base_));
-      return base_ + static_cast<Time>(rel) <= t;
-    }
+    if (!epoch_.empty()) return epoch_.top().time <= t;
     if (bucket_size_ > 0) {
       const std::size_t b = next_occupied_bucket();
       const Time start = bucket_epoch_start(b);
@@ -675,7 +611,7 @@ class Simulator {
         if (n->time <= t) return true;
       return false;
     }
-    return !heap_.empty() && heap_[0].time <= t;
+    return !far_.empty() && far_.top().time <= t;
   }
 
   Time now_ = 0;
@@ -687,15 +623,13 @@ class Simulator {
   EventNode* ring_head_ = nullptr;
   EventNode* ring_tail_ = nullptr;
   std::size_t ring_size_ = 0;
-  std::size_t wheel_size_ = 0;
   std::size_t bucket_size_ = 0;
   std::uint64_t bucket_summary_ = 0;  ///< bit w: bucket_bits_[w] != 0
   EventNode* free_ = nullptr;
-  std::vector<HeapEntry> heap_;
+  EntryHeap epoch_;  ///< the open epoch [base_, base_ + kEpochSpan)
+  EntryHeap far_;    ///< times >= base_ + kHorizon
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   // The large arrays come last, after every hot scalar.
-  Slot slots_[kEpochSpan] = {};
-  std::uint64_t bitmap_[kEpochSpan / 64] = {};
   std::uint64_t bucket_bits_[kBuckets / 64] = {};
   EventNode* buckets_[kBuckets];  // valid where bucket_bits_ is set
 };

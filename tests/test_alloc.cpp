@@ -195,10 +195,10 @@ TEST(SteadyStateAllocs, ChannelSendAllocatesNothing) {
 }
 
 TEST(SteadyStateAllocs, EventStoresAllocateNothing) {
-  // Traffic through every store of the event queue: ready ring, tick
-  // wheel, epoch buckets (one event alone in its epoch, and several
-  // sharing one) and the overflow heap; each event schedules a follow-up
-  // at half its delay.
+  // Traffic through every store of the event queue: ready ring, epoch
+  // heap, epoch buckets (one event alone in its epoch, and several
+  // sharing one) and the far heap; each event schedules a follow-up at
+  // half its delay.
   using sim::Simulator;
   Simulator sim;
   int fired = 0;
@@ -307,6 +307,45 @@ TEST(SteadyStateAllocs, TimingOnlyP2pRequestAllocatesOnlyItsDescriptor) {
   request();  // warm-up
   EXPECT_EQ(allocs_during(request), 1u);
   EXPECT_EQ(gpu.p2p_requests_served(), 2u);
+}
+
+TEST(SteadyStateAllocs, TwoNodePutAllocationsPerMessage) {
+  // Steady-state one-packet H-H PUTs from node 0 to a buffer node 1
+  // registered once, one message per burst. A burst makes 11 allocations:
+  // the receiving coroutine's frame, and ten the message owns (its
+  // coroutine frames, its shared holders, the receiver's message record).
+  // The torus hop's send hook is not among them: it captures the packet's
+  // holder, not the 64 B completion, so the hooked link event stays
+  // inline instead of boxing a 96 B closure.
+  sim::Simulator sim;
+  auto c = cluster::Cluster::make_cluster_i(sim, 2, hw::params(), false);
+  constexpr std::uint64_t kBytes = core::kMaxPacketPayload;
+  const std::uint64_t src =
+      cluster::make_buf(c->node(0), core::MemType::kHost, kBytes);
+  const std::uint64_t dst =
+      cluster::make_buf(c->node(1), core::MemType::kHost, kBytes);
+  [](cluster::Cluster* c, std::uint64_t dst) -> sim::Coro {
+    co_await c->rdma(1).register_buffer(dst, kBytes, core::MemType::kHost);
+  }(c.get(), dst);
+  sim.run();
+  int received = 0;
+  auto burst = [&](int messages) {
+    return allocs_during([&] {
+      [](cluster::Cluster* c, int n, int* received) -> sim::Coro {
+        for (int i = 0; i < n; ++i) {
+          co_await c->rdma(1).events().pop();
+          ++*received;
+        }
+      }(c.get(), messages, &received);
+      for (int i = 0; i < messages; ++i)
+        c->rdma(0).put(c->coord(1), src, kBytes, dst, core::MemType::kHost,
+                       /*carry_data=*/false);
+      sim.run();
+    });
+  };
+  burst(64);  // warm-up: event slabs, transfer slots and queues
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(burst(1), 11u) << "burst " << i;
+  EXPECT_EQ(received, 64 + 8);
 }
 
 TEST(PlacementIndependence, TwoClustersGetTheSameHostAddresses) {

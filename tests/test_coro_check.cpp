@@ -172,7 +172,7 @@ TEST(CoroCheck, SimulatorTeardownReclaimsPendingResumes) {
   const Counters before = Counters::now();
   {
     sim::Simulator sim;
-    // One resume in each store: tick wheel, epoch bucket, heap and
+    // One resume in each store: epoch heap, epoch bucket, far heap and
     // same-tick ready ring. Every pending-node path reclaims.
     [](sim::Simulator* s) -> sim::Coro { co_await sim::delay(*s, 10); }(&sim);
     [](sim::Simulator* s) -> sim::Coro {

@@ -121,9 +121,9 @@ TEST(Simulator, ManyEventsStressOrdering) {
 
 TEST(Simulator, ReadyRingRunsAfterPendingSlotEvents) {
   // Events scheduled *before* the current tick began (they sit in the
-  // timing-wheel slot for `now`) run before events created at delay 0
-  // *during* the tick (they go to the same-tick ready ring). Both precede
-  // anything at a later time. This is exactly the old (time, seq) order.
+  // epoch heap at `now`) run before events created at delay 0 *during*
+  // the tick (they go to the same-tick ready ring). Both precede anything
+  // at a later time. This is exactly the old (time, seq) order.
   Simulator sim;
   std::vector<int> order;
   sim.after(us(1), [&] {
@@ -131,7 +131,7 @@ TEST(Simulator, ReadyRingRunsAfterPendingSlotEvents) {
     sim.after(0, [&] { order.push_back(3); });  // ready ring
     sim.after(us(1), [&] { order.push_back(4); });
   });
-  sim.after(us(1), [&] { order.push_back(2); });  // same slot, later seq
+  sim.after(us(1), [&] { order.push_back(2); });  // same tick, later seq
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
@@ -156,8 +156,8 @@ constexpr Time kHorizon = Simulator::kHorizon;
 
 TEST(Simulator, WheelToHeapBoundarySpansKeepOrder) {
   // Exercise delays straddling each store's edge: last tick of the first
-  // epoch (tick wheel), first tick of the next (a bucket), mid-window (a
-  // bucket), and beyond the window (overflow heap), including events
+  // epoch (epoch heap), first tick of the next (a bucket), mid-window (a
+  // bucket), and beyond the window (far heap), including events
   // scheduled for the same tick from different epochs. Order must be
   // strictly (time, seq).
   Simulator sim;
@@ -166,10 +166,10 @@ TEST(Simulator, WheelToHeapBoundarySpansKeepOrder) {
   const Time far = kHorizon + units::ps(5);
   const Time second = kEpoch + units::ps(7);  // a tick of the second epoch
   auto log = [&] { fired.push_back(sim.now()); };
-  sim.after(far, log);         // heap
+  sim.after(far, log);         // far heap
   sim.after(mid, log);         // bucket
-  sim.after(kEpoch, log);      // first tick past the tick wheel
-  sim.after(kEpoch - 1, log);  // last tick of the tick wheel
+  sim.after(kEpoch, log);      // first tick past the open epoch
+  sim.after(kEpoch - 1, log);  // last tick of the open epoch
   sim.after(3, [&] {
     log();
     // Raw engine ticks on purpose.  apn-lint: allow(unit-mix)
@@ -190,9 +190,9 @@ TEST(Simulator, PendingAndEmptyTrackAllThreeStores) {
   Simulator sim;
   EXPECT_TRUE(sim.empty());
   sim.after(0, [] {});             // ready ring
-  sim.after(10, [] {});            // tick wheel
+  sim.after(10, [] {});            // epoch heap
   sim.after(3 * kEpoch, [] {});    // bucket
-  sim.after(2 * kHorizon, [] {});  // heap
+  sim.after(2 * kHorizon, [] {});  // far heap
   EXPECT_EQ(sim.pending(), 4u);
   EXPECT_FALSE(sim.empty());
   sim.run();
@@ -237,7 +237,7 @@ TEST(Simulator, MoveOnlyAndOversizedCallablesFire) {
 }
 
 TEST(Simulator, DestructorReclaimsUnfiredEvents) {
-  // Unfired events in ring, tick wheel, buckets and heap are dropped
+  // Unfired events in ring, both heaps and buckets are dropped
   // (payload dtors run) when the Simulator dies — ASan/LSan guards this.
   auto token = std::make_shared<int>(1);
   {
@@ -311,6 +311,19 @@ Time pick_delay(Rng& rng, Time now) {
   return std::max<Time>(d, 0);
 }
 
+/// A strictly-future delay that stays inside the epoch `now` is in, or
+/// -1 at an epoch's last tick.
+Time pick_in_epoch(Rng& rng, Time now) {
+  const Time epoch_left = kEpoch - now % kEpoch;
+  if (epoch_left == 1) return -1;
+  return 1 + static_cast<Time>(rng.next_below(epoch_left - 1));
+}
+
+/// kDense keeps hundreds of events pending and kSparse few, so the queue
+/// often drains down to the far heap alone. kInEpoch is dense, and two of
+/// three children an event schedules land later in its own epoch.
+enum class Mode { kSparse, kDense, kInEpoch };
+
 struct Fired {
   Time time;
   std::uint64_t id;
@@ -319,13 +332,12 @@ struct Fired {
 
 /// Run one seeded workload on `eng`: events spawn children at drawn
 /// delays, and the control loop steps with run_until to drawn stop times,
-/// scheduling more events between stops. Dense workloads keep hundreds
-/// of events pending; sparse ones few, so the queue often drains down to
-/// the heap alone. Returns the firing log plus (now, pending) after every
-/// stop.
+/// scheduling more events between stops. Returns the firing log plus
+/// (now, pending) after every stop.
 template <typename Engine>
 std::pair<std::vector<Fired>, std::vector<std::pair<Time, std::size_t>>>
-run_workload(Engine& eng, std::uint64_t seed, bool dense) {
+run_workload(Engine& eng, std::uint64_t seed, Mode mode) {
+  const bool dense = mode != Mode::kSparse;
   constexpr std::uint64_t kBudget = 20000;
   Rng rng(seed);
   std::uint64_t next_id = 0;
@@ -342,7 +354,12 @@ run_workload(Engine& eng, std::uint64_t seed, bool dense) {
     // Mean 1.13 children when dense, 0.93 when sparse.
     const std::uint64_t r = rng.next_below(15);
     const int kids = r < (dense ? 3u : 6u) ? 0 : r < 10 ? 1 : 2;
-    for (int k = 0; k < kids; ++k) schedule(pick_delay(rng, eng.now()));
+    for (int k = 0; k < kids; ++k) {
+      const Time in_epoch = mode == Mode::kInEpoch && rng.next_below(3) < 2
+                                ? pick_in_epoch(rng, eng.now())
+                                : -1;
+      schedule(in_epoch > 0 ? in_epoch : pick_delay(rng, eng.now()));
+    }
   };
   for (int i = 0; i < (dense ? 64 : 2); ++i) schedule(pick_delay(rng, 0));
   for (int round = 0; round < 4000; ++round) {
@@ -357,13 +374,13 @@ run_workload(Engine& eng, std::uint64_t seed, bool dense) {
 }
 
 TEST(Simulator, MatchesReferenceQueueAcrossEveryStoreEdge) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE(seed);
-    const bool dense = seed % 2 == 1;
+    const Mode mode = static_cast<Mode>(seed % 3);
     Simulator sim;
     RefQueue ref;
-    const auto got = run_workload(sim, seed, dense);
-    const auto want = run_workload(ref, seed, dense);
+    const auto got = run_workload(sim, seed, mode);
+    const auto want = run_workload(ref, seed, mode);
     ASSERT_EQ(got.first.size(), want.first.size());
     for (std::size_t i = 0; i < want.first.size(); ++i) {
       ASSERT_EQ(got.first[i].time, want.first[i].time) << "event " << i;
